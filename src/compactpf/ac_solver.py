@@ -9,12 +9,13 @@ the nonlinear constraints exactly, which is re-verified independently
 before any point is reported feasible.
 """
 
+import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import ValidationError, ConvergenceError, CompactPFError
 from . import grid_model, jacobian
@@ -26,7 +27,7 @@ class InfeasibleError(CompactPFError):
 
 TOL_FEAS = 1e-6
 SLACK_PENALTY = 1e5
-_DEBUG = bool(os.environ.get("COMPACTPF_SLP_DEBUG"))
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -169,6 +170,17 @@ def newton_power_flow(net, spec, v0, theta0, tol=1e-8, max_iter=50):
 # SLP engine
 # ---------------------------------------------------------------------------
 
+def linprog(c, A, lo, hi, lb, ub):
+    """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub with HiGHS.
+
+    ``A`` is a CSC matrix passed through as built: no integrality is
+    declared, so HiGHS solves the LP exactly as given. Returns scipy's
+    OptimizeResult (status 0 optimal, 2 infeasible, other codes failures).
+    """
+    return milp(c, constraints=LinearConstraint(A, lo, hi),
+                bounds=Bounds(lb, ub))
+
+
 @dataclass
 class _Ramps:
     up: np.ndarray       # (G,)
@@ -195,248 +207,256 @@ def _period_violation(net, spec, v, theta, p_abs, q_gen, q_sc):
     return float(viol), vsum, op
 
 
-def _solve_slp(net, specs, ramps=None, objective="min-cost",
-               trust=None, x_init=None):
-    """Shared single/multi-period SLP core.
+class _SLPProblem:
+    """The SLP subproblem ``lo <= A x <= hi, lb <= x <= ub`` of one SLP call.
+
+    Variables per period: dv(n), dth(n-1), p_delta(G), r(G), q(G),
+    q_sc(C) and the elastic slacks sp+(n), sp-(n), sq+(n), sq-(n),
+    sth(2m); the cost epigraph variables of committed units follow all
+    periods. Rows: per period the thermal rows (ft/tf interleaved per
+    branch), the angle-difference rows, the capacity rows of committed
+    units and the reserve row; then the cost epigraph and ramp rows; last
+    the active and reactive balance rows of every period.
+
+    Everything that does not depend on the iterate is laid out once here.
+    ``linearize`` refreshes the Jacobian entries (balance and thermal rows)
+    and the row bounds; ``trust_bounds`` the column bounds. The matrix
+    carries no exact zeros and its CSC order is that of the same matrix
+    stored dense, so HiGHS sees one model whichever way it was built.
+    """
+
+    def __init__(self, net, specs, ramps, objective):
+        self.net = net
+        self.T = T = len(specs)
+        n, m = net.n, net.m
+        G, C = len(specs[0].gens), len(specs[0].condensers)
+        self.nonref = np.array([b for b in range(n) if b != net.ref])
+        per = (2 * n - 1) + 3 * G + C + 4 * n + 2 * m
+        base = per * np.arange(T)[:, None]
+        self.dv = base + np.arange(n)
+        self.dth = base + n + np.arange(n - 1)
+        self.pd = base + (2 * n - 1) + np.arange(G)
+        self.r = self.pd + G
+        self.q = self.r + G
+        self.qsc = base + (2 * n - 1) + 3 * G + np.arange(C)
+        slack = base + (2 * n - 1) + 3 * G + C + np.arange(4 * n + 2 * m)
+        spp, spm, sqp, sqm = (slack[:, k * n:(k + 1) * n] for k in range(4))
+        sth = slack[:, 4 * n:]
+        dth_of = np.full(n, -1)
+        dth_of[self.nonref] = np.arange(n - 1)   # bus -> dth position
+
+        cost_cols = []   # (t, gi, column) of each cost epigraph variable
+        if objective == "min-cost":
+            for t, spec in enumerate(specs):
+                for gi, gs in enumerate(spec.gens):
+                    if gs.on and gs.cost_segments:
+                        cost_cols.append((t, gi, per * T + len(cost_cols)))
+        nvar = per * T + len(cost_cols)
+        self.c = np.zeros(nvar)
+        self.c[slack.ravel()] = SLACK_PENALTY
+        self.c[per * T:] = 1.0
+        self.lb = np.zeros(nvar)
+        self.ub = np.full(nvar, np.inf)
+
+        rows, cols, vals, hi = [], [], [], []
+
+        def row(entries, bound=np.nan):
+            for col, val in entries:
+                rows.append(len(hi))
+                cols.append(col)
+                vals.append(val)
+            hi.append(bound)
+            return len(hi) - 1
+
+        self.th_rows = np.zeros((T, 2 * m), dtype=int)
+        self.ang_rows = np.zeros((T, 2 * m), dtype=int)
+        for t, spec in enumerate(specs):
+            for k in range(m):
+                self.th_rows[t, 2 * k] = row([(sth[t, k], -1.0)])
+                self.th_rows[t, 2 * k + 1] = row([(sth[t, m + k], -1.0)])
+            for k, (i, j) in enumerate(zip(net.f_bus, net.t_bus)):
+                ends = [(self.dth[t, dth_of[b]], sign)
+                        for b, sign in ((i, 1.0), (j, -1.0)) if b != net.ref]
+                self.ang_rows[t, 2 * k] = row(ends)
+                self.ang_rows[t, 2 * k + 1] = row(
+                    [(col, -val) for col, val in ends])
+            for gi, gs in enumerate(spec.gens):
+                if not gs.on:
+                    self.ub[[self.pd[t, gi], self.r[t, gi],
+                             self.q[t, gi]]] = 0.0
+                    continue
+                self.ub[self.pd[t, gi]] = gs.cap_b
+                self.lb[self.q[t, gi]] = gs.q_lo
+                self.ub[self.q[t, gi]] = gs.q_hi
+                row([(self.pd[t, gi], 1.0), (self.r[t, gi], 1.0)], gs.cap_a)
+            for ci, (_, qlo, qhi) in enumerate(spec.condensers):
+                self.lb[self.qsc[t, ci]] = qlo
+                self.ub[self.qsc[t, ci]] = qhi
+            if spec.reserve > 0.0:
+                row([(col, -1.0) for col in self.r[t]], -spec.reserve)
+        # convex piecewise cost by its epigraph: cost_g >= each segment line
+        for t, gi, cv in cost_cols:
+            acc_w, acc_c = 0.0, 0.0
+            for width, slope in specs[t].gens[gi].cost_segments:
+                row([(self.pd[t, gi], slope), (cv, -1.0)],
+                    slope * acc_w - acc_c)
+                acc_c += slope * width
+                acc_w += width
+        if ramps is not None:
+            for t in range(T):
+                for gi in range(G):
+                    cur, res = self.pd[t, gi], self.r[t, gi]
+                    if t == 0:
+                        row([(cur, 1.0), (res, 1.0)],
+                            ramps.up[gi] + ramps.p_delta0[gi])
+                        row([(cur, -1.0)],
+                            ramps.down[gi] - ramps.p_delta0[gi])
+                    else:
+                        prev = self.pd[t - 1, gi]
+                        row([(cur, 1.0), (res, 1.0), (prev, -1.0)],
+                            ramps.up[gi])
+                        row([(cur, -1.0), (prev, 1.0)], ramps.down[gi])
+        n_ub = len(hi)
+        self.p_rows = np.zeros((T, n), dtype=int)
+        self.q_rows = np.zeros((T, n), dtype=int)
+        p_gen = ([], [], [])   # (period, bus, pmin) of committed units
+        for t, spec in enumerate(specs):
+            on = [gi for gi, gs in enumerate(spec.gens) if gs.on]
+            for b in range(n):
+                self.p_rows[t, b] = row(
+                    [(self.pd[t, gi], -1.0) for gi in on
+                     if spec.gens[gi].bus == b]
+                    + [(spp[t, b], -1.0), (spm[t, b], 1.0)])
+            for b in range(n):
+                self.q_rows[t, b] = row(
+                    [(self.q[t, gi], -1.0) for gi in on
+                     if spec.gens[gi].bus == b]
+                    + [(self.qsc[t, ci], -1.0)
+                       for ci, (cb, _, _) in enumerate(spec.condensers)
+                       if cb == b]
+                    + [(sqp[t, b], -1.0), (sqm[t, b], 1.0)])
+            for gi in on:
+                p_gen[0].append(t)
+                p_gen[1].append(spec.gens[gi].bus)
+                p_gen[2].append(spec.gens[gi].pmin)
+        self.p_gen_at = (np.array(p_gen[0], dtype=int),
+                         np.array(p_gen[1], dtype=int))
+        self.p_gen_min = np.array(p_gen[2], dtype=float)
+        self.shape = (len(hi), nvar)
+        self.hi = np.array(hi)
+        self.lo = np.full(len(hi), -np.inf)
+        self.eq_rows = np.arange(n_ub, len(hi))
+        self.pd_load = np.array([spec.pd for spec in specs])
+        self.qd_load = np.array([spec.qd for spec in specs])
+
+        # Jacobian entries: every (balance or thermal row, dv/dth column)
+        self.jac_sel = np.concatenate([np.arange(n), n + self.nonref])
+        lin_rows = np.concatenate([self.p_rows, self.q_rows, self.th_rows],
+                                  axis=1)
+        lin_cols = np.concatenate([self.dv, self.dth], axis=1)
+        rows = np.concatenate([rows, np.repeat(lin_rows, 2 * n - 1, axis=1)
+                               .ravel()]).astype(int)
+        cols = np.concatenate([cols, np.repeat(lin_cols, 2 * (n + m), axis=0)
+                               .reshape(T, 2 * (n + m), 2 * n - 1)
+                               .ravel()]).astype(int)
+        self.vals = np.concatenate([vals, np.zeros(rows.size - len(vals))])
+        self.n_const = len(vals)
+        self.order = np.lexsort((rows, cols))
+        self.rows, self.cols = rows[self.order], cols[self.order]
+
+    def linearize(self, v, theta):
+        """Evaluate and differentiate every period at (v, theta); return
+        (A, lo, hi, lin_ctx) with lin_ctx[t] = (op, Jpq, Jsf, Jst)."""
+        net, m = self.net, self.net.m
+        lin_ctx, blocks = [], []
+        for t in range(self.T):
+            op = grid_model.eval_power_flow(net, v[t], theta[t])
+            Jpq = jacobian.injection_jacobian(net, v[t], theta[t])
+            Jsf = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "ft")
+            Jst = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "tf")
+            lin_ctx.append((op, Jpq, Jsf, Jst))
+            Jth = np.stack([Jsf, Jst], axis=1).reshape(2 * m, -1)
+            blocks.append(np.concatenate([Jpq, Jth])[:, self.jac_sel].ravel())
+        self.vals[self.n_const:] = np.concatenate(blocks)
+        vals = self.vals[self.order]
+        keep = vals != 0.0
+        indptr = np.zeros(self.shape[1] + 1, dtype=int)
+        np.cumsum(np.bincount(self.cols[keep], minlength=self.shape[1]),
+                  out=indptr[1:])
+        A = sparse.csc_array((vals[keep], self.rows[keep], indptr),
+                             shape=self.shape)
+
+        ops = [ctx[0] for ctx in lin_ctx]
+        hi = self.hi.copy()
+        s0 = np.stack([[op.s_ft for op in ops], [op.s_tf for op in ops]],
+                      axis=2).reshape(self.T, 2 * m)
+        hi[self.th_rows] = np.repeat(net.smax, 2) - s0
+        cur = theta[:, net.f_bus] - theta[:, net.t_bus]
+        hi[self.ang_rows[:, 0::2]] = net.theta_max - cur
+        hi[self.ang_rows[:, 1::2]] = cur - net.theta_min
+        p_rhs = -np.array([op.p_inj for op in ops]) - self.pd_load
+        np.add.at(p_rhs, self.p_gen_at, self.p_gen_min)
+        hi[self.p_rows] = p_rhs
+        hi[self.q_rows] = -np.array([op.q_inj for op in ops]) - self.qd_load
+        lo = self.lo.copy()
+        lo[self.eq_rows] = hi[self.eq_rows]
+        return A, lo, hi, lin_ctx
+
+    def trust_bounds(self, v, radius):
+        """Column bounds with dv inside the voltage box and the trust
+        radius, and dth inside the trust radius."""
+        lb, ub = self.lb.copy(), self.ub.copy()
+        lb[self.dv] = np.maximum(self.net.vmin - v, -radius)
+        ub[self.dv] = np.minimum(self.net.vmax - v, radius)
+        lb[self.dth] = -radius
+        ub[self.dth] = radius
+        return lb, ub
+
+    def extract(self, x):
+        """(dv, dth, p_delta, r, q, q_sc) of an LP solution."""
+        dth = np.zeros((self.T, self.net.n))
+        dth[:, self.nonref] = x[self.dth]
+        return (x[self.dv], dth, x[self.pd].T.copy(), x[self.r].T.copy(),
+                x[self.q].T.copy(), x[self.qsc].T.copy())
+
+    def soc_bounds(self, lo, hi, lb, ub, lin_ctx, v, theta, dv, dth):
+        """Bounds of the second-order correction (against the Maratos
+        effect) of the trial step (dv, dth): balance and thermal rows are
+        shifted by the linearization error at the trial point, and the
+        corrected step must stay in a small box around the trial step (the
+        shift is only valid there), so restoration costs O(step^2) in the
+        state while cancelling the O(step^2) violation."""
+        n = self.net.n
+        lo2, hi2 = lo.copy(), hi.copy()
+        for t, (op, Jpq, Jsf, Jst) in enumerate(lin_ctx):
+            d = np.concatenate([dv[t], dth[t]])
+            opn = grid_model.eval_power_flow(self.net, v[t] + dv[t],
+                                             theta[t] + dth[t])
+            hi2[self.p_rows[t]] -= opn.p_inj - (op.p_inj + Jpq[:n] @ d)
+            hi2[self.q_rows[t]] -= opn.q_inj - (op.q_inj + Jpq[n:] @ d)
+            hi2[self.th_rows[t, 0::2]] -= opn.s_ft - (op.s_ft + Jsf @ d)
+            hi2[self.th_rows[t, 1::2]] -= opn.s_tf - (op.s_tf + Jst @ d)
+        lo2[self.eq_rows] = hi2[self.eq_rows]
+        halo = max(10.0 * float(np.max(np.abs(hi2 - hi))), 1e-9)
+        lb2, ub2 = lb.copy(), ub.copy()
+        lb2[self.dv] = np.maximum(lb[self.dv], dv - halo)
+        ub2[self.dv] = np.minimum(ub[self.dv], dv + halo)
+        lb2[self.dth] = np.maximum(lb[self.dth], dth[:, self.nonref] - halo)
+        ub2[self.dth] = np.minimum(ub[self.dth], dth[:, self.nonref] + halo)
+        return lo2, hi2, lb2, ub2
+
+
+def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
+    """Shared single/multi-period SLP core, started flat.
 
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).
     """
     trust = trust or TrustConfig()
     T = len(specs)
-    n, m = net.n, net.m
-    G = len(specs[0].gens)
-    C = len(specs[0].condensers)
-    nonref = [b for b in range(n) if b != net.ref]
-
-    if x_init is None:
-        v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
-        theta = np.zeros((T, n))
-    else:
-        v, theta = x_init
-        v, theta = v.copy(), theta.copy()
-
-    # LP variable layout per period: dv(n), dth(n-1), p_delta(G), r(G),
-    # q(G), q_sc(C), slacks: sp+(n), sp-(n), sq+(n), sq-(n), sth(2m)
-    per = n + (n - 1) + 3 * G + C + 4 * n + 2 * m
-    off_dv = 0
-    off_dth = n
-    off_pd = off_dth + (n - 1)
-    off_r = off_pd + G
-    off_q = off_r + G
-    off_qsc = off_q + G
-    off_spp = off_qsc + C
-    off_spm = off_spp + n
-    off_sqp = off_spm + n
-    off_sqm = off_sqp + n
-    off_sth = off_sqm + n
-    nvar = per * T
-
-    def build_lp(radius):
-        c = np.zeros(nvar)
-        lb = np.zeros(nvar)
-        ub = np.full(nvar, np.inf)
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        lin_ctx = []        # per period: (op, Jpq, Jsf, Jst)
-        thermal_rows = []   # per period: first thermal row index in A_ub
-
-        for t, spec in enumerate(specs):
-            base = per * t
-            op = grid_model.eval_power_flow(net, v[t], theta[t])
-            Jpq = jacobian.injection_jacobian(net, v[t], theta[t])
-            Jsf = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "ft")
-            Jst = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "tf")
-            lin_ctx.append((op, Jpq, Jsf, Jst))
-
-            # dv within voltage box and trust radius
-            lb[base + off_dv:base + off_dv + n] = np.maximum(
-                net.vmin - v[t], -radius)
-            ub[base + off_dv:base + off_dv + n] = np.minimum(
-                net.vmax - v[t], radius)
-            lb[base + off_dth:base + off_dth + n - 1] = -radius
-            ub[base + off_dth:base + off_dth + n - 1] = radius
-
-            def dx_row(row2n):
-                """Map a (2n,) Jacobian row to LP columns (dv, dth)."""
-                cols = {}
-                for b in range(n):
-                    if row2n[b] != 0.0:
-                        cols[base + off_dv + b] = row2n[b]
-                for k, b in enumerate(nonref):
-                    if row2n[n + b] != 0.0:
-                        cols[base + off_dth + k] = row2n[n + b]
-                return cols
-
-            # active balance: p_inj0 + Jp dx = sum(pmin + p_delta) - pd + sp+ - sp-
-            for b in range(n):
-                row = dx_row(Jpq[b])
-                rhs = -op.p_inj[b] - spec.pd[b]
-                for gi, gs in enumerate(spec.gens):
-                    if gs.bus == b and gs.on:
-                        row[base + off_pd + gi] = row.get(base + off_pd + gi, 0.0) - 1.0
-                        rhs += gs.pmin
-                row[base + off_spp + b] = row.get(base + off_spp + b, 0.0) - 1.0
-                row[base + off_spm + b] = row.get(base + off_spm + b, 0.0) + 1.0
-                A_eq.append(row)
-                b_eq.append(rhs)
-            # reactive balance
-            for b in range(n):
-                row = dx_row(Jpq[n + b])
-                rhs = -op.q_inj[b] - spec.qd[b]
-                for gi, gs in enumerate(spec.gens):
-                    if gs.bus == b and gs.on:
-                        row[base + off_q + gi] = row.get(base + off_q + gi, 0.0) - 1.0
-                for ci, (cb, _, _) in enumerate(spec.condensers):
-                    if cb == b:
-                        row[base + off_qsc + ci] = row.get(base + off_qsc + ci, 0.0) - 1.0
-                row[base + off_sqp + b] = row.get(base + off_sqp + b, 0.0) - 1.0
-                row[base + off_sqm + b] = row.get(base + off_sqm + b, 0.0) + 1.0
-                A_eq.append(row)
-                b_eq.append(rhs)
-            # thermal limits, elastic
-            thermal_rows.append(len(A_ub))
-            for k in range(m):
-                for Js, s0, soff in ((Jsf, op.s_ft[k], 0), (Jst, op.s_tf[k], m)):
-                    row = dx_row(Js[k])
-                    row[base + off_sth + soff + k] = -1.0
-                    A_ub.append(row)
-                    b_ub.append(net.smax[k] - s0)
-            # angle-difference limits (linear, hard)
-            for k in range(m):
-                i = int(np.argmax(net.E[k]))
-                j = int(np.argmin(net.E[k]))
-                row = {}
-                cur = theta[t][i] - theta[t][j]
-                for b, sign in ((i, 1.0), (j, -1.0)):
-                    if b != net.ref:
-                        kk = nonref.index(b)
-                        row[base + off_dth + kk] = row.get(base + off_dth + kk, 0.0) + sign
-                A_ub.append(dict(row))
-                b_ub.append(net.theta_max[k] - cur)
-                A_ub.append({c: -x for c, x in row.items()})
-                b_ub.append(cur - net.theta_min[k])
-            # generator boxes
-            for gi, gs in enumerate(spec.gens):
-                if not gs.on:
-                    ub[base + off_pd + gi] = 0.0
-                    ub[base + off_r + gi] = 0.0
-                    lb[base + off_q + gi] = 0.0
-                    ub[base + off_q + gi] = 0.0
-                    continue
-                ub[base + off_pd + gi] = gs.cap_b
-                lb[base + off_q + gi] = gs.q_lo
-                ub[base + off_q + gi] = gs.q_hi
-                A_ub.append({base + off_pd + gi: 1.0, base + off_r + gi: 1.0})
-                b_ub.append(gs.cap_a)
-            for ci, (_, qlo, qhi) in enumerate(spec.condensers):
-                lb[base + off_qsc + ci] = qlo
-                ub[base + off_qsc + ci] = qhi
-            # reserve requirement
-            if spec.reserve > 0.0:
-                A_ub.append({base + off_r + gi: -1.0 for gi in range(G)})
-                b_ub.append(-spec.reserve)
-            # costs and penalties
-            if objective == "min-cost":
-                for gi, gs in enumerate(spec.gens):
-                    slope = gs.cost_segments[0][1] if gs.cost_segments else 0.0
-                    # single-slope proxy refined below via segments
-                    del slope
-            for col in range(base + off_spp, base + off_sth + 2 * m):
-                c[col] = SLACK_PENALTY
-
-        # cost via piecewise segments requires extra vars; to keep the LP
-        # compact we exploit convexity: cost(p_delta) modeled by epigraph
-        # constraints cost_g >= slope_k * p_delta - intercept_k
-        cost_vars = []
-        if objective == "min-cost":
-            cost_base = nvar
-            extra = 0
-            for t, spec in enumerate(specs):
-                for gi, gs in enumerate(spec.gens):
-                    if not gs.on or not gs.cost_segments:
-                        cost_vars.append(None)
-                        continue
-                    cost_vars.append(cost_base + extra)
-                    extra += 1
-            total = nvar + extra
-            c = np.concatenate([c, np.ones(extra)])
-            lb = np.concatenate([lb, np.zeros(extra)])
-            ub = np.concatenate([ub, np.full(extra, np.inf)])
-            k = 0
-            for t, spec in enumerate(specs):
-                base = per * t
-                for gi, gs in enumerate(spec.gens):
-                    cv = cost_vars[t * G + gi]
-                    if cv is None:
-                        continue
-                    # epigraph over cumulative segments
-                    acc_w, acc_c = 0.0, 0.0
-                    for width, slope in gs.cost_segments:
-                        # line through (acc_w, acc_c) with this slope
-                        A_ub.append({base + off_pd + gi: slope, cv: -1.0})
-                        b_ub.append(slope * acc_w - acc_c)
-                        acc_c += slope * width
-                        acc_w += width
-                    k += 1
-        else:
-            total = nvar
-
-        # ramp coupling between consecutive periods
-        if ramps is not None and T > 1:
-            for t in range(T):
-                for gi in range(G):
-                    cur = per * t + off_pd + gi
-                    rcur = per * t + off_r + gi
-                    if t == 0:
-                        A_ub.append({cur: 1.0, rcur: 1.0})
-                        b_ub.append(ramps.up[gi] + ramps.p_delta0[gi])
-                        A_ub.append({cur: -1.0})
-                        b_ub.append(ramps.down[gi] - ramps.p_delta0[gi])
-                    else:
-                        prev = per * (t - 1) + off_pd + gi
-                        A_ub.append({cur: 1.0, rcur: 1.0, prev: -1.0})
-                        b_ub.append(ramps.up[gi])
-                        A_ub.append({cur: -1.0, prev: 1.0})
-                        b_ub.append(ramps.down[gi])
-        elif ramps is not None and T == 1:
-            for gi in range(G):
-                cur = off_pd + gi
-                A_ub.append({cur: 1.0, off_r + gi: 1.0})
-                b_ub.append(ramps.up[gi] + ramps.p_delta0[gi])
-                A_ub.append({cur: -1.0})
-                b_ub.append(ramps.down[gi] - ramps.p_delta0[gi])
-
-        def densify(rows, rhs):
-            if not rows:
-                return None, None
-            A = np.zeros((len(rows), total))
-            for r, row in enumerate(rows):
-                for cidx, val in row.items():
-                    A[r, cidx] = val
-            return A, np.array(rhs)
-
-        Aub, bub = densify(A_ub, b_ub)
-        Aeq, beq = densify(A_eq, b_eq)
-        return c, lb, ub, Aub, bub, Aeq, beq, total, lin_ctx, thermal_rows
-
-    def extract(sol_x):
-        dv = np.zeros((T, n))
-        dth = np.zeros((T, n))
-        pdel = np.zeros((G, T))
-        rres = np.zeros((G, T))
-        qg = np.zeros((G, T))
-        qsc = np.zeros((C, T))
-        slack_sum = 0.0
-        for t in range(T):
-            base = per * t
-            dv[t] = sol_x[base + off_dv:base + off_dv + n]
-            dth[t][nonref] = sol_x[base + off_dth:base + off_dth + n - 1]
-            pdel[:, t] = sol_x[base + off_pd:base + off_pd + G]
-            rres[:, t] = sol_x[base + off_r:base + off_r + G]
-            qg[:, t] = sol_x[base + off_q:base + off_q + G]
-            qsc[:, t] = sol_x[base + off_qsc:base + off_qsc + C]
-            slack_sum += float(np.sum(sol_x[base + off_spp:base + off_sth + 2 * m]))
-        return dv, dth, pdel, rres, qg, qsc, slack_sum
+    v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
+    theta = np.zeros((T, net.n))
+    lp = _SLPProblem(net, specs, ramps, objective)
 
     def true_cost(pdel):
         total = 0.0
@@ -473,26 +493,6 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost",
         noload_const = sum(gs.no_load_cost for spec in specs
                            for gs in spec.gens if gs.on)
 
-    def soc_rhs(bub, beq, dv_, dth_, lin_ctx, thermal_rows):
-        """Shift balance/thermal RHS by the nonlinear residual at the
-        trial point (second-order correction against the Maratos effect)."""
-        beq2 = beq.copy()
-        bub2 = bub.copy()
-        for t, (op, Jpq, Jsf, Jst) in enumerate(lin_ctx):
-            d = np.concatenate([dv_[t], dth_[t]])
-            opn = grid_model.eval_power_flow(net, v[t] + dv_[t],
-                                             theta[t] + dth_[t])
-            beq2[2 * n * t:2 * n * t + n] -= \
-                opn.p_inj - (op.p_inj + Jpq[:n] @ d)
-            beq2[2 * n * t + n:2 * n * (t + 1)] -= \
-                opn.q_inj - (op.q_inj + Jpq[n:] @ d)
-            base_row = thermal_rows[t]
-            bub2[base_row:base_row + 2 * m:2] -= \
-                opn.s_ft - (op.s_ft + Jsf @ d)
-            bub2[base_row + 1:base_row + 2 * m:2] -= \
-                opn.s_tf - (op.s_tf + Jst @ d)
-        return bub2, beq2
-
     radius = trust.initial_radius
     state = None        # (pts, pdel, rres, qg, qsc, cost, viol, merit)
     cur_merit = math.inf
@@ -500,48 +500,29 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost",
     converged = False
     for it in range(trust.max_major_iters):
         iters = it + 1
-        c, lb, ub, Aub, bub, Aeq, beq, total, lin_ctx, thermal_rows = \
-            build_lp(radius)
-        bounds = np.column_stack([lb, ub])
-        res = linprog(c, A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq,
-                      bounds=bounds, method="highs")
+        A, lo, hi, lin_ctx = lp.linearize(v, theta)
+        lb, ub = lp.trust_bounds(v, radius)
+        res = linprog(lp.c, A, lo, hi, lb, ub)
         if res.status == 2:
             # hard (dispatch-side) constraints conflict
             raise InfeasibleError("dispatch constraints are infeasible")
         if res.status != 0:
             raise ConvergenceError(f"SLP subproblem failed (status {res.status})")
-        dv, dth, pdel, rres, qg, qsc, slack_sum = extract(res.x)
+        dv, dth, pdel, rres, qg, qsc = lp.extract(res.x)
         viol, vsum, pts = total_violation(dv, dth, pdel, qg, qsc)
         cost = true_cost(pdel)
         cand_merit = (cost if objective == "min-cost" else 0.0) \
             + SLACK_PENALTY * vsum
         model_merit = float(res.fun) + noload_const
 
-        # second-order correction: re-solve the same LP with the RHS
-        # shifted by the linearization error at the trial point.  The
-        # corrected step must stay in a small box around the first-order
-        # step (the shift is only valid there), so restoration costs
-        # O(step^2) in the state while cancelling the O(step^2) violation.
+        # second-order correction: re-solve the same LP with shifted bounds
         dv2, dth2 = dv, dth
         for _ in range(2):
-            bub2, beq2 = soc_rhs(bub, beq, dv2, dth2, lin_ctx, thermal_rows)
-            halo = max(10.0 * float(np.max(np.abs(
-                np.concatenate([beq2 - beq, bub2 - bub])))), 1e-9)
-            lb2, ub2 = lb.copy(), ub.copy()
-            for t in range(T):
-                base = per * t
-                sl = slice(base + off_dv, base + off_dv + n)
-                lb2[sl] = np.maximum(lb[sl], dv2[t] - halo)
-                ub2[sl] = np.minimum(ub[sl], dv2[t] + halo)
-                sl = slice(base + off_dth, base + off_dth + n - 1)
-                lb2[sl] = np.maximum(lb[sl], dth2[t][nonref] - halo)
-                ub2[sl] = np.minimum(ub[sl], dth2[t][nonref] + halo)
-            res2 = linprog(c, A_ub=Aub, b_ub=bub2, A_eq=Aeq, b_eq=beq2,
-                           bounds=np.column_stack([lb2, ub2]),
-                           method="highs")
+            res2 = linprog(lp.c, A, *lp.soc_bounds(lo, hi, lb, ub, lin_ctx,
+                                                   v, theta, dv2, dth2))
             if res2.status != 0:
                 break
-            dv2, dth2, pdel2, rres2, qg2, qsc2, _ = extract(res2.x)
+            dv2, dth2, pdel2, rres2, qg2, qsc2 = lp.extract(res2.x)
             viol2, vsum2, pts2 = total_violation(dv2, dth2, pdel2, qg2, qsc2)
             cost2 = true_cost(pdel2)
             cand2 = (cost2 if objective == "min-cost" else 0.0) \
@@ -552,10 +533,9 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost",
                 viol, vsum, pts, cost, cand_merit = \
                     viol2, vsum2, pts2, cost2, cand2
         step = max(np.max(np.abs(dv)), np.max(np.abs(dth)))
-        if _DEBUG:
-            print(f"  slp it={it} radius={radius:.2e} step={step:.2e} "
-                  f"viol={viol:.2e} cand={cand_merit:.9g} "
-                  f"model={model_merit:.9g} cur={cur_merit:.9g}")
+        _log.debug("slp it=%d radius=%.2e step=%.2e viol=%.2e cand=%.9g "
+                   "model=%.9g cur=%.9g", it, radius, step, viol, cand_merit,
+                   model_merit, cur_merit)
 
         if state is None:
             # first iterate: take the best the model offers
@@ -693,11 +673,11 @@ def startup_cost_of(g, t, w_lookup):
     return cost
 
 
-def commitment_cost(inst, y, u, w):
-    """No-load plus startup cost of a binary schedule (independent of the
-    MILP builder's tier encoding)."""
+def startup_cost(inst, u, w):
+    """Startup cost of a binary schedule (independent of the MILP
+    builder's tier encoding)."""
     total = 0.0
-    G, T = np.asarray(y).shape
+    G, T = np.asarray(u).shape
     for gi, g in enumerate(inst.gens):
         def w_at(t, gi=gi, g=g):
             if t >= 1:
@@ -705,11 +685,16 @@ def commitment_cost(inst, y, u, w):
             return 1 if (g.init_status < 0 and t == 1 + g.init_status) else 0
 
         for t in range(1, T + 1):
-            if y[gi][t - 1]:
-                total += g.no_load_cost
             if u[gi][t - 1]:
                 total += startup_cost_of(g, t, w_at)
     return total
+
+
+def commitment_cost(inst, y, u, w):
+    """No-load plus startup cost of a binary schedule."""
+    no_load = sum(g.no_load_cost * int(np.sum(y[gi]))
+                  for gi, g in enumerate(inst.gens))
+    return no_load + startup_cost(inst, u, w)
 
 
 def production_cost(inst, p_delta):
@@ -787,9 +772,10 @@ def mtp_acopf_check(net, inst, sched, trust=None):
     except InfeasibleError:
         return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
                                  objective=math.nan, iterations=0)
+    # the SLP cost already holds production and no-load cost
     objective = math.nan
     if verdict == "feasible":
-        objective = cost + commitment_cost(inst, y, u, w)
+        objective = cost + startup_cost(inst, u, w)
     return FeasibilityReport(
         verdict=verdict, max_violation=viol, objective=objective,
         iterations=iters,

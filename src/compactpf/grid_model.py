@@ -24,6 +24,8 @@ class Network:
     E: np.ndarray      # (m, n) signed incidence (+1 from, -1 to)
     E1: np.ndarray     # (m, n) sending-end selector
     E2: np.ndarray     # (m, n) receiving-end selector
+    f_bus: np.ndarray  # (m,) sending-end bus position of each branch
+    t_bus: np.ndarray  # (m,) receiving-end bus position of each branch
     gsh: np.ndarray    # (n,) shunt conductance p.u.
     bsh: np.ndarray    # (n,) shunt susceptance p.u.
     smax: np.ndarray   # (m,) apparent flow limits p.u.
@@ -67,14 +69,15 @@ def build_network(case):
     idx = case.bus_index()
 
     E = np.zeros((m, n))
+    f_bus = np.array([idx[br.f] for br in case.branches], dtype=int)
+    t_bus = np.array([idx[br.t] for br in case.branches], dtype=int)
     yff = np.zeros(m, dtype=complex)
     yft = np.zeros(m, dtype=complex)
     ytf = np.zeros(m, dtype=complex)
     ytt = np.zeros(m, dtype=complex)
+    E[np.arange(m), f_bus] = 1.0
+    E[np.arange(m), t_bus] = -1.0
     for k, br in enumerate(case.branches):
-        i, j = idx[br.f], idx[br.t]
-        E[k, i] = 1.0
-        E[k, j] = -1.0
         ys = 1.0 / complex(br.r, br.x)
         bc = 1j * br.b / 2.0
         tap = br.ratio * np.exp(1j * br.shift)
@@ -91,12 +94,13 @@ def build_network(case):
     bsh = np.array([b.bs for b in case.buses])
     Yb = E1.T @ Yft + E2.T @ Ytf + np.diag(gsh + 1j * bsh)
 
-    _check_connected(E, n)
+    _check_connected(f_bus, t_bus, n)
 
     from .case_ingest import REF
     ref = next(i for i, b in enumerate(case.buses) if b.btype == REF)
     return Network(
         n=n, m=m, Yb=Yb, Yft=Yft, Ytf=Ytf, E=E, E1=E1, E2=E2,
+        f_bus=f_bus, t_bus=t_bus,
         gsh=gsh, bsh=bsh,
         smax=np.array([br.rate_a for br in case.branches]),
         vmin=np.array([b.vmin for b in case.buses]),
@@ -111,11 +115,9 @@ def build_network(case):
     )
 
 
-def _check_connected(E, n):
+def _check_connected(f_bus, t_bus, n):
     adj = [[] for _ in range(n)]
-    for row in E:
-        i = int(np.argmax(row))
-        j = int(np.argmin(row))
+    for i, j in zip(f_bus.tolist(), t_bus.tolist()):
         adj[i].append(j)
         adj[j].append(i)
     seen = {0}

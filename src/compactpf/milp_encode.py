@@ -84,9 +84,7 @@ def bound_box_from_network(net, inst=None):
     # from the reference bus (Dijkstra)
     w = np.maximum(np.abs(net.theta_min), np.abs(net.theta_max))
     adj = [[] for _ in range(n)]
-    for k in range(m):
-        i = int(np.argmax(net.E[k]))
-        j = int(np.argmin(net.E[k]))
+    for k, (i, j) in enumerate(zip(net.f_bus.tolist(), net.t_bus.tolist())):
         adj[i].append((j, w[k]))
         adj[j].append((i, w[k]))
     reach = np.full(n, np.inf)
@@ -112,9 +110,7 @@ def bound_box_from_network(net, inst=None):
         x_lo[k], x_hi[k] = -reach[bus], reach[bus]
 
     pairs = []
-    for k in range(m):
-        i = int(np.argmax(net.E[k]))
-        j = int(np.argmin(net.E[k]))
+    for k, (i, j) in enumerate(zip(net.f_bus.tolist(), net.t_bus.tolist())):
         pairs.append((_theta_index(i, net), _theta_index(j, net),
                       net.theta_min[k], net.theta_max[k]))
 
@@ -313,9 +309,9 @@ def tighten_bounds(model, box, mode="lp", budget=120.0, start=None,
     m_min = start.m_min.copy()
     m_max = start.m_max.copy()
     prov = list(start.provenance)
-    t0 = time.time()
+    t0 = time.monotonic()
     for i in range(model.rho):
-        if time.time() - t0 > budget:
+        if time.monotonic() - t0 > budget:
             break
         improved = False
         for direction in (+1.0, -1.0):
@@ -327,7 +323,7 @@ def tighten_bounds(model, box, mode="lp", budget=120.0, start=None,
                     continue
                 val = sol.objective
             else:
-                remaining = max(budget - (time.time() - t0), 1.0)
+                remaining = max(budget - (time.monotonic() - t0), 1.0)
                 sol = milp_solve.solve_milp(milp, gap_target=milp_gap,
                                             time_budget=remaining)
                 if sol.status not in ("optimal", "gap_reached"):

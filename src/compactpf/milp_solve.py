@@ -24,14 +24,15 @@ FEAS_TOL = 1e-7
 
 @dataclass
 class LPSolution:
-    status: str            # optimal | infeasible | unbounded
+    status: str            # optimal | infeasible | unbounded | error
     x: np.ndarray = None
     objective: float = math.nan
 
 
 @dataclass
 class MILPSolution:
-    status: str            # optimal | infeasible | gap_reached | budget_exhausted
+    # optimal | infeasible | gap_reached | budget_exhausted | error
+    status: str
     x: np.ndarray = None
     objective: float = math.nan
     best_bound: float = -math.inf
@@ -69,7 +70,8 @@ class _LPBackend:
             return LPSolution(status="infeasible")
         if res.status == 3:
             return LPSolution(status="unbounded")
-        return LPSolution(status="infeasible")
+        # iteration limit or numerical trouble: no verdict on the LP
+        return LPSolution(status="error")
 
 
 def solve_lp(model, relax_binaries=True):
@@ -87,14 +89,14 @@ def _fractional_binaries(model, x, bins):
     return out
 
 
-def _rounding_heuristic(backend, x, bins):
+def _rounding_heuristic(backend, solve, x, bins):
     """Fix binaries at their rounded LP values and re-solve."""
     lb = backend.lb.copy()
     ub = backend.ub.copy()
     for i in bins:
         r = round(x[i])
         lb[i] = ub[i] = r
-    sol = backend.solve(lb, ub)
+    sol = solve(lb, ub)
     return sol if sol.status == "optimal" else None
 
 
@@ -104,19 +106,31 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     Branching picks the most fractional binary within the lowest
     branch_priority class (ties by index); nodes are explored in
     best-bound order. Deterministic for a fixed model and configuration.
+    An LP that ends in error leaves parts of the tree unexplored, so the
+    search stops and reports "error" without an incumbent.
     """
-    start = time.time()
+    start = time.monotonic()
     backend = _LPBackend(model)
     bins = model.binary_indices()
+    failed = []     # errored LPs
 
-    root = backend.solve()
+    def solve(lb=None, ub=None):
+        sol = backend.solve(lb, ub)
+        if sol.status == "error":
+            failed.append(sol)
+        return sol
+
+    root = solve()
+    if root.status == "error":
+        return MILPSolution(status="error", nodes=1,
+                            wall_time=time.monotonic() - start)
     if root.status == "unbounded":
         return MILPSolution(status="budget_exhausted",
                             best_bound=-math.inf, nodes=1,
-                            wall_time=time.time() - start)
+                            wall_time=time.monotonic() - start)
     if root.status != "optimal":
         return MILPSolution(status="infeasible", nodes=1,
-                            wall_time=time.time() - start)
+                            wall_time=time.monotonic() - start)
 
     incumbent = None
     inc_obj = math.inf
@@ -132,7 +146,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
             lb = backend.lb.copy()
             ub = backend.ub.copy()
             lb[bins] = ub[bins] = rounded
-            clean = backend.solve(lb, ub)
+            clean = solve(lb, ub)
             if clean.status != "optimal":
                 return
             x, obj = clean.x.copy(), clean.objective
@@ -153,17 +167,17 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
         consider(root)
         heap = []
     else:
-        consider(_rounding_heuristic(backend, root.x, bins))
+        consider(_rounding_heuristic(backend, solve, root.x, bins))
 
     status = "optimal"
-    while heap:
+    while heap and not failed:
         bound = heap[0][0]
         best_bound = bound
         gap = _gap(inc_obj, best_bound)
         if incumbent is not None and gap <= gap_target + 1e-12:
             status = "gap_reached" if gap > 1e-9 else "optimal"
             break
-        if time.time() - start > time_budget or nodes > node_budget:
+        if time.monotonic() - start > time_budget or nodes > node_budget:
             status = "budget_exhausted"
             break
         _, _, lb_o, ub_o, sol = heapq.heappop(heap)
@@ -180,7 +194,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
             lb = backend.lb.copy() if lb_o is None else lb_o.copy()
             ub = backend.ub.copy() if ub_o is None else ub_o.copy()
             lb[j] = ub[j] = val
-            child = backend.solve(lb, ub)
+            child = solve(lb, ub)
             if child.status != "optimal":
                 continue
             if child.objective >= inc_obj - 1e-9:
@@ -192,22 +206,25 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
                 seq += 1
                 heapq.heappush(heap, (child.objective, seq, lb, ub, child))
     else:
-        # search tree exhausted
+        # the loop only stops here once the tree is exhausted or an LP failed
+        if failed:
+            return MILPSolution(status="error", nodes=nodes,
+                                wall_time=time.monotonic() - start)
         if incumbent is None:
             return MILPSolution(status="infeasible", nodes=nodes,
-                                wall_time=time.time() - start)
+                                wall_time=time.monotonic() - start)
         best_bound = inc_obj
         status = "optimal"
 
     if incumbent is None:
         return MILPSolution(status="budget_exhausted", nodes=nodes,
                             best_bound=best_bound,
-                            wall_time=time.time() - start)
+                            wall_time=time.monotonic() - start)
     return MILPSolution(
         status=status, x=incumbent, objective=inc_obj,
         best_bound=min(best_bound, inc_obj),
         gap=_gap(inc_obj, min(best_bound, inc_obj)),
-        nodes=nodes, wall_time=time.time() - start)
+        nodes=nodes, wall_time=time.monotonic() - start)
 
 
 def _gap(obj, bound):
@@ -231,6 +248,8 @@ def enumerate_binaries(model):
             val = (mask >> k) & 1
             lb[i] = ub[i] = val
         sol = backend.solve(lb, ub)
+        if sol.status == "error":
+            return MILPSolution(status="error")
         if sol.status == "optimal" and (best is None or sol.objective < best.objective):
             best = sol
     if best is None:

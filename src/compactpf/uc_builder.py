@@ -302,6 +302,7 @@ def build_dc_uc(inst, net):
     milp, ucv = build_core_uc(inst, reactive=False)
     milp.name = "dc_uc"
     n, m = net.n, net.m
+    f_bus, t_bus = net.f_bus.tolist(), net.t_bus.tolist()
     gens_at = {}
     for gi, g in enumerate(inst.gens):
         gens_at.setdefault(net.bus_ids.index(g.bus), []).append(gi)
@@ -315,9 +316,7 @@ def build_dc_uc(inst, net):
         pft = [milp.add_var(f"pft[{t}][{k}]",
                             lb=-float(net.smax[k]), ub=float(net.smax[k]))
                for k in range(m)]
-        for k in range(m):
-            i = int(np.argmax(net.E[k]))
-            j = int(np.argmin(net.E[k]))
+        for k, (i, j) in enumerate(zip(f_bus, t_bus)):
             inv_x = 1.0 / float(net.branch_x[k])
             milp.add_constr({pft[k]: 1.0, th[i]: -inv_x, th[j]: inv_x},
                             EQ, 0.0, name=f"dcflow[{k}][{t}]")
@@ -327,9 +326,7 @@ def build_dc_uc(inst, net):
                             float(net.theta_min[k]), name=f"anglo[{k}][{t}]")
         for b in range(n):
             coeffs = {}
-            for k in range(m):
-                i = int(np.argmax(net.E[k]))
-                j = int(np.argmin(net.E[k]))
+            for k, (i, j) in enumerate(zip(f_bus, t_bus)):
                 if i == b:
                     coeffs[pft[k]] = coeffs.get(pft[k], 0.0) + 1.0
                 if j == b:

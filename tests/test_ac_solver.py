@@ -2,13 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from compactpf import grid_model
+from compactpf import ac_solver, grid_model, jacobian
 from compactpf.ac_solver import (DispatchSpec, GenSetting, InfeasibleError,
                                  newton_power_flow, slp_acopf,
                                  make_dispatch_spec, check_schedule_logic,
                                  startup_cost_of, commitment_cost,
-                                 production_cost, mtp_acopf_check)
+                                 production_cost, mtp_acopf_check, _Ramps)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
 
@@ -200,3 +201,191 @@ def test_mtp_check_all_on_feasible(net14, inst4):
             step = report.p_delta[gi, t] - report.p_delta[gi, t - 1]
             assert step <= g.ru + 1e-6
             assert -step <= g.rd + 1e-6
+
+
+def test_mtp_objective_counts_no_load_once(net14, inst4):
+    y, u, w = _all_on_schedule(inst4)
+    report = mtp_acopf_check(net14, inst4, SimpleNamespace(y=y, u=u, w=w))
+    expect = production_cost(inst4, report.p_delta) \
+        + commitment_cost(inst4, y, u, w)
+    assert report.objective == pytest.approx(expect, rel=1e-9)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_lp(monkeypatch, net, specs, ramps):
+    """The LP of the SLP's first iterate, as it is handed to HiGHS."""
+    seen = {}
+
+    def capture(c, A, lo, hi, lb, ub):
+        seen.update(c=c, A=A, lo=lo, hi=hi, lb=lb, ub=ub)
+        raise _Captured
+
+    monkeypatch.setattr(ac_solver, "linprog", capture)
+    with pytest.raises(_Captured):
+        ac_solver._solve_slp(net, specs, ramps=ramps)
+    return seen
+
+
+def _reference_lp(net, specs, ramps, radius):
+    """The first iterate's LP at the flat start, built dense one row at a
+    time: thermal, angle, capacity and reserve rows per period, then cost
+    epigraph and ramp rows, then the balance rows of every period."""
+    T, n, m = len(specs), net.n, net.m
+    G, C = len(specs[0].gens), len(specs[0].condensers)
+    nonref = [b for b in range(n) if b != net.ref]
+    off, per = {}, 0
+    for name, size in (("dv", n), ("dth", n - 1), ("pd", G), ("r", G),
+                       ("q", G), ("qsc", C), ("spp", n), ("spm", n),
+                       ("sqp", n), ("sqm", n), ("sth", 2 * m)):
+        off[name] = per
+        per += size
+
+    def col(t, name, k):
+        return per * t + off[name] + k
+
+    cost_col = {}
+    for t, spec in enumerate(specs):
+        for gi, gs in enumerate(spec.gens):
+            if gs.on and gs.cost_segments:
+                cost_col[t, gi] = per * T + len(cost_col)
+    nvar = per * T + len(cost_col)
+
+    v = np.clip(1.0, net.vmin, net.vmax)
+    theta = np.zeros(n)
+    op = grid_model.eval_power_flow(net, v, theta)
+    Jpq = jacobian.injection_jacobian(net, v, theta)
+    Jsf = jacobian.apparent_flow_jacobian(net, v, theta, "ft")
+    Jst = jacobian.apparent_flow_jacobian(net, v, theta, "tf")
+
+    def jac_row(t, row2n):
+        row = {col(t, "dv", b): row2n[b] for b in range(n)}
+        row.update({col(t, "dth", k): row2n[n + b]
+                    for k, b in enumerate(nonref)})
+        return row
+
+    ub_rows, eq_rows = [], []     # (coefficients by column, bound)
+    for t, spec in enumerate(specs):
+        for k in range(m):
+            for Js, s0, side in ((Jsf, op.s_ft, 0), (Jst, op.s_tf, m)):
+                row = jac_row(t, Js[k])
+                row[col(t, "sth", side + k)] = -1.0
+                ub_rows.append((row, net.smax[k] - s0[k]))
+        for k in range(m):
+            i = int(np.flatnonzero(net.E[k] > 0)[0])
+            j = int(np.flatnonzero(net.E[k] < 0)[0])
+            row = {}
+            if i != net.ref:
+                row[col(t, "dth", nonref.index(i))] = 1.0
+            if j != net.ref:
+                row[col(t, "dth", nonref.index(j))] = -1.0
+            ub_rows.append((row, net.theta_max[k]))
+            ub_rows.append(({c: -x for c, x in row.items()},
+                            -net.theta_min[k]))
+        for gi, gs in enumerate(spec.gens):
+            if gs.on:
+                ub_rows.append(({col(t, "pd", gi): 1.0,
+                                 col(t, "r", gi): 1.0}, gs.cap_a))
+        if spec.reserve > 0.0:
+            ub_rows.append(({col(t, "r", gi): -1.0 for gi in range(G)},
+                            -spec.reserve))
+    for (t, gi), cv in cost_col.items():
+        acc_w = acc_c = 0.0
+        for width, slope in specs[t].gens[gi].cost_segments:
+            ub_rows.append(({col(t, "pd", gi): slope, cv: -1.0},
+                            slope * acc_w - acc_c))
+            acc_c += slope * width
+            acc_w += width
+    for t in range(T):
+        for gi in range(G):
+            cur, res = col(t, "pd", gi), col(t, "r", gi)
+            if t == 0:
+                ub_rows.append(({cur: 1.0, res: 1.0},
+                                ramps.up[gi] + ramps.p_delta0[gi]))
+                ub_rows.append(({cur: -1.0},
+                                ramps.down[gi] - ramps.p_delta0[gi]))
+            else:
+                prev = col(t - 1, "pd", gi)
+                ub_rows.append(({cur: 1.0, res: 1.0, prev: -1.0},
+                                ramps.up[gi]))
+                ub_rows.append(({cur: -1.0, prev: 1.0}, ramps.down[gi]))
+    for t, spec in enumerate(specs):
+        for b in range(n):
+            row = jac_row(t, Jpq[b])
+            rhs = -op.p_inj[b] - spec.pd[b]
+            for gi, gs in enumerate(spec.gens):
+                if gs.on and gs.bus == b:
+                    row[col(t, "pd", gi)] = -1.0
+                    rhs += gs.pmin
+            row[col(t, "spp", b)] = -1.0
+            row[col(t, "spm", b)] = 1.0
+            eq_rows.append((row, rhs))
+        for b in range(n):
+            row = jac_row(t, Jpq[n + b])
+            for gi, gs in enumerate(spec.gens):
+                if gs.on and gs.bus == b:
+                    row[col(t, "q", gi)] = -1.0
+            for ci, (cb, _, _) in enumerate(spec.condensers):
+                if cb == b:
+                    row[col(t, "qsc", ci)] = -1.0
+            row[col(t, "sqp", b)] = -1.0
+            row[col(t, "sqm", b)] = 1.0
+            eq_rows.append((row, -op.q_inj[b] - spec.qd[b]))
+
+    rows = ub_rows + eq_rows
+    A = np.zeros((len(rows), nvar))
+    for r, (row, _) in enumerate(rows):
+        for j, x in row.items():
+            A[r, j] = x
+    hi = np.array([bound for _, bound in rows])
+    lo = np.concatenate([np.full(len(ub_rows), -np.inf),
+                         [bound for _, bound in eq_rows]])
+
+    c = np.zeros(nvar)
+    lb = np.zeros(nvar)
+    ub = np.full(nvar, np.inf)
+    for t, spec in enumerate(specs):
+        dv = slice(col(t, "dv", 0), col(t, "dv", n))
+        lb[dv] = np.maximum(net.vmin - v, -radius)
+        ub[dv] = np.minimum(net.vmax - v, radius)
+        dth = slice(col(t, "dth", 0), col(t, "dth", n - 1))
+        lb[dth], ub[dth] = -radius, radius
+        for gi, gs in enumerate(spec.gens):
+            ub[col(t, "pd", gi)] = gs.cap_b if gs.on else 0.0
+            ub[col(t, "r", gi)] = np.inf if gs.on else 0.0
+            lb[col(t, "q", gi)] = gs.q_lo if gs.on else 0.0
+            ub[col(t, "q", gi)] = gs.q_hi if gs.on else 0.0
+        for ci, (_, qlo, qhi) in enumerate(spec.condensers):
+            lb[col(t, "qsc", ci)], ub[col(t, "qsc", ci)] = qlo, qhi
+        c[col(t, "spp", 0):col(t, "sth", 2 * m)] = ac_solver.SLACK_PENALTY
+    c[per * T:] = 1.0
+    return dict(c=c, A=A, lo=lo, hi=hi, lb=lb, ub=ub)
+
+
+def _inst4_ramps(inst):
+    return _Ramps(up=np.array([g.ru for g in inst.gens]),
+                  down=np.array([g.rd for g in inst.gens]),
+                  p_delta0=np.array([max(g.p_init - g.pmin, 0.0)
+                                     for g in inst.gens]))
+
+
+@pytest.mark.parametrize("hours, off", [((0, 1), (2,)), ((1,), ())])
+def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
+    specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
+    assert inst4.condensers and all(s.reserve > 0 for s in specs)
+    ramps = _inst4_ramps(inst4)
+    got = _first_lp(monkeypatch, net14, specs, ramps)
+    ref = _reference_lp(net14, specs, ramps,
+                        ac_solver.TrustConfig().initial_radius)
+    for key in ("c", "lo", "hi", "lb", "ub"):
+        assert np.array_equal(got[key], ref[key]), key
+    # the flat start (sin 0) leaves exact zeros among the Jacobian entries;
+    # HiGHS must get the dense matrix's nonzeros in the same CSC order
+    A, dense = got["A"], sparse.csc_array(ref["A"])
+    assert A.shape == dense.shape
+    assert np.all(A.data != 0.0)
+    assert np.array_equal(A.indptr, dense.indptr)
+    assert np.array_equal(A.indices, dense.indices)
+    assert np.array_equal(A.data, dense.data)

@@ -114,3 +114,13 @@ def test_case14_network_shapes(net14, case14):
     assert net14.ref == [b.btype for b in case14.buses].index(3)
     assert net14.smax.shape == (m,)
     assert np.all(net14.smax > 0)
+
+
+def test_branch_end_buses(net14, case14):
+    idx = case14.bus_index()
+    assert net14.f_bus.tolist() == [idx[br.f] for br in case14.branches]
+    assert net14.t_bus.tolist() == [idx[br.t] for br in case14.branches]
+    rows = np.arange(net14.m)
+    assert np.all(net14.E[rows, net14.f_bus] == 1.0)
+    assert np.all(net14.E[rows, net14.t_bus] == -1.0)
+    assert np.count_nonzero(net14.E) == 2 * net14.m

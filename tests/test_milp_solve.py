@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from compactpf import milp_solve
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                                   export_mps, parse_mps, import_solution)
@@ -166,3 +168,44 @@ def test_milp_deterministic():
     assert a.objective == b.objective
     assert np.array_equal(a.x, b.x)
     assert a.nodes == b.nodes
+
+
+def _failing_linprog(monkeypatch, fails):
+    """Patch the B&B's LP call to report HiGHS status 4 (numerical
+    trouble) whenever ``fails(lb, ub)`` holds; return the calls that
+    failed."""
+    from scipy.optimize import linprog as real
+    failed = []
+
+    def fake(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+             method=None):
+        if fails(bounds[:, 0], bounds[:, 1]):
+            failed.append(bounds)
+            return SimpleNamespace(status=4, x=None, fun=None)
+        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                    bounds=bounds, method=method)
+
+    monkeypatch.setattr(milp_solve, "linprog", fake)
+    return failed
+
+
+def test_lp_error_at_root_is_not_infeasible(monkeypatch):
+    m, _ = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
+    failed = _failing_linprog(monkeypatch, lambda lb, ub: True)
+    assert solve_lp(m).status == "error"
+    sol = solve_milp(m)
+    assert sol.status == "error"
+    assert sol.x is None
+    assert len(failed) == 2
+
+
+def test_lp_error_at_child_stops_the_search(monkeypatch):
+    m, xs = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
+    # a first-level child fixes exactly one binary; the root fixes none
+    # and the rounding heuristic fixes all of them
+    failed = _failing_linprog(
+        monkeypatch, lambda lb, ub: int(np.sum(lb[xs] == ub[xs])) == 1)
+    sol = solve_milp(m)
+    assert failed, "the search never reached a child"
+    assert sol.status == "error"
+    assert sol.x is None
