@@ -25,8 +25,6 @@ from .uc_builder import (build_nn_ac_uc, build_l_ac_uc, build_dc_uc,
                          schedule_from_json)
 from . import harness
 
-INTERNAL_BINARY_LIMIT = 100
-
 
 def _add_system_args(p):
     p.add_argument("--case", required=True, help="MATPOWER case file")
@@ -140,17 +138,12 @@ def cmd_build(args):
 def cmd_solve(args):
     _, net, inst = _load_system(args)
     milp, ucv = _build_formulation(args, net, inst)
-    nbin = len(milp.binary_indices())
     if args.engine == "export":
         with open(args.out, "w") as fh:
             fh.write(export_mps(milp))
         print(f"exported MPS to {args.out}; solve externally and use "
               "import on the solution file")
         return 0
-    if nbin > INTERNAL_BINARY_LIMIT:
-        print(f"warning: {nbin} binaries exceed the internal engine's "
-              f"comfort zone (~{INTERNAL_BINARY_LIMIT}); consider "
-              "--engine export", file=sys.stderr)
     sol = solve_milp(milp, gap_target=args.gap, time_budget=args.time_budget,
                      node_budget=args.node_budget)
     print(f"status: {sol.status}  objective: {sol.objective}  "

@@ -87,9 +87,14 @@ def prepare_models(cfg, net=None, inst=None):
     """Shared pipeline prefix: parse, derate, sample, train, bound, prune.
 
     Returns a dict with the network, instance, linear model, compact model,
-    and pruned bounds (reused across scenarios).
+    and pruned bounds (reused across scenarios). ``cfg.sample_uc_path`` is
+    read against the parsed case file, so it cannot be combined with a
+    caller's ``net`` and ``inst``.
     """
     case = None
+    if net is not None and inst is not None and cfg.sample_uc_path:
+        raise ValidationError("sample_uc_path needs the case file; "
+                              "pass neither net nor inst with it")
     if net is None or inst is None:
         with open(cfg.case_path) as fh:
             case = case_ingest.parse_matpower(fh.read())
@@ -102,7 +107,7 @@ def prepare_models(cfg, net=None, inst=None):
     # an optional richer instance (e.g. the full 24-hour profile) drives
     # sampling and training while scenarios run on the main instance
     inst_s = inst
-    if cfg.sample_uc_path and case is not None:
+    if cfg.sample_uc_path:
         with open(cfg.sample_uc_path) as fh:
             inst_s = case_ingest.load_uc_instance(fh.read(), case)
 

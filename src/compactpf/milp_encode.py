@@ -210,7 +210,6 @@ def encode_relu_network(model, bounds, milp, x_vars, prefix="nn"):
             zi = milp.add_var(f"{prefix}.z[{i}]",
                               lb=0.0, ub=max(bounds.m_max[i], 0.0))
             bi = milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY,
-                              branch_priority=0,
                               annotation="relu_activation")
             z.append(zi)
             beta.append(bi)

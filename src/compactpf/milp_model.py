@@ -2,7 +2,7 @@
 
 Holds variables (continuous/binary with bounds), sparse linear
 constraints, and a linear objective (minimization). Consumers are the
-internal LP/B&B engine, the MPS writer, and the UC/NN model builders.
+LP/MILP solve path, the MPS writer, and the UC/NN model builders.
 """
 
 import math
@@ -25,7 +25,6 @@ class Variable:
     kind: str
     lb: float
     ub: float
-    branch_priority: int = 10  # lower branches first
 
 
 @dataclass
@@ -49,7 +48,7 @@ class MILPModel:
     # -- construction -------------------------------------------------
 
     def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=math.inf,
-                annotation=None, branch_priority=10):
+                annotation=None):
         if name in self._names:
             raise ValidationError(f"duplicate variable name {name!r}")
         if kind == BINARY:
@@ -57,7 +56,7 @@ class MILPModel:
         if not (math.isfinite(lb) or lb == -math.inf):
             raise ValidationError(f"bad lower bound for {name}")
         idx = len(self.variables)
-        self.variables.append(Variable(name, kind, lb, ub, branch_priority))
+        self.variables.append(Variable(name, kind, lb, ub))
         self._names[name] = idx
         if annotation:
             self.annotations[idx] = annotation

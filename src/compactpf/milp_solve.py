@@ -1,19 +1,21 @@
-"""LP and branch-and-bound MILP engine, plus MPS export/import.
+"""LP and MILP solving through HiGHS, plus MPS export/import.
 
-LP relaxations are solved with scipy's HiGHS backend; the
-branch-and-bound search, branching rules, and incumbent heuristics are
-implemented here. The engine targets desk-scale models (roughly up to
-a hundred binaries); larger models should be exported to MPS and solved
-externally, then re-imported.
+``solve_milp`` solves the LP relaxation at the root and rounds its
+binaries into a candidate incumbent. When that closes the gap, the root
+answers; otherwise one HiGHS branch-and-cut call (presolve, cuts,
+heuristics and the tree search) solves the whole model. Every incumbent
+is re-solved as an LP with its binaries fixed and checked against the
+model before it is reported. Models can also be exported to MPS, solved
+externally and re-imported.
 """
 
-import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import ValidationError
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
@@ -37,17 +39,18 @@ class MILPSolution:
     objective: float = math.nan
     best_bound: float = -math.inf
     gap: float = math.inf
-    nodes: int = 0
+    nodes: int = 0         # HiGHS branch-and-cut nodes; 0 when the root closes
     wall_time: float = 0.0
 
 
 class _LPBackend:
-    """Caches constraint matrices so B&B nodes only swap bounds."""
+    """Caches constraint matrices so LPs on the model only swap bounds."""
 
     def __init__(self, model):
         self.model = model
         self.c = model.objective_vector()
-        A_ub, b_ub, A_eq, b_eq = model.constraint_matrices()
+        self.rows = model.constraint_matrices()
+        A_ub, b_ub, A_eq, b_eq = self.rows
         self.A_ub = A_ub if A_ub.shape[0] else None
         self.b_ub = b_ub if b_ub.size else None
         self.A_eq = A_eq if A_eq.shape[0] else None
@@ -73,24 +76,32 @@ class _LPBackend:
         # iteration limit or numerical trouble: no verdict on the LP
         return LPSolution(status="error")
 
+    def solve_mip(self, bins, options):
+        """One HiGHS branch-and-cut call on the whole model, its rows
+        stacked as lo <= A x <= hi. Returns scipy's OptimizeResult."""
+        A_ub, b_ub, A_eq, b_eq = self.rows
+        integrality = np.zeros(self.c.size)
+        integrality[bins] = 1
+        return milp(self.c,
+                    constraints=LinearConstraint(
+                        sparse.vstack([A_ub, A_eq], format="csr"),
+                        np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
+                        np.concatenate([b_ub, b_eq])),
+                    integrality=integrality,
+                    bounds=Bounds(self.lb, self.ub), options=options)
 
-def solve_lp(model, relax_binaries=True):
-    """Solve the model with binaries relaxed into [0, 1]."""
-    del relax_binaries  # binaries already carry [0, 1] bounds
+
+def solve_lp(model):
+    """Solve the model with binaries relaxed into their [0, 1] bounds."""
     return _LPBackend(model).solve()
 
 
-def _fractional_binaries(model, x, bins):
-    out = []
-    for i in bins:
-        frac = abs(x[i] - round(x[i]))
-        if frac > INT_TOL:
-            out.append((model.variables[i].branch_priority, -frac, i))
-    return out
+def _is_integral(x, bins):
+    return all(abs(x[i] - round(x[i])) <= INT_TOL for i in bins)
 
 
 def _rounding_heuristic(backend, solve, x, bins):
-    """Fix binaries at their rounded LP values and re-solve."""
+    """Fix binaries at their rounded values and re-solve the LP."""
     lb = backend.lb.copy()
     ub = backend.ub.copy()
     for i in bins:
@@ -101,13 +112,18 @@ def _rounding_heuristic(backend, solve, x, bins):
 
 
 def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
-    """Best-first branch and bound over the model's binary variables.
+    """Minimize the model over its binaries.
 
-    Branching picks the most fractional binary within the lowest
-    branch_priority class (ties by index); nodes are explored in
-    best-bound order. Deterministic for a fixed model and configuration.
-    An LP that ends in error leaves parts of the tree unexplored, so the
-    search stops and reports "error" without an incumbent.
+    The root LP relaxation is solved first. An integral root point, or
+    the root point with its binaries rounded, answers when it meets
+    ``gap_target`` against the root bound. Otherwise one HiGHS
+    branch-and-cut call gets the whole model, ``gap_target`` as its
+    relative gap, the rest of ``time_budget`` and ``node_budget`` nodes.
+    Its point is cleaned up like the rounded root: an LP with the
+    binaries fixed, then ``max_violation``. The reported bound is the
+    larger of the root bound and the HiGHS dual bound. An LP or HiGHS
+    call that ends in error gives "error" without an incumbent.
+    Deterministic for a fixed model and configuration.
     """
     start = time.monotonic()
     backend = _LPBackend(model)
@@ -120,20 +136,30 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
             failed.append(sol)
         return sol
 
-    root = solve()
-    if root.status == "error":
-        return MILPSolution(status="error", nodes=1,
-                            wall_time=time.monotonic() - start)
-    if root.status == "unbounded":
-        return MILPSolution(status="budget_exhausted",
-                            best_bound=-math.inf, nodes=1,
-                            wall_time=time.monotonic() - start)
-    if root.status != "optimal":
-        return MILPSolution(status="infeasible", nodes=1,
-                            wall_time=time.monotonic() - start)
+    def finish(status, nodes, bound=-math.inf):
+        """The solution to report; status None means solved, optimal or
+        within the gap by the gap recomputed from the incumbent."""
+        wall = time.monotonic() - start
+        if incumbent is None or status in ("error", "infeasible"):
+            return MILPSolution(status=status, best_bound=bound,
+                                nodes=nodes, wall_time=wall)
+        bound = min(bound, inc_obj)
+        gap = _gap(inc_obj, bound)
+        if status is None:
+            status = "gap_reached" if gap > 1e-9 else "optimal"
+        return MILPSolution(status=status, x=incumbent, objective=inc_obj,
+                            best_bound=bound, gap=gap, nodes=nodes,
+                            wall_time=wall)
 
     incumbent = None
     inc_obj = math.inf
+    root = solve()
+    if root.status == "error":
+        return finish("error", 1)
+    if root.status == "unbounded":
+        return finish("budget_exhausted", 1)
+    if root.status != "optimal":
+        return finish("infeasible", 1)
 
     def consider(sol):
         nonlocal incumbent, inc_obj
@@ -156,75 +182,34 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
         if model.max_violation(x) <= 1e-6 and obj < inc_obj - 1e-12:
             incumbent, inc_obj = x, obj
 
-    # node payload: (bound, seq, lb overrides, ub overrides)
-    seq = 0
-    heap = [(root.objective, seq, None, None, root)]
-    nodes = 0
-    best_bound = root.objective
-
-    frac0 = _fractional_binaries(model, root.x, bins)
-    if not frac0:
+    if _is_integral(root.x, bins):
         consider(root)
-        heap = []
     else:
         consider(_rounding_heuristic(backend, solve, root.x, bins))
+    bound = root.objective
+    if failed:
+        return finish("error", 0)
+    if incumbent is not None and _gap(inc_obj, bound) <= gap_target + 1e-12:
+        return finish(None, 0, bound)
 
-    status = "optimal"
-    while heap and not failed:
-        bound = heap[0][0]
-        best_bound = bound
-        gap = _gap(inc_obj, best_bound)
-        if incumbent is not None and gap <= gap_target + 1e-12:
-            status = "gap_reached" if gap > 1e-9 else "optimal"
-            break
-        if time.monotonic() - start > time_budget or nodes > node_budget:
-            status = "budget_exhausted"
-            break
-        _, _, lb_o, ub_o, sol = heapq.heappop(heap)
-        if sol.objective >= inc_obj - 1e-9:
-            continue
-        nodes += 1
-        frac = _fractional_binaries(model, sol.x, bins)
-        if not frac:
-            consider(sol)
-            continue
-        frac.sort()
-        _, _, j = frac[0]
-        for val in (round(sol.x[j]), 1 - round(sol.x[j])):
-            lb = backend.lb.copy() if lb_o is None else lb_o.copy()
-            ub = backend.ub.copy() if ub_o is None else ub_o.copy()
-            lb[j] = ub[j] = val
-            child = solve(lb, ub)
-            if child.status != "optimal":
-                continue
-            if child.objective >= inc_obj - 1e-9:
-                continue
-            kids = _fractional_binaries(model, child.x, bins)
-            if not kids:
-                consider(child)
-            else:
-                seq += 1
-                heapq.heappush(heap, (child.objective, seq, lb, ub, child))
-    else:
-        # the loop only stops here once the tree is exhausted or an LP failed
-        if failed:
-            return MILPSolution(status="error", nodes=nodes,
-                                wall_time=time.monotonic() - start)
-        if incumbent is None:
-            return MILPSolution(status="infeasible", nodes=nodes,
-                                wall_time=time.monotonic() - start)
-        best_bound = inc_obj
-        status = "optimal"
-
-    if incumbent is None:
-        return MILPSolution(status="budget_exhausted", nodes=nodes,
-                            best_bound=best_bound,
-                            wall_time=time.monotonic() - start)
-    return MILPSolution(
-        status=status, x=incumbent, objective=inc_obj,
-        best_bound=min(best_bound, inc_obj),
-        gap=_gap(inc_obj, min(best_bound, inc_obj)),
-        nodes=nodes, wall_time=time.monotonic() - start)
+    res = backend.solve_mip(bins, {
+        "mip_rel_gap": gap_target,
+        "time_limit": max(time_budget - (time.monotonic() - start), 0.0),
+        "node_limit": node_budget})
+    nodes = res.mip_node_count or 0
+    if res.status == 2 and incumbent is None:
+        return finish("infeasible", nodes)
+    if res.status not in (0, 1):
+        # numerical trouble, or HiGHS rejects a model with a checked point
+        return finish("error", nodes)
+    if res.x is not None:
+        consider(_rounding_heuristic(backend, solve, res.x, bins))
+    if failed or (res.status == 0 and incumbent is None):
+        return finish("error", nodes)
+    if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
+        bound = max(bound, res.mip_dual_bound + model.obj_constant)
+    return finish("budget_exhausted" if res.status == 1 else None, nodes,
+                  bound)
 
 
 def _gap(obj, bound):
@@ -271,7 +256,7 @@ def _fmt(v):
 
 
 def export_mps(model):
-    """Serialize to MPS text (NAME/ROWS/COLUMNS/RHS/RANGES/BOUNDS/ENDATA).
+    """Serialize to MPS text (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA).
 
     Coefficients are written with 17 significant digits so a reparse is
     bit-exact. Binaries are marked with BV bound records.
@@ -309,8 +294,6 @@ def export_mps(model):
     for rn, con in zip(rownames, model.constraints):
         if con.rhs != 0.0:
             lines.append(f"    RHS  {rn}  {_fmt(con.rhs)}")
-
-    lines.append("RANGES")  # emitted for section completeness; unused
 
     lines.append("BOUNDS")
     for i, v in enumerate(model.variables):
@@ -423,7 +406,7 @@ def import_solution(text, model):
             raise ValidationError(f"solution references unknown variable {name!r}")
         x[idx] = float(val)
     viol = model.max_violation(x)
-    if viol > 1e-7:
+    if viol > FEAS_TOL:
         raise ValidationError(
             f"imported solution infeasible: max violation {viol:.3e}")
     obj = model.objective_value(x)

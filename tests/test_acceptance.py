@@ -329,7 +329,7 @@ def test_acceptance_7_solver_vs_oracle(compact3, box14):
                     for i, v in c1.coeffs.items()}
                 for c0, c1 in zip(m.constraints, again.constraints)))
     ok = worst <= 1e-6 and identical
-    _verdict(7, "internal solver vs oracle + MPS round trip", ok,
+    _verdict(7, "MILP solve vs oracle + MPS round trip", ok,
              f"{len(models)} instances (<=12 binaries), max objective "
              f"deviation {worst:.2e} (limit 1e-06); "
              f"round trip identical: {identical}")

@@ -6,6 +6,7 @@ import pytest
 
 from compactpf import milp_solve
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
+from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                                   export_mps, parse_mps, import_solution)
 from compactpf.errors import ValidationError
@@ -199,13 +200,114 @@ def test_lp_error_at_root_is_not_infeasible(monkeypatch):
     assert len(failed) == 2
 
 
-def test_lp_error_at_child_stops_the_search(monkeypatch):
-    m, xs = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
-    # a first-level child fixes exactly one binary; the root fixes none
-    # and the rounding heuristic fixes all of them
-    failed = _failing_linprog(
-        monkeypatch, lambda lb, ub: int(np.sum(lb[xs] == ub[xs])) == 1)
+def _rounding_fails():
+    """A knapsack whose root LP is fractional and whose rounded root
+    overflows the cap, so the root yields no incumbent. Optimum -20 at
+    x = (0, 1, 1); root bound -20.5."""
+    return _knapsack([10, 13, 7], [4, 4, 3], 7)
+
+
+def _fake_milp(monkeypatch, status, x=None, fun=None, dual=None):
+    """Patch the HiGHS branch-and-cut call to return a fixed result;
+    return the list of calls made."""
+    calls = []
+
+    def fake(c, constraints=None, integrality=None, bounds=None, options=None):
+        calls.append(options)
+        return SimpleNamespace(status=status, x=x, fun=fun, mip_node_count=7,
+                               mip_dual_bound=dual, mip_gap=None,
+                               message="fake")
+
+    monkeypatch.setattr(milp_solve, "milp", fake)
+    return calls
+
+
+def test_highs_error_is_reported_without_incumbent(monkeypatch):
+    m, _ = _rounding_fails()
+    calls = _fake_milp(monkeypatch, 4, x=np.array([0.0, 1.0, 1.0]), fun=-20.0)
     sol = solve_milp(m)
-    assert failed, "the search never reached a child"
+    assert len(calls) == 1
     assert sol.status == "error"
     assert sol.x is None
+
+
+def test_highs_limit_with_point_is_budget_exhausted(monkeypatch):
+    m, _ = _rounding_fails()
+    _fake_milp(monkeypatch, 1, x=np.array([0.0, 1.0, 1.0]), fun=-20.0,
+               dual=-21.0)
+    sol = solve_milp(m, time_budget=5.0, node_budget=3)
+    assert sol.status == "budget_exhausted"
+    assert sol.objective == pytest.approx(-20.0)
+    assert math.isfinite(sol.best_bound)
+    # the root bound -20.5 is tighter than the HiGHS bound -21
+    assert sol.best_bound == pytest.approx(-20.5)
+    assert sol.best_bound <= sol.objective
+    assert sol.nodes == 7
+
+
+def test_highs_limit_without_point_is_budget_exhausted(monkeypatch):
+    m, _ = _rounding_fails()
+    calls = _fake_milp(monkeypatch, 1)
+    sol = solve_milp(m, gap_target=0.01, time_budget=5.0, node_budget=3)
+    assert sol.status == "budget_exhausted"
+    assert sol.x is None
+    (options,) = calls
+    assert options["mip_rel_gap"] == 0.01
+    assert 0.0 < options["time_limit"] <= 5.0
+    assert options["node_limit"] == 3
+
+
+def _no_highs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("HiGHS branch-and-cut was called")
+    monkeypatch.setattr(milp_solve, "milp", refuse)
+
+
+def test_root_within_gap_makes_no_highs_call(monkeypatch):
+    _no_highs(monkeypatch)
+    # root -24.25 with item 1 at 0.25; rounding it down gives -21.0,
+    # a gap of 15.5%
+    m, _ = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
+    sol = solve_milp(m, gap_target=0.2)
+    assert sol.status == "gap_reached"
+    assert sol.objective == pytest.approx(-21.0)
+    assert sol.best_bound == pytest.approx(-24.25)
+    assert sol.nodes == 0
+    # an integral root is optimal as it stands
+    m, _ = _knapsack([10, 13], [3, 4], 7)
+    sol = solve_milp(m)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-23.0)
+
+
+def test_dc_uc_closes_at_root(monkeypatch, net14, inst24):
+    _no_highs(monkeypatch)
+    milp, _ = build_dc_uc(inst24, net14)
+    sol = solve_milp(milp, gap_target=0.01)
+    assert sol.status in ("optimal", "gap_reached")
+    assert sol.nodes == 0
+
+
+def test_open_root_goes_to_highs_and_matches_enumeration(monkeypatch):
+    calls = []
+    real = milp_solve.milp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(milp_solve, "milp", spy)
+    rng = np.random.default_rng(5)
+    for trial in range(2):
+        values = rng.integers(1, 30, 8)
+        weights = rng.integers(1, 15, 8)
+        m, _ = _knapsack(list(values), list(weights), int(weights.sum() // 3))
+        before = len(calls)
+        sol = solve_milp(m)
+        ref = enumerate_binaries(m)
+        assert len(calls) == before + 1
+        assert sol.status == "optimal"
+        assert sol.best_bound <= ref.objective + 1e-9
+        assert ref.objective <= sol.objective + 1e-9
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert m.max_violation(sol.x) <= milp_solve.FEAS_TOL
