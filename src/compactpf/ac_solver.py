@@ -1,4 +1,4 @@
-"""Newton power flow, SLP AC-OPF, and the multi-period feasibility oracle.
+"""SLP AC-OPF and the multi-period feasibility oracle.
 
 The OPF engine is sequential linear programming: each major iteration
 linearizes the AC power flow map at the current point (reusing the
@@ -11,11 +11,12 @@ before any point is reported feasible.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import ValidationError, ConvergenceError, CompactPFError
 from . import grid_model, jacobian
@@ -63,9 +64,6 @@ class DispatchSpec:
     pd: np.ndarray        # (n,)
     qd: np.ndarray        # (n,)
     reserve: float = 0.0
-    # Newton-specific setpoints (optional)
-    p_set: np.ndarray = None
-    v_set: np.ndarray = None
 
 
 @dataclass
@@ -106,79 +104,92 @@ def make_dispatch_spec(net, inst, hour, off=()):
 
 
 # ---------------------------------------------------------------------------
-# Newton power flow
-# ---------------------------------------------------------------------------
-
-def newton_power_flow(net, spec, v0, theta0, tol=1e-8, max_iter=50):
-    """Classic Newton-Raphson with fixed PV/PQ/slack roles.
-
-    Active setpoints come from spec.p_set (per generator); PV voltage
-    setpoints from spec.v_set. The slack bus is the network reference.
-    """
-    n = net.n
-    v = np.asarray(v0, dtype=float).copy()
-    theta = np.asarray(theta0, dtype=float).copy()
-    if spec.p_set is None:
-        raise ValidationError("newton_power_flow requires spec.p_set")
-
-    p_spec = -spec.pd.copy()
-    q_spec = -spec.qd.copy()
-    pv_buses = set()
-    for gs, p in zip(spec.gens, spec.p_set):
-        if gs.on:
-            p_spec[gs.bus] += p
-            pv_buses.add(gs.bus)
-    for bus, _, _ in spec.condensers:
-        pv_buses.add(bus)
-    if spec.v_set is not None:
-        for gs, vs in zip(spec.gens, spec.v_set):
-            if gs.on:
-                v[gs.bus] = vs
-    pv_buses.discard(net.ref)
-    pq = [b for b in range(n) if b != net.ref and b not in pv_buses]
-    nonslack = [b for b in range(n) if b != net.ref]
-
-    for it in range(max_iter + 1):
-        op = grid_model.eval_power_flow(net, v, theta)
-        dp = p_spec[nonslack] - op.p_inj[nonslack]
-        dq = q_spec[pq] - op.q_inj[pq]
-        mismatch = np.concatenate([dp, dq])
-        if mismatch.size == 0 or np.max(np.abs(mismatch)) <= tol:
-            return op
-        if it == max_iter:
-            break
-        J = jacobian.injection_jacobian(net, v, theta)
-        # unknown ordering: theta[nonslack], v[pq]
-        rows = [b for b in nonslack] + [n + b for b in pq]
-        cols = [n + b for b in nonslack] + [b for b in pq]
-        Jsub = J[np.ix_(rows, cols)]
-        try:
-            dx = np.linalg.solve(Jsub, mismatch)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular power flow Jacobian")
-        if not np.all(np.isfinite(dx)) or np.max(np.abs(dx)) > 1e3:
-            raise ConvergenceError("Newton power flow diverged")
-        theta[nonslack] += dx[:len(nonslack)]
-        v[pq] += dx[len(nonslack):]
-        if np.any(v <= 0):
-            raise ConvergenceError("Newton power flow diverged (v <= 0)")
-    raise ConvergenceError(
-        f"Newton power flow did not converge in {max_iter} iterations")
-
-
-# ---------------------------------------------------------------------------
 # SLP engine
 # ---------------------------------------------------------------------------
 
-def linprog(c, A, lo, hi, lb, ub):
-    """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub with HiGHS.
+class LPResult(NamedTuple):
+    status: int     # 0 optimal, 1 time/iteration limit, 2 infeasible,
+                    # 3 unbounded, 4 any other outcome
+    x: np.ndarray   # None unless status is 0
+    fun: float
 
-    ``A`` is a CSC matrix passed through as built: no integrality is
-    declared, so HiGHS solves the LP exactly as given. Returns scipy's
-    OptimizeResult (status 0 optimal, 2 infeasible, other codes failures).
+
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: 0,
+    _highs.HighsModelStatus.kTimeLimit: 1,
+    _highs.HighsModelStatus.kIterationLimit: 1,
+    _highs.HighsModelStatus.kInfeasible: 2,
+    _highs.HighsModelStatus.kUnbounded: 3,
+}
+
+
+class HighsInstance:
+    """One HiGHS instance kept across the LPs of one SLP call: the model
+    it holds, that model's bounds, and the basis of its last optimal
+    solve."""
+
+    def __init__(self):
+        self.highs = _highs._Highs()
+        self.highs.setOptionValue("log_to_console", False)
+        self.c = self.A = None
+        self.lo = self.hi = self.lb = self.ub = None
+        self.basis = None
+
+
+def linprog(c, A, lo, hi, lb, ub, inst):
+    """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub on ``inst``'s HiGHS.
+
+    A call with a new matrix ``A`` (CSC) passes the whole model and starts
+    from the basis of the instance's last optimal solve; the instance's
+    first LP has none and is solved cold, with ``milp``'s options, so it
+    gives the result ``milp`` gives. A call with the matrix and cost vector
+    the instance holds (the same objects) is a re-solve: only the column
+    and row bounds that differ are changed, and HiGHS continues from the
+    basis it has.
+
+    HiGHS is driven through ``scipy.optimize._highspy._core``, the binding
+    scipy ships (>= 1.17.1). scipy's public ``milp`` and ``linprog`` build
+    a new instance per call and validate, copy and post-process every
+    input and output in Python; they can neither keep a model loaded nor
+    reuse a basis.
+
+    A model HiGHS rejects, a failed ``run()``, and an "optimal" whose
+    objective is not finite all give status 4, never 2.
     """
-    return milp(c, constraints=LinearConstraint(A, lo, hi),
-                bounds=Bounds(lb, ub))
+    h = inst.highs
+    if A is inst.A and c is inst.c:
+        cols = np.flatnonzero((lb != inst.lb) | (ub != inst.ub))
+        ok = h.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols],
+                                ub[cols]) != _highs.HighsStatus.kError
+        for i in np.flatnonzero((lo != inst.lo) | (hi != inst.hi)):
+            ok &= h.changeRowBounds(int(i), lo[i], hi[i]) \
+                != _highs.HighsStatus.kError
+    else:
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
+        model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
+        model.row_lower_, model.row_upper_ = lo, hi
+        mat = model.a_matrix_
+        mat.format_ = _highs.MatrixFormat.kColwise
+        mat.num_col_, mat.num_row_ = A.shape[1], A.shape[0]
+        mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
+        ok = h.passModel(model) != _highs.HighsStatus.kError
+        inst.c, inst.A = (c, A) if ok else (None, None)
+        if ok and inst.basis is not None:
+            h.setBasis(inst.basis)
+    inst.lo, inst.hi, inst.lb, inst.ub = lo, hi, lb, ub
+    if not ok or h.run() == _highs.HighsStatus.kError:
+        return LPResult(4, None, math.nan)
+    status = _STATUS.get(h.getModelStatus(), 4)
+    fun = h.getInfo().objective_function_value
+    if status == 0 and not math.isfinite(fun):
+        status = 4
+    if status != 0:
+        return LPResult(status, None, math.nan)
+    basis = h.getBasis()
+    if basis.valid:
+        inst.basis = basis
+    return LPResult(0, np.array(h.getSolution().col_value), fun)
 
 
 @dataclass
@@ -449,6 +460,11 @@ class _SLPProblem:
 def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     """Shared single/multi-period SLP core, started flat.
 
+    The call owns one HiGHS instance. Each major iteration passes it the
+    step LP, warm from the basis of the last optimal solve (the first LP
+    is solved cold); the two second-order-correction re-solves keep that
+    matrix, change only the bounds and continue from the step's basis.
+
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).
     """
@@ -457,6 +473,7 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
     lp = _SLPProblem(net, specs, ramps, objective)
+    highs = HighsInstance()
 
     def true_cost(pdel):
         total = 0.0
@@ -502,7 +519,7 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         iters = it + 1
         A, lo, hi, lin_ctx = lp.linearize(v, theta)
         lb, ub = lp.trust_bounds(v, radius)
-        res = linprog(lp.c, A, lo, hi, lb, ub)
+        res = linprog(lp.c, A, lo, hi, lb, ub, highs)
         if res.status == 2:
             # hard (dispatch-side) constraints conflict
             raise InfeasibleError("dispatch constraints are infeasible")
@@ -519,7 +536,8 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         dv2, dth2 = dv, dth
         for _ in range(2):
             res2 = linprog(lp.c, A, *lp.soc_bounds(lo, hi, lb, ub, lin_ctx,
-                                                   v, theta, dv2, dth2))
+                                                   v, theta, dv2, dth2),
+                           highs)
             if res2.status != 0:
                 break
             dv2, dth2, pdel2, rres2, qg2, qsc2 = lp.extract(res2.x)

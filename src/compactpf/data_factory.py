@@ -34,6 +34,7 @@ class PFDataset:
     n: int
     m: int
     ref: int
+    rejected: dict = field(default_factory=dict)  # candidates by reason
 
     @property
     def size(self):
@@ -114,7 +115,8 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     Per hour: one all-on base solve, then for each generator a number of
     draws with that generator off plus up to `max_extra_off` random
     additional units off, each with tightened voltage bounds. Candidates
-    whose AC-OPF is infeasible are rejected.
+    whose AC-OPF is infeasible are rejected; the dataset keeps their count
+    by reason in ``rejected``.
     """
     cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(seed)
@@ -163,7 +165,7 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     split = np.array(["train"] * len(rows_x), dtype=object)
     split[order[:n_test]] = "test"
     return PFDataset(X=X, Y=Y, meta=meta, split=split,
-                     n=net.n, m=net.m, ref=net.ref)
+                     n=net.n, m=net.m, ref=net.ref, rejected=rejected)
 
 
 def verify_dataset(net, ds, tol=1e-8):

@@ -3,42 +3,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from compactpf import ac_solver, grid_model, jacobian
-from compactpf.ac_solver import (DispatchSpec, GenSetting, InfeasibleError,
-                                 newton_power_flow, slp_acopf,
-                                 make_dispatch_spec, check_schedule_logic,
-                                 startup_cost_of, commitment_cost,
-                                 production_cost, mtp_acopf_check, _Ramps)
+from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
+                                 slp_acopf, make_dispatch_spec,
+                                 check_schedule_logic, startup_cost_of,
+                                 commitment_cost, production_cost,
+                                 mtp_acopf_check, _Ramps)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
-
-
-def _two_bus_spec(p_set=0.6):
-    gens = [GenSetting(bus=0, on=True, pmin=0.0, cap_a=1.5, cap_b=1.5,
-                       q_lo=-1.0, q_hi=1.0, cost_segments=((1.5, 10.0),))]
-    return DispatchSpec(gens=gens, condensers=[],
-                        pd=np.array([0.0, 0.5]), qd=np.array([0.0, 0.1]),
-                        p_set=np.array([p_set]), v_set=np.array([1.0]))
-
-
-def test_newton_two_bus(net2):
-    spec = _two_bus_spec()
-    op = newton_power_flow(net2, spec, np.ones(2), np.zeros(2))
-    # load bus balance holds exactly at the solution
-    assert op.p_inj[1] == pytest.approx(-0.5, abs=1e-8)
-    assert op.q_inj[1] == pytest.approx(-0.1, abs=1e-8)
-    assert op.v[0] == pytest.approx(1.0)  # slack magnitude held
-    assert op.theta[0] == 0.0
-    # lossless line: slack picks up the full load
-    assert op.p_inj[0] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_newton_requires_p_set(net2):
-    spec = _two_bus_spec()
-    spec.p_set = None
-    with pytest.raises(ValidationError):
-        newton_power_flow(net2, spec, np.ones(2), np.zeros(2))
 
 
 def test_slp_acopf_hour1(net14, inst24):
@@ -219,7 +193,7 @@ def _first_lp(monkeypatch, net, specs, ramps):
     """The LP of the SLP's first iterate, as it is handed to HiGHS."""
     seen = {}
 
-    def capture(c, A, lo, hi, lb, ub):
+    def capture(c, A, lo, hi, lb, ub, *_):
         seen.update(c=c, A=A, lo=lo, hi=hi, lb=lb, ub=ub)
         raise _Captured
 
@@ -389,3 +363,110 @@ def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
     assert np.array_equal(A.indptr, dense.indptr)
     assert np.array_equal(A.indices, dense.indices)
     assert np.array_equal(A.data, dense.data)
+
+
+@pytest.mark.parametrize("hours, off", [((0, 1), (2,)), ((1,), ())])
+def test_linprog_cold_solve_matches_milp(monkeypatch, net14, inst4, hours,
+                                         off):
+    specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
+    lp = _first_lp(monkeypatch, net14, specs, _inst4_ramps(inst4))
+    args = [lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub")]
+    got = linprog(*args, HighsInstance())
+    ref = milp(lp["c"], constraints=LinearConstraint(lp["A"], lp["lo"],
+                                                     lp["hi"]),
+               bounds=Bounds(lp["lb"], lp["ub"]))
+    assert got.status == ref.status == 0
+    assert np.array_equal(got.x, ref.x)
+    assert got.fun == ref.fun
+
+
+def test_linprog_warm_resolve_matches_cold_milp(monkeypatch, net14, inst4):
+    specs = [make_dispatch_spec(net14, inst4, h) for h in (0, 1)]
+    lp = _first_lp(monkeypatch, net14, specs, _inst4_ramps(inst4))
+    c, A, lo, hi, lb, ub = (lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub"))
+    inst = HighsInstance()
+    assert linprog(c, A, lo, hi, lb, ub, inst).status == 0
+    # shrink the trust region and move the balance targets, as a second
+    # order correction does: the same matrix, other bounds
+    lb2, ub2 = 0.5 * lb, 0.5 * ub
+    lo2, hi2 = lo.copy(), hi.copy()
+    eq = np.isfinite(lo)
+    lo2[eq] += 1e-3
+    hi2[eq] += 1e-3
+    warm = linprog(c, A, lo2, hi2, lb2, ub2, inst)
+    warm_iters = _simplex_iters(inst)
+    cold = milp(c, constraints=LinearConstraint(A, lo2, hi2),
+                bounds=Bounds(lb2, ub2))
+    assert warm.status == cold.status == 0
+    assert warm.fun == pytest.approx(cold.fun, rel=1e-9)
+    # both the re-solve and a new matrix (the next step LP) start from the
+    # basis HiGHS found, not from scratch
+    fresh = HighsInstance()
+    assert linprog(c, A, lo2, hi2, lb2, ub2, fresh).status == 0
+    cold_iters = _simplex_iters(fresh)
+    assert warm_iters < cold_iters
+    assert linprog(c, A.copy(), lo2, hi2, lb2, ub2, inst).status == 0
+    assert _simplex_iters(inst) < cold_iters
+
+
+def _simplex_iters(inst):
+    return inst.highs.getInfo().simplex_iteration_count
+
+
+def _tiny(c, lo, hi, lb, ub, a=((1.0, 1.0),)):
+    return linprog(np.array(c, dtype=float), sparse.csc_array(np.array(a)),
+                   np.array(lo, dtype=float), np.array(hi, dtype=float),
+                   np.array(lb, dtype=float), np.array(ub, dtype=float),
+                   HighsInstance())
+
+
+def test_linprog_statuses():
+    inf = np.inf
+    assert _tiny([1, 1], [3], [inf], [0, 0], [1, 1]).status == 2
+    assert _tiny([-1, -1], [1], [inf], [0, 0], [inf, inf]).status == 3
+    ok = _tiny([1, 2], [1], [inf], [0, 0], [1, 1])
+    assert ok.status == 0 and ok.fun == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("c, a", [
+    ([np.nan, 1.0], ((1.0, 1.0),)),     # HiGHS reports "optimal", NaN cost
+    ([1.0, 1.0], ((np.inf, 1.0),)),     # HiGHS rejects the model
+])
+def test_linprog_rejected_model_is_not_infeasible(c, a):
+    res = _tiny(c, [1], [np.inf], [0, 0], [1, 1], a)
+    assert res.status == 4
+    assert res.x is None
+
+
+class _CountRuns:
+    """A HiGHS instance that counts its ``run`` calls."""
+
+    def __init__(self, highs, runs):
+        self._highs, self._runs = highs, runs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._runs.append(1)
+        return self._highs.run()
+
+
+def test_slp_routes_every_lp_through_linprog(monkeypatch, net14, inst24):
+    runs, steps, socs = [], [], []
+
+    class Counting(HighsInstance):
+        def __init__(self):
+            super().__init__()
+            self.highs = _CountRuns(self.highs, runs)
+
+    def counted(c, A, lo, hi, lb, ub, inst):
+        (socs if A is inst.A else steps).append(1)
+        return linprog(c, A, lo, hi, lb, ub, inst)
+
+    monkeypatch.setattr(ac_solver, "HighsInstance", Counting)
+    monkeypatch.setattr(ac_solver, "linprog", counted)
+    _, dispatch = slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
+    assert len(steps) == dispatch["iterations"]
+    assert 0 < len(socs) <= 2 * len(steps)
+    assert len(steps) + len(socs) == len(runs)

@@ -31,6 +31,13 @@ def test_dataset_deterministic(net14, inst24, dataset14):
     assert np.array_equal(again.split, dataset14.split)
 
 
+def test_dataset_tallies_rejections(inst24, dataset14):
+    # one all-on base plus combos_per_gen=3 draws per unit, every hour
+    candidates = inst24.horizon * (1 + 3 * inst24.ngen)
+    assert candidates == 24 * (1 + 3 * 4)
+    assert dataset14.size + sum(dataset14.rejected.values()) == candidates
+
+
 def test_dataset_covers_outages(dataset14):
     offs = {m["off"] for m in dataset14.meta}
     assert () in offs            # all-on base per hour
@@ -41,6 +48,7 @@ def test_dump_load_round_trip(dataset14, tmp_path):
     path = tmp_path / "ds.txt"
     dump_dataset(dataset14, path)
     again = load_dataset(path)
+    assert again.rejected == {}
     assert np.array_equal(again.X, dataset14.X)
     assert np.array_equal(again.Y, dataset14.Y)
     assert np.array_equal(again.split, dataset14.split)
