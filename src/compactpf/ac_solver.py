@@ -4,22 +4,22 @@ The OPF engine is sequential linear programming: each major iteration
 linearizes the AC power flow map at the current point (reusing the
 analytic Jacobians), solves an LP with l1-elastic balance/thermal
 slacks inside a trust region, and accepts or rejects the step on an
-exact-penalty merit function. A fixed point of the iteration satisfies
-the nonlinear constraints exactly, which is re-verified independently
-before any point is reported feasible.
+exact-penalty merit function. Every LP goes through ``highs.linprog``,
+warm on the one HiGHS instance each SLP call owns. A fixed point of the
+iteration satisfies the nonlinear constraints exactly, which is
+re-verified independently before any point is reported feasible.
 """
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize._highspy import _core as _highs
 
 from .errors import ValidationError, ConvergenceError, CompactPFError
 from . import grid_model, jacobian
+from .highs import HighsInstance, linprog
 
 
 class InfeasibleError(CompactPFError):
@@ -106,91 +106,6 @@ def make_dispatch_spec(net, inst, hour, off=()):
 # ---------------------------------------------------------------------------
 # SLP engine
 # ---------------------------------------------------------------------------
-
-class LPResult(NamedTuple):
-    status: int     # 0 optimal, 1 time/iteration limit, 2 infeasible,
-                    # 3 unbounded, 4 any other outcome
-    x: np.ndarray   # None unless status is 0
-    fun: float
-
-
-_STATUS = {
-    _highs.HighsModelStatus.kOptimal: 0,
-    _highs.HighsModelStatus.kTimeLimit: 1,
-    _highs.HighsModelStatus.kIterationLimit: 1,
-    _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kUnbounded: 3,
-}
-
-
-class HighsInstance:
-    """One HiGHS instance kept across the LPs of one SLP call: the model
-    it holds, that model's bounds, and the basis of its last optimal
-    solve."""
-
-    def __init__(self):
-        self.highs = _highs._Highs()
-        self.highs.setOptionValue("log_to_console", False)
-        self.c = self.A = None
-        self.lo = self.hi = self.lb = self.ub = None
-        self.basis = None
-
-
-def linprog(c, A, lo, hi, lb, ub, inst):
-    """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub on ``inst``'s HiGHS.
-
-    A call with a new matrix ``A`` (CSC) passes the whole model and starts
-    from the basis of the instance's last optimal solve; the instance's
-    first LP has none and is solved cold, with ``milp``'s options, so it
-    gives the result ``milp`` gives. A call with the matrix and cost vector
-    the instance holds (the same objects) is a re-solve: only the column
-    and row bounds that differ are changed, and HiGHS continues from the
-    basis it has.
-
-    HiGHS is driven through ``scipy.optimize._highspy._core``, the binding
-    scipy ships (>= 1.17.1). scipy's public ``milp`` and ``linprog`` build
-    a new instance per call and validate, copy and post-process every
-    input and output in Python; they can neither keep a model loaded nor
-    reuse a basis.
-
-    A model HiGHS rejects, a failed ``run()``, and an "optimal" whose
-    objective is not finite all give status 4, never 2.
-    """
-    h = inst.highs
-    if A is inst.A and c is inst.c:
-        cols = np.flatnonzero((lb != inst.lb) | (ub != inst.ub))
-        ok = h.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols],
-                                ub[cols]) != _highs.HighsStatus.kError
-        for i in np.flatnonzero((lo != inst.lo) | (hi != inst.hi)):
-            ok &= h.changeRowBounds(int(i), lo[i], hi[i]) \
-                != _highs.HighsStatus.kError
-    else:
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-        model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-        model.row_lower_, model.row_upper_ = lo, hi
-        mat = model.a_matrix_
-        mat.format_ = _highs.MatrixFormat.kColwise
-        mat.num_col_, mat.num_row_ = A.shape[1], A.shape[0]
-        mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
-        ok = h.passModel(model) != _highs.HighsStatus.kError
-        inst.c, inst.A = (c, A) if ok else (None, None)
-        if ok and inst.basis is not None:
-            h.setBasis(inst.basis)
-    inst.lo, inst.hi, inst.lb, inst.ub = lo, hi, lb, ub
-    if not ok or h.run() == _highs.HighsStatus.kError:
-        return LPResult(4, None, math.nan)
-    status = _STATUS.get(h.getModelStatus(), 4)
-    fun = h.getInfo().objective_function_value
-    if status == 0 and not math.isfinite(fun):
-        status = 4
-    if status != 0:
-        return LPResult(status, None, math.nan)
-    basis = h.getBasis()
-    if basis.valid:
-        inst.basis = basis
-    return LPResult(0, np.array(h.getSolution().col_value), fun)
-
 
 @dataclass
 class _Ramps:

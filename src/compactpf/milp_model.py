@@ -101,36 +101,24 @@ class MILPModel:
         return c
 
     def constraint_matrices(self):
-        """(A_ub, b_ub, A_eq, b_eq) as CSR matrices / arrays.
-
-        >= rows are negated into <= form.
-        """
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for con in self.constraints:
-            if con.sense == EQ:
-                eq_rows.append(con.coeffs)
-                eq_rhs.append(con.rhs)
-            elif con.sense == LE:
-                ub_rows.append(con.coeffs)
-                ub_rhs.append(con.rhs)
-            elif con.sense == GE:
-                ub_rows.append({i: -c for i, c in con.coeffs.items()})
-                ub_rhs.append(-con.rhs)
-            else:
+        """(A, lo, hi): the rows as lo <= A x <= hi in the model's order,
+        A a CSC matrix. An == row has lo == hi; a <= row has lo = -inf
+        and a >= row hi = +inf."""
+        m = len(self.constraints)
+        lo, hi = np.full(m, -np.inf), np.full(m, np.inf)
+        ri, ci, data = [], [], []
+        for r, con in enumerate(self.constraints):
+            if con.sense not in (LE, EQ, GE):
                 raise ValidationError(f"unknown sense {con.sense!r}")
-
-        def build(rows):
-            data, ri, ci = [], [], []
-            for r, row in enumerate(rows):
-                for i, c in row.items():
-                    ri.append(r)
-                    ci.append(i)
-                    data.append(c)
-            return sparse.csr_matrix((data, (ri, ci)),
-                                     shape=(len(rows), self.nvar))
-
-        return (build(ub_rows), np.array(ub_rhs),
-                build(eq_rows), np.array(eq_rhs))
+            if con.sense != LE:
+                lo[r] = con.rhs
+            if con.sense != GE:
+                hi[r] = con.rhs
+            ri.extend([r] * len(con.coeffs))
+            ci.extend(con.coeffs)
+            data.extend(con.coeffs.values())
+        A = sparse.csc_array((data, (ri, ci)), shape=(m, self.nvar))
+        return A, lo, hi
 
     def objective_value(self, x):
         return float(self.objective_vector() @ x) + self.obj_constant

@@ -1,12 +1,14 @@
 """LP and MILP solving through HiGHS, plus MPS export/import.
 
-``solve_milp`` solves the LP relaxation at the root and rounds its
-binaries into a candidate incumbent. When that closes the gap, the root
-answers; otherwise one HiGHS branch-and-cut call (presolve, cuts,
-heuristics and the tree search) solves the whole model. Every incumbent
-is re-solved as an LP with its binaries fixed and checked against the
-model before it is reported. Models can also be exported to MPS, solved
-externally and re-imported.
+Every LP and MIP goes through the HiGHS calls in ``highs``. ``solve_milp``
+solves the LP relaxation at the root and rounds its binaries into a
+candidate incumbent. When that closes the gap, the root answers;
+otherwise one HiGHS branch-and-cut call (presolve, cuts, heuristics and
+the tree search) solves the whole model. Every incumbent is re-solved as
+an LP with its binaries fixed and checked against the model before it is
+reported. The LPs on one model share one HiGHS instance until the MIP
+call, so an LP that only moves bounds re-solves warm. Models can also be
+exported to MPS, solved externally and re-imported.
 """
 
 import math
@@ -14,14 +16,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import ValidationError
+from .highs import HighsInstance, linprog, mip
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
 
-INT_TOL = 1e-6
 FEAS_TOL = 1e-7
+# a limit, a rejected model or numerical trouble give "error": no verdict
+_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
@@ -44,51 +46,33 @@ class MILPSolution:
 
 
 class _LPBackend:
-    """Caches constraint matrices so LPs on the model only swap bounds."""
+    """One model's LP data and the HiGHS instance its LPs run on: after
+    the first LP, one that only moves column bounds re-solves warm."""
 
     def __init__(self, model):
         self.model = model
         self.c = model.objective_vector()
-        self.rows = model.constraint_matrices()
-        A_ub, b_ub, A_eq, b_eq = self.rows
-        self.A_ub = A_ub if A_ub.shape[0] else None
-        self.b_ub = b_ub if b_ub.size else None
-        self.A_eq = A_eq if A_eq.shape[0] else None
-        self.b_eq = b_eq if b_eq.size else None
+        self.A, self.lo, self.hi = model.constraint_matrices()
         self.lb, self.ub = model.bounds_arrays()
+        self.inst = HighsInstance()
 
     def solve(self, lb=None, ub=None):
-        lo = self.lb if lb is None else lb
-        hi = self.ub if ub is None else ub
-        if np.any(lo > hi + 1e-12):
+        lb = self.lb if lb is None else lb
+        ub = self.ub if ub is None else ub
+        if np.any(lb > ub + 1e-12):
             return LPSolution(status="infeasible")
-        res = linprog(self.c, A_ub=self.A_ub, b_ub=self.b_ub,
-                      A_eq=self.A_eq, b_eq=self.b_eq,
-                      bounds=np.column_stack([lo, hi]),
-                      method="highs")
-        if res.status == 0:
-            return LPSolution(status="optimal", x=res.x,
-                              objective=res.fun + self.model.obj_constant)
-        if res.status == 2:
-            return LPSolution(status="infeasible")
-        if res.status == 3:
-            return LPSolution(status="unbounded")
-        # iteration limit or numerical trouble: no verdict on the LP
-        return LPSolution(status="error")
+        res = linprog(self.c, self.A, self.lo, self.hi, lb, ub, self.inst)
+        status = _LP_STATUS.get(res.status, "error")
+        if status != "optimal":
+            return LPSolution(status=status)
+        return LPSolution(status=status, x=res.x,
+                          objective=res.fun + self.model.obj_constant)
 
-    def solve_mip(self, bins, options):
-        """One HiGHS branch-and-cut call on the whole model, its rows
-        stacked as lo <= A x <= hi. Returns scipy's OptimizeResult."""
-        A_ub, b_ub, A_eq, b_eq = self.rows
-        integrality = np.zeros(self.c.size)
-        integrality[bins] = 1
-        return milp(self.c,
-                    constraints=LinearConstraint(
-                        sparse.vstack([A_ub, A_eq], format="csr"),
-                        np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
-                        np.concatenate([b_ub, b_eq])),
-                    integrality=integrality,
-                    bounds=Bounds(self.lb, self.ub), options=options)
+    def fixed(self, idx, vals):
+        """The model's bounds with the columns ``idx`` fixed at ``vals``."""
+        lb, ub = self.lb.copy(), self.ub.copy()
+        lb[idx] = ub[idx] = vals
+        return lb, ub
 
 
 def solve_lp(model):
@@ -96,34 +80,20 @@ def solve_lp(model):
     return _LPBackend(model).solve()
 
 
-def _is_integral(x, bins):
-    return all(abs(x[i] - round(x[i])) <= INT_TOL for i in bins)
-
-
-def _rounding_heuristic(backend, solve, x, bins):
-    """Fix binaries at their rounded values and re-solve the LP."""
-    lb = backend.lb.copy()
-    ub = backend.ub.copy()
-    for i in bins:
-        r = round(x[i])
-        lb[i] = ub[i] = r
-    sol = solve(lb, ub)
-    return sol if sol.status == "optimal" else None
-
-
 def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     """Minimize the model over its binaries.
 
-    The root LP relaxation is solved first. An integral root point, or
-    the root point with its binaries rounded, answers when it meets
-    ``gap_target`` against the root bound. Otherwise one HiGHS
-    branch-and-cut call gets the whole model, ``gap_target`` as its
-    relative gap, the rest of ``time_budget`` and ``node_budget`` nodes.
-    Its point is cleaned up like the rounded root: an LP with the
-    binaries fixed, then ``max_violation``. The reported bound is the
-    larger of the root bound and the HiGHS dual bound. An LP or HiGHS
-    call that ends in error gives "error" without an incumbent.
-    Deterministic for a fixed model and configuration.
+    The root LP relaxation is solved first. The root point with its
+    binaries rounded (and, unless they are integral already, the LP with
+    them fixed) answers when it meets ``gap_target`` against the root
+    bound. Otherwise one HiGHS branch-and-cut call gets the whole model,
+    ``gap_target`` as its relative gap, the rest of ``time_budget`` and
+    ``node_budget`` nodes. Its point is cleaned up like the rounded root:
+    an LP with the binaries fixed, then ``max_violation``. A node-budget
+    stop keeps that point. The reported bound is the larger of the root
+    bound and the HiGHS dual bound. An LP or HiGHS call that ends in
+    error gives "error" without an incumbent. Deterministic for a fixed
+    model and configuration.
     """
     start = time.monotonic()
     backend = _LPBackend(model)
@@ -161,55 +131,46 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     if root.status != "optimal":
         return finish("infeasible", 1)
 
-    def consider(sol):
+    def consider(x, obj=None):
+        """Offer x, its binaries rounded, as the incumbent. The LP with
+        the binaries fixed supplies the continuous part and objective,
+        unless ``obj`` comes with binaries integral already."""
         nonlocal incumbent, inc_obj
-        if sol is None or sol.status != "optimal" or sol.objective >= inc_obj - 1e-12:
-            return
-        x = sol.x.copy()
         rounded = np.round(x[bins])
-        if bins and np.max(np.abs(x[bins] - rounded)) > 1e-9:
-            # clean the continuous part against exactly-integral binaries
-            lb = backend.lb.copy()
-            ub = backend.ub.copy()
-            lb[bins] = ub[bins] = rounded
-            clean = solve(lb, ub)
-            if clean.status != "optimal":
+        if obj is None or (bins and np.max(np.abs(x[bins] - rounded)) > 1e-9):
+            fixed = solve(*backend.fixed(bins, rounded))
+            if fixed.status != "optimal":
                 return
-            x, obj = clean.x.copy(), clean.objective
-        else:
-            obj = sol.objective
+            x, obj = fixed.x, fixed.objective
+        x = x.copy()
         x[bins] = rounded
-        if model.max_violation(x) <= 1e-6 and obj < inc_obj - 1e-12:
+        if obj < inc_obj - 1e-12 and model.max_violation(x) <= 1e-6:
             incumbent, inc_obj = x, obj
 
-    if _is_integral(root.x, bins):
-        consider(root)
-    else:
-        consider(_rounding_heuristic(backend, solve, root.x, bins))
+    consider(root.x, root.objective)
     bound = root.objective
     if failed:
         return finish("error", 0)
     if incumbent is not None and _gap(inc_obj, bound) <= gap_target + 1e-12:
         return finish(None, 0, bound)
 
-    res = backend.solve_mip(bins, {
-        "mip_rel_gap": gap_target,
-        "time_limit": max(time_budget - (time.monotonic() - start), 0.0),
-        "node_limit": node_budget})
-    nodes = res.mip_node_count or 0
+    backend.inst = HighsInstance()   # free the root LP's memory first
+    res = mip(backend.c, backend.A, backend.lo, backend.hi, backend.lb,
+              backend.ub, bins, gap_target,
+              max(time_budget - (time.monotonic() - start), 0.0), node_budget)
     if res.status == 2 and incumbent is None:
-        return finish("infeasible", nodes)
+        return finish("infeasible", res.nodes)
     if res.status not in (0, 1):
         # numerical trouble, or HiGHS rejects a model with a checked point
-        return finish("error", nodes)
+        return finish("error", res.nodes)
     if res.x is not None:
-        consider(_rounding_heuristic(backend, solve, res.x, bins))
+        consider(res.x)
     if failed or (res.status == 0 and incumbent is None):
-        return finish("error", nodes)
-    if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
-        bound = max(bound, res.mip_dual_bound + model.obj_constant)
-    return finish("budget_exhausted" if res.status == 1 else None, nodes,
-                  bound)
+        return finish("error", res.nodes)
+    if math.isfinite(res.dual_bound):
+        bound = max(bound, res.dual_bound + model.obj_constant)
+    return finish("budget_exhausted" if res.status == 1 else None,
+                  res.nodes, bound)
 
 
 def _gap(obj, bound):
@@ -227,12 +188,8 @@ def enumerate_binaries(model):
         raise ValidationError("enumeration oracle limited to 20 binaries")
     best = None
     for mask in range(2 ** len(bins)):
-        lb = backend.lb.copy()
-        ub = backend.ub.copy()
-        for k, i in enumerate(bins):
-            val = (mask >> k) & 1
-            lb[i] = ub[i] = val
-        sol = backend.solve(lb, ub)
+        bits = [(mask >> k) & 1 for k in range(len(bins))]
+        sol = backend.solve(*backend.fixed(bins, bits))
         if sol.status == "error":
             return MILPSolution(status="error")
         if sol.status == "optimal" and (best is None or sol.objective < best.objective):

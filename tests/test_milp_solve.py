@@ -1,10 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from compactpf import milp_solve
+from compactpf.highs import LPResult, MIPResult
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
 from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
@@ -160,6 +160,20 @@ def test_model_checker():
         m.add_constr({x: math.inf}, LE, 1.0)
 
 
+def test_constraint_matrices_are_two_sided_in_row_order():
+    m = MILPModel()
+    x = m.add_var("x", lb=0.0, ub=2.0)
+    y = m.add_var("y", lb=0.0, ub=2.0)
+    m.add_constr({x: 1.0, y: 2.0}, GE, 1.0)
+    m.add_constr({y: -1.0}, LE, 0.5)
+    m.add_constr({x: 3.0, y: 1.0}, EQ, 2.0)
+    A, lo, hi = m.constraint_matrices()
+    assert A.format == "csc"
+    assert np.array_equal(A.toarray(), [[1.0, 2.0], [0.0, -1.0], [3.0, 1.0]])
+    assert np.array_equal(lo, [1.0, -np.inf, 2.0])
+    assert np.array_equal(hi, [np.inf, 0.5, 2.0])
+
+
 def test_milp_deterministic():
     values = [5, 9, 3, 7, 6, 2]
     weights = [2, 4, 1, 3, 3, 1]
@@ -172,19 +186,16 @@ def test_milp_deterministic():
 
 
 def _failing_linprog(monkeypatch, fails):
-    """Patch the B&B's LP call to report HiGHS status 4 (numerical
-    trouble) whenever ``fails(lb, ub)`` holds; return the calls that
-    failed."""
-    from scipy.optimize import linprog as real
+    """Patch the LP call to report status 4 (numerical trouble) whenever
+    ``fails(lb, ub)`` holds; return the calls that failed."""
+    real = milp_solve.linprog
     failed = []
 
-    def fake(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-             method=None):
-        if fails(bounds[:, 0], bounds[:, 1]):
-            failed.append(bounds)
-            return SimpleNamespace(status=4, x=None, fun=None)
-        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                    bounds=bounds, method=method)
+    def fake(c, A, lo, hi, lb, ub, inst):
+        if fails(lb, ub):
+            failed.append((lb, ub))
+            return LPResult(4, None, math.nan)
+        return real(c, A, lo, hi, lb, ub, inst)
 
     monkeypatch.setattr(milp_solve, "linprog", fake)
     return failed
@@ -207,24 +218,23 @@ def _rounding_fails():
     return _knapsack([10, 13, 7], [4, 4, 3], 7)
 
 
-def _fake_milp(monkeypatch, status, x=None, fun=None, dual=None):
+def _fake_mip(monkeypatch, status, x=None, fun=math.nan, dual=-math.inf):
     """Patch the HiGHS branch-and-cut call to return a fixed result;
-    return the list of calls made."""
+    return the options of the calls made."""
     calls = []
 
-    def fake(c, constraints=None, integrality=None, bounds=None, options=None):
-        calls.append(options)
-        return SimpleNamespace(status=status, x=x, fun=fun, mip_node_count=7,
-                               mip_dual_bound=dual, mip_gap=None,
-                               message="fake")
+    def fake(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
+        calls.append({"mip_rel_gap": gap, "time_limit": time_limit,
+                      "node_limit": node_limit})
+        return MIPResult(status, x, fun, 7, dual)
 
-    monkeypatch.setattr(milp_solve, "milp", fake)
+    monkeypatch.setattr(milp_solve, "mip", fake)
     return calls
 
 
 def test_highs_error_is_reported_without_incumbent(monkeypatch):
     m, _ = _rounding_fails()
-    calls = _fake_milp(monkeypatch, 4, x=np.array([0.0, 1.0, 1.0]), fun=-20.0)
+    calls = _fake_mip(monkeypatch, 4, x=np.array([0.0, 1.0, 1.0]), fun=-20.0)
     sol = solve_milp(m)
     assert len(calls) == 1
     assert sol.status == "error"
@@ -233,7 +243,7 @@ def test_highs_error_is_reported_without_incumbent(monkeypatch):
 
 def test_highs_limit_with_point_is_budget_exhausted(monkeypatch):
     m, _ = _rounding_fails()
-    _fake_milp(monkeypatch, 1, x=np.array([0.0, 1.0, 1.0]), fun=-20.0,
+    _fake_mip(monkeypatch, 1, x=np.array([0.0, 1.0, 1.0]), fun=-20.0,
                dual=-21.0)
     sol = solve_milp(m, time_budget=5.0, node_budget=3)
     assert sol.status == "budget_exhausted"
@@ -247,7 +257,7 @@ def test_highs_limit_with_point_is_budget_exhausted(monkeypatch):
 
 def test_highs_limit_without_point_is_budget_exhausted(monkeypatch):
     m, _ = _rounding_fails()
-    calls = _fake_milp(monkeypatch, 1)
+    calls = _fake_mip(monkeypatch, 1)
     sol = solve_milp(m, gap_target=0.01, time_budget=5.0, node_budget=3)
     assert sol.status == "budget_exhausted"
     assert sol.x is None
@@ -260,7 +270,7 @@ def test_highs_limit_without_point_is_budget_exhausted(monkeypatch):
 def _no_highs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("HiGHS branch-and-cut was called")
-    monkeypatch.setattr(milp_solve, "milp", refuse)
+    monkeypatch.setattr(milp_solve, "mip", refuse)
 
 
 def test_root_within_gap_makes_no_highs_call(monkeypatch):
@@ -290,13 +300,13 @@ def test_dc_uc_closes_at_root(monkeypatch, net14, inst24):
 
 def test_open_root_goes_to_highs_and_matches_enumeration(monkeypatch):
     calls = []
-    real = milp_solve.milp
+    real = milp_solve.mip
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(milp_solve, "milp", spy)
+    monkeypatch.setattr(milp_solve, "mip", spy)
     rng = np.random.default_rng(5)
     for trial in range(2):
         values = rng.integers(1, 30, 8)
@@ -311,3 +321,35 @@ def test_open_root_goes_to_highs_and_matches_enumeration(monkeypatch):
         assert ref.objective <= sol.objective + 1e-9
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
         assert m.max_violation(sol.x) <= milp_solve.FEAS_TOL
+
+
+def test_node_budget_stop_keeps_highs_incumbent():
+    # HiGHS stops at the node limit with a feasible point in hand
+    # (kSolutionLimit); that is a budget stop, not an error
+    rng = np.random.default_rng(1)
+    A = rng.integers(1, 30, (15, 40))
+    v = rng.integers(1, 100, 40)
+    m = MILPModel("knapsack15")
+    xs = [m.add_var(f"x[{i}]", kind=BINARY) for i in range(40)]
+    for row in A:
+        m.add_constr({x: float(w) for x, w in zip(xs, row)}, LE,
+                     row.sum() / 3)
+    for x, val in zip(xs, v):
+        m.add_obj(x, -float(val))
+    sol = solve_milp(m, node_budget=3)
+    assert sol.status == "budget_exhausted"
+    assert sol.x is not None
+    assert m.max_violation(sol.x) <= milp_solve.FEAS_TOL
+    assert sol.best_bound <= sol.objective
+
+
+def test_rejected_model_is_error_not_infeasible():
+    m = MILPModel()
+    x = m.add_var("x", lb=0.0, ub=1.0)
+    b = m.add_var("b", kind=BINARY)
+    m.add_constr({x: 1e16, b: 1.0}, LE, 5.0)   # HiGHS refuses |a| >= 1e15
+    assert solve_lp(m).status == "error"
+    sol = solve_milp(m)
+    assert sol.status == "error"
+    assert sol.x is None
+    assert enumerate_binaries(m).status == "error"
