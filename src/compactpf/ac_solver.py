@@ -4,10 +4,12 @@ The OPF engine is sequential linear programming: each major iteration
 linearizes the AC power flow map at the current point (reusing the
 analytic Jacobians), solves an LP with l1-elastic balance/thermal
 slacks inside a trust region, and accepts or rejects the step on an
-exact-penalty merit function. Every LP goes through ``highs.linprog``,
-warm on the one HiGHS instance each SLP call owns. A fixed point of the
-iteration satisfies the nonlinear constraints exactly, which is
-re-verified independently before any point is reported feasible.
+exact-penalty merit function. Each point is evaluated once, and a point
+is linearized only when the iteration moves to it: after a rejected step
+the next LP keeps the matrix and row bounds. Every LP goes through
+``highs.linprog``, warm on the one HiGHS instance each SLP call owns. A
+fixed point of the iteration satisfies the nonlinear constraints exactly,
+which is re-verified independently before any point is reported feasible.
 """
 
 import logging
@@ -114,25 +116,6 @@ class _Ramps:
     p_delta0: np.ndarray  # (G,) pre-horizon production above Pmin
 
 
-def _period_violation(net, spec, v, theta, p_abs, q_gen, q_sc):
-    """Exact nonlinear constraint violation of one period's point."""
-    op = grid_model.eval_power_flow(net, v, theta)
-    p_bus = -spec.pd.copy()
-    q_bus = -spec.qd.copy()
-    for gs, p, q in zip(spec.gens, p_abs, q_gen):
-        p_bus[gs.bus] += p
-        q_bus[gs.bus] += q
-    for (bus, _, _), q in zip(spec.condensers, q_sc):
-        q_bus[bus] += q
-    ep = np.abs(op.p_inj - p_bus)
-    eq = np.abs(op.q_inj - q_bus)
-    eth = np.concatenate([np.maximum(op.s_ft - net.smax, 0.0),
-                          np.maximum(op.s_tf - net.smax, 0.0)])
-    viol = max(np.max(ep), np.max(eq), np.max(eth, initial=0.0))
-    vsum = float(np.sum(ep) + np.sum(eq) + np.sum(eth))
-    return float(viol), vsum, op
-
-
 class _SLPProblem:
     """The SLP subproblem ``lo <= A x <= hi, lb <= x <= ub`` of one SLP call.
 
@@ -146,7 +129,8 @@ class _SLPProblem:
 
     Everything that does not depend on the iterate is laid out once here.
     ``linearize`` refreshes the Jacobian entries (balance and thermal rows)
-    and the row bounds; ``trust_bounds`` the column bounds. The matrix
+    and the row bounds; ``trust_bounds`` the column bounds; ``violation``
+    and ``cost`` price a trial point from index arrays. The matrix
     carries no exact zeros and its CSC order is that of the same matrix
     stored dense, so HiGHS sees one model whichever way it was built.
     """
@@ -245,7 +229,6 @@ class _SLPProblem:
         n_ub = len(hi)
         self.p_rows = np.zeros((T, n), dtype=int)
         self.q_rows = np.zeros((T, n), dtype=int)
-        p_gen = ([], [], [])   # (period, bus, pmin) of committed units
         for t, spec in enumerate(specs):
             on = [gi for gi, gs in enumerate(spec.gens) if gs.on]
             for b in range(n):
@@ -261,24 +244,19 @@ class _SLPProblem:
                        for ci, (cb, _, _) in enumerate(spec.condensers)
                        if cb == b]
                     + [(sqp[t, b], -1.0), (sqm[t, b], 1.0)])
-            for gi in on:
-                p_gen[0].append(t)
-                p_gen[1].append(spec.gens[gi].bus)
-                p_gen[2].append(spec.gens[gi].pmin)
-        self.p_gen_at = (np.array(p_gen[0], dtype=int),
-                         np.array(p_gen[1], dtype=int))
-        self.p_gen_min = np.array(p_gen[2], dtype=float)
+        self._index_units(specs)
         self.shape = (len(hi), nvar)
         self.hi = np.array(hi)
         self.lo = np.full(len(hi), -np.inf)
         self.eq_rows = np.arange(n_ub, len(hi))
         self.pd_load = np.array([spec.pd for spec in specs])
         self.qd_load = np.array([spec.qd for spec in specs])
+        self.smax = np.stack([net.smax, net.smax])   # (ft, tf) limits
 
         # Jacobian entries: every (balance or thermal row, dv/dth column)
         self.jac_sel = np.concatenate([np.arange(n), n + self.nonref])
-        lin_rows = np.concatenate([self.p_rows, self.q_rows, self.th_rows],
-                                  axis=1)
+        self.lin_rows = lin_rows = np.concatenate(
+            [self.p_rows, self.q_rows, self.th_rows], axis=1)
         lin_cols = np.concatenate([self.dv, self.dth], axis=1)
         rows = np.concatenate([rows, np.repeat(lin_rows, 2 * n - 1, axis=1)
                                .ravel()]).astype(int)
@@ -288,45 +266,112 @@ class _SLPProblem:
         self.vals = np.concatenate([vals, np.zeros(rows.size - len(vals))])
         self.n_const = len(vals)
         self.order = np.lexsort((rows, cols))
-        self.rows, self.cols = rows[self.order], cols[self.order]
+        self.rows = rows[self.order].astype(np.int32)
+        self.cols = cols[self.order]
 
-    def linearize(self, v, theta):
-        """Evaluate and differentiate every period at (v, theta); return
-        (A, lo, hi, lin_ctx) with lin_ctx[t] = (op, Jpq, Jsf, Jst)."""
+    def _index_units(self, specs):
+        """Index arrays of the units of every period, in period-major
+        instance order: the committed generators (their period, position,
+        bus, pmin and padded cost segments), every generator's bus and
+        every condenser's bus, for the balance and cost arithmetic."""
+        T, G = self.T, len(specs[0].gens)
+        gens = [gs for spec in specs for gs in spec.gens]
+        on = np.array([gs.on for gs in gens]).reshape(T, G)
+        bus = np.array([gs.bus for gs in gens], dtype=int).reshape(T, G)
+        self.on_at = np.nonzero(on)                    # (period, unit)
+        self.p_gen_at = (self.on_at[0], bus[on])       # (period, bus)
+        self.p_gen_min = np.array([gs.pmin for gs in gens])[on.ravel()]
+        t_all, g_all = np.indices((T, G)).reshape(2, -1)
+        self.q_gen_at = (t_all, bus.ravel())
+        self.q_gen_of = (g_all, t_all)
+        C = len(specs[0].condensers)
+        cbus = np.array([[c[0] for c in spec.condensers] for spec in specs],
+                        dtype=int).reshape(T, C)
+        t_c, c_all = np.indices((T, C)).reshape(2, -1)
+        self.q_sc_at = (t_c, cbus.ravel())
+        self.q_sc_of = (c_all, t_c)
+        segs = [gs.cost_segments for gs in gens if gs.on]
+        k = max((len(seg) for seg in segs), default=0)
+        self.seg_w = np.zeros((len(segs), k))
+        self.seg_slope = np.zeros((len(segs), k))
+        for i, seg in enumerate(segs):
+            for j, (width, slope) in enumerate(seg):
+                self.seg_w[i, j], self.seg_slope[i, j] = width, slope
+        self.seg_start = np.cumsum(self.seg_w, axis=1) - self.seg_w
+        self.no_load = sum(gs.no_load_cost for gs in gens if gs.on)
+
+    def evaluate(self, v, theta):
+        """The exact power flow of every period at (v, theta)."""
+        return [grid_model.eval_power_flow(self.net, v[t], theta[t])
+                for t in range(self.T)]
+
+    def violation(self, ops, pdel, qg, qsc):
+        """Largest and summed exact violation of the balance and thermal
+        constraints when the periods' evaluated points are ``ops`` and the
+        units run at (pdel, qg, qsc)."""
+        p_bus = -self.pd_load
+        np.add.at(p_bus, self.p_gen_at,
+                  self.p_gen_min + pdel[self.on_at[1], self.on_at[0]])
+        q_bus = -self.qd_load
+        np.add.at(q_bus, self.q_gen_at, qg[self.q_gen_of])
+        np.add.at(q_bus, self.q_sc_at, qsc[self.q_sc_of])
+        ep = np.abs([op.p_inj for op in ops] - p_bus)
+        eq = np.abs([op.q_inj for op in ops] - q_bus)
+        eth = np.maximum([(op.s_ft, op.s_tf) for op in ops] - self.smax, 0.0)
+        viol = max(ep.max(), eq.max(), eth.max(initial=0.0))
+        return float(viol), float(ep.sum() + eq.sum() + eth.sum())
+
+    def cost(self, pdel):
+        """Production cost on the units' cost segments plus the no-load
+        cost of every committed unit-hour."""
+        out = pdel[self.on_at[1], self.on_at[0]][:, None]
+        take = np.minimum(np.maximum(out - self.seg_start, 0.0), self.seg_w)
+        return self.no_load + float(np.sum(self.seg_slope * take))
+
+    @staticmethod
+    def packed(ops):
+        """The evaluated points' values in the order of the linearized rows
+        of each period: p, q and the thermal flows (ft/tf per branch)."""
+        return np.array([np.concatenate([op.p_inj, op.q_inj,
+                                         np.column_stack([op.s_ft, op.s_tf])
+                                         .ravel()]) for op in ops])
+
+    def linearize(self, v, theta, ops):
+        """Differentiate every period at (v, theta), whose evaluated points
+        are ``ops``; return (A, lo, hi, lin_ctx) with lin_ctx = (y0, J), the
+        values and Jacobians of the linearized rows by period."""
         net, m = self.net, self.net.m
-        lin_ctx, blocks = [], []
+        J = []
         for t in range(self.T):
-            op = grid_model.eval_power_flow(net, v[t], theta[t])
             Jpq = jacobian.injection_jacobian(net, v[t], theta[t])
             Jsf = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "ft")
             Jst = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "tf")
-            lin_ctx.append((op, Jpq, Jsf, Jst))
-            Jth = np.stack([Jsf, Jst], axis=1).reshape(2 * m, -1)
-            blocks.append(np.concatenate([Jpq, Jth])[:, self.jac_sel].ravel())
-        self.vals[self.n_const:] = np.concatenate(blocks)
+            J.append(np.concatenate([Jpq, np.stack([Jsf, Jst], axis=1)
+                                     .reshape(2 * m, -1)]))
+        J = np.array(J)
+        y0 = self.packed(ops)
+        self.vals[self.n_const:] = J[:, :, self.jac_sel].ravel()
         vals = self.vals[self.order]
         keep = vals != 0.0
-        indptr = np.zeros(self.shape[1] + 1, dtype=int)
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.cols[keep], minlength=self.shape[1]),
                   out=indptr[1:])
         A = sparse.csc_array((vals[keep], self.rows[keep], indptr),
                              shape=self.shape)
 
-        ops = [ctx[0] for ctx in lin_ctx]
+        n = net.n
         hi = self.hi.copy()
-        s0 = np.stack([[op.s_ft for op in ops], [op.s_tf for op in ops]],
-                      axis=2).reshape(self.T, 2 * m)
-        hi[self.th_rows] = np.repeat(net.smax, 2) - s0
+        hi[self.th_rows] = np.repeat(net.smax, 2) - y0[:, 2 * n:]
         cur = theta[:, net.f_bus] - theta[:, net.t_bus]
         hi[self.ang_rows[:, 0::2]] = net.theta_max - cur
         hi[self.ang_rows[:, 1::2]] = cur - net.theta_min
-        p_rhs = -np.array([op.p_inj for op in ops]) - self.pd_load
+        p_rhs = -y0[:, :n] - self.pd_load
         np.add.at(p_rhs, self.p_gen_at, self.p_gen_min)
         hi[self.p_rows] = p_rhs
-        hi[self.q_rows] = -np.array([op.q_inj for op in ops]) - self.qd_load
+        hi[self.q_rows] = -y0[:, n:2 * n] - self.qd_load
         lo = self.lo.copy()
         lo[self.eq_rows] = hi[self.eq_rows]
-        return A, lo, hi, lin_ctx
+        return A, lo, hi, (y0, J)
 
     def trust_bounds(self, v, radius):
         """Column bounds with dv inside the voltage box and the trust
@@ -345,23 +390,18 @@ class _SLPProblem:
         return (x[self.dv], dth, x[self.pd].T.copy(), x[self.r].T.copy(),
                 x[self.q].T.copy(), x[self.qsc].T.copy())
 
-    def soc_bounds(self, lo, hi, lb, ub, lin_ctx, v, theta, dv, dth):
+    def soc_bounds(self, lo, hi, lb, ub, lin_ctx, trial, dv, dth):
         """Bounds of the second-order correction (against the Maratos
-        effect) of the trial step (dv, dth): balance and thermal rows are
-        shifted by the linearization error at the trial point, and the
-        corrected step must stay in a small box around the trial step (the
-        shift is only valid there), so restoration costs O(step^2) in the
-        state while cancelling the O(step^2) violation."""
-        n = self.net.n
+        effect) of the trial step (dv, dth), whose evaluated points are
+        ``trial``: balance and thermal rows are shifted by the
+        linearization error at the trial point, and the corrected step must
+        stay in a small box around the trial step (the shift is only valid
+        there), so restoration costs O(step^2) in the state while
+        cancelling the O(step^2) violation."""
+        y0, J = lin_ctx
+        d = np.concatenate([dv, dth], axis=1)[:, :, None]
         lo2, hi2 = lo.copy(), hi.copy()
-        for t, (op, Jpq, Jsf, Jst) in enumerate(lin_ctx):
-            d = np.concatenate([dv[t], dth[t]])
-            opn = grid_model.eval_power_flow(self.net, v[t] + dv[t],
-                                             theta[t] + dth[t])
-            hi2[self.p_rows[t]] -= opn.p_inj - (op.p_inj + Jpq[:n] @ d)
-            hi2[self.q_rows[t]] -= opn.q_inj - (op.q_inj + Jpq[n:] @ d)
-            hi2[self.th_rows[t, 0::2]] -= opn.s_ft - (op.s_ft + Jsf @ d)
-            hi2[self.th_rows[t, 1::2]] -= opn.s_tf - (op.s_tf + Jst @ d)
+        hi2[self.lin_rows] -= self.packed(trial) - (y0 + (J @ d)[:, :, 0])
         lo2[self.eq_rows] = hi2[self.eq_rows]
         halo = max(10.0 * float(np.max(np.abs(hi2 - hi))), 1e-9)
         lb2, ub2 = lb.copy(), ub.copy()
@@ -375,10 +415,15 @@ class _SLPProblem:
 def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     """Shared single/multi-period SLP core, started flat.
 
-    The call owns one HiGHS instance. Each major iteration passes it the
+    Each point is evaluated once: the flat start, and the trial point of
+    every optimal LP, whose evaluation serves its merit, its second-order
+    correction and, once accepted, the next linearization. The call owns
+    one HiGHS instance. Each major iteration at a new point passes it the
     step LP, warm from the basis of the last optimal solve (the first LP
     is solved cold); the two second-order-correction re-solves keep that
-    matrix, change only the bounds and continue from the step's basis.
+    matrix with other bounds. After a rejected step the point has not
+    moved, so the next step LP keeps the matrix and row bounds and only
+    its trust bounds change.
 
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).
@@ -389,50 +434,32 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     theta = np.zeros((T, net.n))
     lp = _SLPProblem(net, specs, ramps, objective)
     highs = HighsInstance()
-
-    def true_cost(pdel):
-        total = 0.0
-        for t, spec in enumerate(specs):
-            for gi, gs in enumerate(spec.gens):
-                if not gs.on:
-                    continue
-                total += gs.no_load_cost
-                rem = pdel[gi, t]
-                for width, slope in gs.cost_segments:
-                    take = min(rem, width)
-                    total += slope * max(take, 0.0)
-                    rem -= take
-        return total
-
-    def total_violation(dv_, dth_, pdel_, qg_, qsc_):
-        worst = 0.0
-        total = 0.0
-        pts = []
-        for t, spec in enumerate(specs):
-            p_abs = np.array([gs.pmin + pdel_[gi, t] if gs.on else 0.0
-                              for gi, gs in enumerate(spec.gens)])
-            viol, vsum, op = _period_violation(
-                net, spec, v[t] + dv_[t], theta[t] + dth_[t],
-                p_abs, qg_[:, t], qsc_[:, t])
-            worst = max(worst, viol)
-            total += vsum
-            pts.append(op)
-        return worst, total, pts
-
     # the LP objective omits the no-load constant of committed units
-    noload_const = 0.0
-    if objective == "min-cost":
-        noload_const = sum(gs.no_load_cost for spec in specs
-                           for gs in spec.gens if gs.on)
+    noload_const = lp.no_load if objective == "min-cost" else 0.0
+
+    def trial(dv_, dth_, pdel_, qg_, qsc_):
+        """Evaluate the step (dv_, dth_): its point, evaluated points,
+        violation, cost and merit."""
+        v_, th_ = v + dv_, theta + dth_
+        ops_ = lp.evaluate(v_, th_)
+        viol_, vsum_ = lp.violation(ops_, pdel_, qg_, qsc_)
+        cost_ = lp.cost(pdel_)
+        merit_ = (cost_ if objective == "min-cost" else 0.0) \
+            + SLACK_PENALTY * vsum_
+        return v_, th_, ops_, viol_, cost_, merit_
 
     radius = trust.initial_radius
-    state = None        # (pts, pdel, rres, qg, qsc, cost, viol, merit)
+    ops = lp.evaluate(v, theta)
+    lin = None          # (A, lo, hi, lin_ctx) at (v, theta)
+    state = None        # (ops, pdel, rres, qg, qsc, cost, viol)
     cur_merit = math.inf
     iters = 0
     converged = False
     for it in range(trust.max_major_iters):
         iters = it + 1
-        A, lo, hi, lin_ctx = lp.linearize(v, theta)
+        if lin is None:
+            lin = lp.linearize(v, theta, ops)
+        A, lo, hi, lin_ctx = lin
         lb, ub = lp.trust_bounds(v, radius)
         res = linprog(lp.c, A, lo, hi, lb, ub, highs)
         if res.status == 2:
@@ -441,30 +468,26 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         if res.status != 0:
             raise ConvergenceError(f"SLP subproblem failed (status {res.status})")
         dv, dth, pdel, rres, qg, qsc = lp.extract(res.x)
-        viol, vsum, pts = total_violation(dv, dth, pdel, qg, qsc)
-        cost = true_cost(pdel)
-        cand_merit = (cost if objective == "min-cost" else 0.0) \
-            + SLACK_PENALTY * vsum
+        v_new, th_new, pts, viol, cost, cand_merit = trial(dv, dth, pdel,
+                                                           qg, qsc)
         model_merit = float(res.fun) + noload_const
 
         # second-order correction: re-solve the same LP with shifted bounds
-        dv2, dth2 = dv, dth
+        dv2, dth2, pts2 = dv, dth, pts
         for _ in range(2):
             res2 = linprog(lp.c, A, *lp.soc_bounds(lo, hi, lb, ub, lin_ctx,
-                                                   v, theta, dv2, dth2),
+                                                   pts2, dv2, dth2),
                            highs)
             if res2.status != 0:
                 break
             dv2, dth2, pdel2, rres2, qg2, qsc2 = lp.extract(res2.x)
-            viol2, vsum2, pts2 = total_violation(dv2, dth2, pdel2, qg2, qsc2)
-            cost2 = true_cost(pdel2)
-            cand2 = (cost2 if objective == "min-cost" else 0.0) \
-                + SLACK_PENALTY * vsum2
+            v2, th2, pts2, viol2, cost2, cand2 = trial(dv2, dth2, pdel2,
+                                                       qg2, qsc2)
             if cand2 < cand_merit:
                 dv, dth, pdel, rres, qg, qsc = \
                     dv2, dth2, pdel2, rres2, qg2, qsc2
-                viol, vsum, pts, cost, cand_merit = \
-                    viol2, vsum2, pts2, cost2, cand2
+                v_new, th_new, pts, viol, cost, cand_merit = \
+                    v2, th2, pts2, viol2, cost2, cand2
         step = max(np.max(np.abs(dv)), np.max(np.abs(dth)))
         _log.debug("slp it=%d radius=%.2e step=%.2e viol=%.2e cand=%.9g "
                    "model=%.9g cur=%.9g", it, radius, step, viol, cand_merit,
@@ -472,36 +495,28 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
 
         if state is None:
             # first iterate: take the best the model offers
-            v += dv
-            theta += dth
+            take = True
+        else:
+            # the LP always contains the current point at its exact merit,
+            # so the predicted reduction is nonnegative
+            pred = cur_merit - model_merit
+            actual = cur_merit - cand_merit
+            take = actual > 0.0
+            if pred <= 1e-6 * max(1.0, abs(cur_merit)):
+                converged = True
+            else:
+                ratio = actual / pred
+                if ratio < 0.25:
+                    radius *= trust.shrink
+                elif ratio > 0.75 and step >= 0.9 * radius:
+                    radius = min(radius * trust.expand, trust.max_radius)
+                converged = (step <= trust.step_tol
+                             or radius < trust.min_radius)
+        if take:
+            v, theta, ops, lin = v_new, th_new, pts, None
             state = (pts, pdel, rres, qg, qsc, cost, viol)
             cur_merit = cand_merit
-            continue
-
-        # the LP always contains the current point at its exact merit,
-        # so the predicted reduction is nonnegative
-        pred = cur_merit - model_merit
-        actual = cur_merit - cand_merit
-        if pred <= 1e-6 * max(1.0, abs(cur_merit)):
-            if actual > 0.0:
-                v += dv
-                theta += dth
-                state = (pts, pdel, rres, qg, qsc, cost, viol)
-                cur_merit = cand_merit
-            converged = True
-            break
-        ratio = actual / pred
-        if actual > 0.0:
-            v += dv
-            theta += dth
-            state = (pts, pdel, rres, qg, qsc, cost, viol)
-            cur_merit = cand_merit
-        if ratio < 0.25:
-            radius *= trust.shrink
-        elif ratio > 0.75 and step >= 0.9 * radius:
-            radius = min(radius * trust.expand, trust.max_radius)
-        if step <= trust.step_tol or radius < trust.min_radius:
-            converged = True
+        if converged:
             break
 
     if state is None:

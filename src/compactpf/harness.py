@@ -9,12 +9,13 @@ against the flows realized by the MTP AC-OPF feasibility oracle.
 import csv
 import io
 import json
+import logging
 import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CompactPFError, ValidationError
 from . import case_ingest, grid_model, jacobian
 from .ac_solver import slp_acopf, mtp_acopf_check, make_dispatch_spec
 from .data_factory import SamplerConfig, LoadScheme, collect_dataset, \
@@ -27,7 +28,10 @@ from .uc_builder import build_nn_ac_uc, build_l_ac_uc, build_dc_uc, \
     extract_schedule
 
 FORMULATIONS = ("nn", "linear", "dc")
-VERDICTS = ("feasible", "infeasible", "no_solution")
+# "error": the cell raised something other than a CompactPFError, i.e. a
+# fault in the program rather than an outcome of the model
+VERDICTS = ("feasible", "infeasible", "no_solution", "error")
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -182,8 +186,11 @@ def run_scenario_cell(cfg, prep, inst_s, formulation):
             extra["err_ft"], extra["err_tf"] = _flow_errors(
                 formulation, prep, sched)
         return sol.status, report.verdict, extra, ""
-    except Exception as exc:  # sweep must never abort
+    except CompactPFError as exc:
         return "error", "no_solution", {}, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # sweep must never abort
+        _log.exception("%s cell failed", formulation)
+        return "error", "error", {}, f"{type(exc).__name__}: {exc}"
 
 
 def run_experiment(cfg, prep=None):
@@ -230,7 +237,9 @@ def format_tally(report):
     lines.append(header)
     lines.append("-" * len(header))
     for f, tally in report.tallies.items():
-        lines.append(f"{f:<14}" + "".join(f"{tally[v]:>14}" for v in VERDICTS))
+        # reports written before the "error" verdict existed lack its key
+        lines.append(f"{f:<14}"
+                     + "".join(f"{tally.get(v, 0):>14}" for v in VERDICTS))
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,9 @@ HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) is driven through
 ``scipy.optimize._highspy._core``, the binding scipy ships (>= 1.17.1),
 not through scipy's ``milp`` and ``linprog``, which rebuild an instance
 per call, keep no basis, and report a node limit as an error and a
-rejected model as infeasible. ``linprog`` solves LPs on an instance the
-caller keeps, warm across re-solves; ``mip`` makes one branch-and-cut
+rejected model as infeasible. Models are passed as CSC arrays through
+the binding's array ``passModel``. ``linprog`` solves LPs on an instance
+the caller keeps, warm across re-solves; ``mip`` makes one branch-and-cut
 call. Both map HiGHS's model status to 0 optimal; 1 time, iteration or
 node limit; 2 infeasible; 3 unbounded; 4 anything else, including a
 rejected model, a failed ``run()`` and a non-finite "optimal".
@@ -18,6 +19,8 @@ import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
 _ERROR = _highs.HighsStatus.kError
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 class LPResult(NamedTuple):
@@ -58,39 +61,38 @@ class HighsInstance:
         self.basis = None
 
 
-def _lp(c, A, lo, hi, lb, ub):
-    """min c.x s.t. lo <= A x <= hi, lb <= x <= ub as a HighsLp (A CSC)."""
-    model = _highs.HighsLp()
-    model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-    model.row_lower_, model.row_upper_ = lo, hi
-    mat = model.a_matrix_
-    mat.format_ = _highs.MatrixFormat.kColwise
-    mat.num_col_, mat.num_row_ = A.shape[1], A.shape[0]
-    mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
-    return model
+def _pass_model(h, c, A, lo, hi, lb, ub, integrality=None):
+    """Pass min c.x s.t. lo <= A x <= hi, lb <= x <= ub (A CSC) to ``h`` as
+    arrays. The overload reads one integrality entry per column, so an LP
+    gets a full-length all-continuous (zero) array, never an empty one."""
+    if integrality is None:
+        integrality = np.zeros(A.shape[1], np.int32)
+    return h.passModel(
+        A.shape[1], A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0, c, lb, ub,
+        lo, hi, A.indptr.astype(np.int32, copy=False),
+        A.indices.astype(np.int32, copy=False), A.data, integrality)
 
 
 def linprog(c, A, lo, hi, lb, ub, inst):
     """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub on ``inst``'s HiGHS.
 
-    A call with a new matrix ``A`` (CSC) passes the whole model and starts
-    from the basis of the instance's last optimal solve; the instance's
-    first LP has none and is solved cold, with scipy ``milp``'s options,
-    so it gives the result ``milp`` gives. A call with the matrix and cost
-    vector the instance holds (the same objects) is a re-solve: only the
-    column and row bounds that differ are changed, and HiGHS continues
-    from the basis it has.
+    A call that changes only column bounds of the model the instance holds
+    (the same matrix and cost objects, equal row bounds) is a re-solve: one
+    ``changeColsBounds`` call, and HiGHS continues from the basis it has.
+    Any other call passes the whole model as arrays and starts from the
+    basis of the instance's last optimal solve; the instance's first LP
+    has none and is solved cold, with scipy ``milp``'s options, so it
+    gives the result ``milp`` gives.
     """
     h = inst.highs
-    if A is inst.A and c is inst.c:
+    if (A is inst.A and c is inst.c
+            and (lo is inst.lo or np.array_equal(lo, inst.lo))
+            and (hi is inst.hi or np.array_equal(hi, inst.hi))):
         cols = np.flatnonzero((lb != inst.lb) | (ub != inst.ub))
         ok = h.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols],
                                 ub[cols]) != _ERROR
-        for i in np.flatnonzero((lo != inst.lo) | (hi != inst.hi)):
-            ok &= h.changeRowBounds(int(i), lo[i], hi[i]) != _ERROR
     else:
-        ok = h.passModel(_lp(c, A, lo, hi, lb, ub)) != _ERROR
+        ok = _pass_model(h, c, A, lo, hi, lb, ub) != _ERROR
         inst.c, inst.A = (c, A) if ok else (None, None)
         if ok and inst.basis is not None:
             h.setBasis(inst.basis)
@@ -98,7 +100,7 @@ def linprog(c, A, lo, hi, lb, ub, inst):
     if not ok or h.run() == _ERROR:
         return LPResult(4, None, math.nan)
     status = _STATUS.get(h.getModelStatus(), 4)
-    fun = h.getInfo().objective_function_value
+    fun = h.getObjectiveValue()
     if status == 0 and not math.isfinite(fun):
         status = 4
     if status != 0:
@@ -122,10 +124,9 @@ def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
     h.setOptionValue("mip_rel_gap", float(gap))
     h.setOptionValue("time_limit", float(time_limit))
     h.setOptionValue("mip_max_nodes", int(node_limit))
-    idx = np.asarray(bins, dtype=np.int32)
-    kind = np.full(idx.size, int(_highs.HighsVarType.kInteger), np.uint8)
-    if (h.passModel(_lp(c, A, lo, hi, lb, ub)) == _ERROR
-            or h.changeColsIntegrality(idx.size, idx, kind) == _ERROR
+    kind = np.zeros(A.shape[1], np.int32)
+    kind[np.asarray(bins, dtype=int)] = int(_highs.HighsVarType.kInteger)
+    if (_pass_model(h, c, A, lo, hi, lb, ub, kind) == _ERROR
             or h.run() == _ERROR):
         return MIPResult(4, None, math.nan, 0, -math.inf)
     info = h.getInfo()

@@ -42,12 +42,22 @@ class LinearPFModel:
 
 
 def _dS_dV(Y, V, vnorm):
-    """d(diag(sel V) conj(Y V)) for sel = identity: injection case."""
+    """d(diag(V) conj(Y V)) by (|V|, angle V), MATPOWER's ``dSbus_dV``
+    with the diagonal matrices applied by broadcasting."""
     I = Y @ V
-    dV = np.diag(V)
-    dS_dVa = 1j * dV @ np.conj(np.diag(I) - Y @ dV)
-    dS_dVm = dV @ np.conj(Y @ np.diag(vnorm)) + np.conj(np.diag(I)) @ np.diag(vnorm)
+    idx = np.arange(V.size)
+    dS_dVa = -Y * V
+    dS_dVa[idx, idx] += I
+    dS_dVa = 1j * V[:, None] * np.conj(dS_dVa)
+    dS_dVm = V[:, None] * np.conj(Y * vnorm)
+    dS_dVm[idx, idx] += np.conj(I) * vnorm
     return dS_dVm, dS_dVa
+
+
+def _real_block(dS_dVm, dS_dVa):
+    """[[Re dS/d|V|, Re dS/dangle], [Im dS/d|V|, Im dS/dangle]]."""
+    return np.concatenate([np.hstack([dS_dVm.real, dS_dVa.real]),
+                           np.hstack([dS_dVm.imag, dS_dVa.imag])])
 
 
 def injection_jacobian(net, v, theta):
@@ -59,25 +69,29 @@ def injection_jacobian(net, v, theta):
     vnorm = np.exp(1j * theta)
     V = v * vnorm
     dS_dVm, dS_dVa = _dS_dV(net.Yb, V, vnorm)
-    return np.block([[dS_dVm.real, dS_dVa.real],
-                     [dS_dVm.imag, dS_dVa.imag]])
+    return _real_block(dS_dVm, dS_dVa)
 
 
 def _flow_derivatives(net, v, theta, direction):
+    """Flows S = V[bus] conj(Y V) of one direction and their derivatives
+    by (|V|, angle V), MATPOWER's ``dSbr_dV`` by broadcasting: ``bus`` is
+    each branch's end on that side."""
     vnorm = np.exp(1j * theta)
     V = v * vnorm
     if direction == "ft":
-        Y, sel = net.Yft, net.E1
+        Y, bus = net.Yft, net.f_bus
     elif direction == "tf":
-        Y, sel = net.Ytf, net.E2
+        Y, bus = net.Ytf, net.t_bus
     else:
         raise ValidationError(f"direction must be 'ft' or 'tf', got {direction!r}")
     I = Y @ V
-    Vsel = sel @ V
-    dS_dVa = 1j * (np.conj(np.diag(I)) @ sel @ np.diag(V)
-                   - np.diag(Vsel) @ np.conj(Y @ np.diag(V)))
-    dS_dVm = (np.diag(Vsel) @ np.conj(Y @ np.diag(vnorm))
-              + np.conj(np.diag(I)) @ sel @ np.diag(vnorm))
+    Vsel = V[bus]
+    br = np.arange(bus.size)
+    dS_dVa = -Vsel[:, None] * np.conj(Y * V)
+    dS_dVa[br, bus] += np.conj(I) * V[bus]
+    dS_dVa *= 1j
+    dS_dVm = Vsel[:, None] * np.conj(Y * vnorm)
+    dS_dVm[br, bus] += np.conj(I) * vnorm[bus]
     S = Vsel * np.conj(I)
     return S, dS_dVm, dS_dVa
 
@@ -87,8 +101,7 @@ def line_flow_jacobian(net, v, theta, direction):
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _, dS_dVm, dS_dVa = _flow_derivatives(net, v, theta, direction)
-    return np.block([[dS_dVm.real, dS_dVa.real],
-                     [dS_dVm.imag, dS_dVa.imag]])
+    return _real_block(dS_dVm, dS_dVa)
 
 
 def apparent_flow_jacobian(net, v, theta, direction):

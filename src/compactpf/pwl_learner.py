@@ -40,6 +40,7 @@ class CompactPWLModel:
     linear: LinearPFModel   # Jstar, rstar feedthrough
     mask1: np.ndarray = None  # boolean, False = frozen at zero
     mask2: np.ndarray = None
+    training_curve: list = field(default_factory=list)  # (step, loss)
 
     def __post_init__(self):
         if self.mask1 is None:
@@ -75,6 +76,7 @@ class DirectNNModel:
     w1: np.ndarray
     w2: np.ndarray
     b: np.ndarray
+    training_curve: list = field(default_factory=list)  # (step, loss)
 
     @property
     def rho(self):
@@ -208,9 +210,8 @@ def train_compact(X, Y, lin, rho, cfg, mask1=None, mask2=None, warm=None):
         # never return a model worse than the plain linear feedthrough
         w2 = np.zeros_like(w2)
         curve.append((cfg.steps, base_loss))
-    model = CompactPWLModel(w1=w1, w2=w2, b=b, linear=lin, mask1=m1, mask2=m2)
-    model.training_curve = curve
-    return model
+    return CompactPWLModel(w1=w1, w2=w2, b=b, linear=lin, mask1=m1, mask2=m2,
+                           training_curve=curve)
 
 
 def train_direct(X, Y, rho, cfg):
@@ -225,9 +226,7 @@ def train_direct(X, Y, rho, cfg):
     ones1 = np.ones_like(w1, dtype=bool)
     ones2 = np.ones_like(w2, dtype=bool)
     w1, w2, b, curve = _train_core(X, Y.copy(), w1, w2, b, ones1, ones2, cfg)
-    model = DirectNNModel(w1=w1, w2=w2, b=b)
-    model.training_curve = curve
-    return model
+    return DirectNNModel(w1=w1, w2=w2, b=b, training_curve=curve)
 
 
 def sparsify_retrain(model, X, Y, target, cfg):

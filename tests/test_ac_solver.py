@@ -452,8 +452,11 @@ class _CountRuns:
         return self._highs.run()
 
 
-def test_slp_routes_every_lp_through_linprog(monkeypatch, net14, inst24):
-    runs, steps, socs = [], [], []
+def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
+    """One slp_acopf call evaluates the flat start and each optimal LP's
+    point once, linearizes each point it moves to once, re-solves warm at
+    an unmoved point, and runs HiGHS once per LP."""
+    runs, optimal, evals, jacs = [], [], [], []
 
     class Counting(HighsInstance):
         def __init__(self):
@@ -461,12 +464,35 @@ def test_slp_routes_every_lp_through_linprog(monkeypatch, net14, inst24):
             self.highs = _CountRuns(self.highs, runs)
 
     def counted(c, A, lo, hi, lb, ub, inst):
-        (socs if A is inst.A else steps).append(1)
-        return linprog(c, A, lo, hi, lb, ub, inst)
+        res = linprog(c, A, lo, hi, lb, ub, inst)
+        optimal.append(res.status == 0)
+        return res
 
+    def point(v, theta):
+        return np.concatenate([v, theta]).tobytes()
+
+    def evaluated(net, v, theta):
+        evals.append(point(v, theta))
+        return eval_power_flow(net, v, theta)
+
+    def differentiated(net, v, theta):
+        jacs.append(point(v, theta))
+        return injection_jacobian(net, v, theta)
+
+    eval_power_flow = grid_model.eval_power_flow
+    injection_jacobian = jacobian.injection_jacobian
     monkeypatch.setattr(ac_solver, "HighsInstance", Counting)
     monkeypatch.setattr(ac_solver, "linprog", counted)
-    _, dispatch = slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
-    assert len(steps) == dispatch["iterations"]
-    assert 0 < len(socs) <= 2 * len(steps)
-    assert len(steps) + len(socs) == len(runs)
+    monkeypatch.setattr(grid_model, "eval_power_flow", evaluated)
+    monkeypatch.setattr(jacobian, "injection_jacobian", differentiated)
+    op, dispatch = slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
+    assert len(evals) == sum(optimal) + 1
+    assert len(optimal) == len(runs)
+    assert dispatch["iterations"] < len(runs) <= 3 * dispatch["iterations"]
+    # the flat start, then only evaluated (accepted) points, none twice
+    assert jacs[0] == evals[0]
+    assert set(jacs) <= set(evals)
+    assert len(set(jacs)) == len(jacs)
+    # this hour rejects steps, so some step LPs re-solve an unmoved point
+    assert len(jacs) < dispatch["iterations"]
+    assert point(op.v, op.theta) in evals

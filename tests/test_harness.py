@@ -1,8 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from compactpf import harness
 from compactpf.data_factory import LoadScheme
 from compactpf.milp_encode import interval_bounds, prune
 from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
@@ -102,6 +104,30 @@ def test_report_json_round_trip(small_report):
     assert report_to_json(again) == text
     with pytest.raises(ValidationError):
         report_from_json('{"kind": "other"}')
+
+
+@pytest.mark.parametrize("exc, verdict", [
+    (RuntimeError("builder bug"), "error"),
+    (ValidationError("bad input"), "no_solution"),
+])
+def test_cell_exception_verdict(monkeypatch, prep14, exc, verdict):
+    """A fault in the program is tallied as "error"; a CompactPFError keeps
+    its "no_solution" verdict."""
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "build_dc_uc", broken)
+    cfg = ExperimentConfig(case_path="", uc_path="", formulations=("dc",))
+    report = run_experiment(cfg, prep=prep14)
+    (cell,) = report.cells
+    assert (cell.uc_status, cell.verdict) == ("error", verdict)
+    assert cell.detail == f"{type(exc).__name__}: {exc}"
+    assert report.tallies["dc"][verdict] == 1
+    report.check_conservation()
+    assert json.loads(report_to_json(report))["tallies"]["dc"][verdict] == 1
+    header, row = format_tally(report).splitlines()[-3::2]
+    assert header.split()[-1] == "error"
+    assert row.split()[1 + harness.VERDICTS.index(verdict)] == "1"
 
 
 def test_conservation_check_detects_mismatch():

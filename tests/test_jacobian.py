@@ -55,6 +55,45 @@ def test_apparent_flow_jacobian_fd(net14, direction):
     assert np.max(np.abs(J - Jfd)) < 1e-6 * (1 + np.max(np.abs(J)))
 
 
+def _diag_injection(net, v, theta):
+    """The injection Jacobian as products with np.diag matrices."""
+    vnorm = np.exp(1j * theta)
+    V = v * vnorm
+    I = net.Yb @ V
+    dV = np.diag(V)
+    dS_dVa = 1j * dV @ np.conj(np.diag(I) - net.Yb @ dV)
+    dS_dVm = (dV @ np.conj(net.Yb @ np.diag(vnorm))
+              + np.conj(np.diag(I)) @ np.diag(vnorm))
+    return np.block([[dS_dVm.real, dS_dVa.real],
+                     [dS_dVm.imag, dS_dVa.imag]])
+
+
+def _diag_line_flow(net, v, theta, direction):
+    """The line-flow Jacobian as products with np.diag matrices and the
+    dense end selectors."""
+    Y, sel = (net.Yft, net.E1) if direction == "ft" else (net.Ytf, net.E2)
+    vnorm = np.exp(1j * theta)
+    V = v * vnorm
+    I = Y @ V
+    dS_dVa = 1j * (np.conj(np.diag(I)) @ sel @ np.diag(V)
+                   - np.diag(sel @ V) @ np.conj(Y @ np.diag(V)))
+    dS_dVm = (np.diag(sel @ V) @ np.conj(Y @ np.diag(vnorm))
+              + np.conj(np.diag(I)) @ sel @ np.diag(vnorm))
+    return np.block([[dS_dVm.real, dS_dVa.real],
+                     [dS_dVm.imag, dS_dVa.imag]])
+
+
+def test_broadcast_jacobians_match_diag_products(net14):
+    rng = np.random.default_rng(15)
+    v, theta = _point(net14, rng)
+    assert np.max(np.abs(jacobian.injection_jacobian(net14, v, theta)
+                         - _diag_injection(net14, v, theta))) < 1e-12
+    for direction in ("ft", "tf"):
+        got = jacobian.line_flow_jacobian(net14, v, theta, direction)
+        ref = _diag_line_flow(net14, v, theta, direction)
+        assert np.max(np.abs(got - ref)) < 1e-12, direction
+
+
 def test_full_jacobian_stacks(net14):
     rng = np.random.default_rng(13)
     v, theta = _point(net14, rng)

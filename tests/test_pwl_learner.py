@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from compactpf.jacobian import LinearPFModel
-from compactpf.pwl_learner import (TrainConfig, CompactPWLModel,
+from compactpf.pwl_learner import (TrainConfig, CompactPWLModel, DirectNNModel,
                                    train_compact, train_direct,
                                    sparsify_retrain, evaluate_model,
                                    enumerate_activation_patterns,
@@ -69,6 +71,24 @@ def test_train_direct():
     assert direct.rho == 8
     err = np.abs(Y - direct.predict(X)).sum(axis=1).mean()
     assert np.isfinite(err)
+
+
+def test_training_curve_is_a_field():
+    """Each model class declares its loss curve: empty when built by hand,
+    the (step, loss) record of the run when trained."""
+    lin, X, Y = _toy_problem()
+    cfg = TrainConfig(lr=1e-3, batch=50, steps=1000, seed=0, log_every=250)
+    trained = (train_compact(X, Y, lin, 2, cfg), train_direct(X, Y, 2, cfg))
+    for model in trained:
+        assert "training_curve" in {f.name for f in fields(model)}
+        steps = [step for step, _ in model.training_curve]
+        assert steps[0] == 0 and steps[-1] == cfg.steps
+        assert all(np.isfinite(loss) for _, loss in model.training_curve)
+    w = np.zeros((3, 1))
+    a = CompactPWLModel(w1=w, w2=np.zeros((2, 1)), b=np.zeros(1), linear=lin)
+    b = DirectNNModel(w1=w, w2=np.zeros((2, 1)), b=np.zeros(1))
+    assert a.training_curve == [] and b.training_curve == []
+    assert a.training_curve is not b.training_curve
 
 
 def test_sparsify_freezes_weights():
