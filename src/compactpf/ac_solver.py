@@ -83,26 +83,40 @@ class FeasibilityReport:
 def make_dispatch_spec(net, inst, hour, off=()):
     """Single-period DispatchSpec from a UC instance: every unit ON
     except those listed in `off` (instance-order indices)."""
+    G = inst.ngen
+    return _period_spec(net, inst, hour, [gi not in off for gi in range(G)],
+                        [0] * G, [0] * G)
+
+
+def _period_spec(net, inst, t, on, su, sd_next):
+    """DispatchSpec of period t: unit gi is committed when on[gi], starts up
+    in t when su[gi] is 1 and shuts down in t + 1 when sd_next[gi] is 1;
+    the startup/shutdown ramp caps enter as in the UC's cap rows."""
     gens = []
     for gi, g in enumerate(inst.gens):
-        on = gi not in off
         bus = net.bus_ids.index(g.bus)
+        if not on[gi]:
+            gens.append(GenSetting(bus=bus, on=False, pmin=0.0, cap_a=0.0,
+                                   cap_b=0.0, q_lo=0.0, q_hi=0.0,
+                                   cost_segments=g.cost_segments))
+            continue
         span = g.pmax - g.pmin
+        if g.tu >= 2:
+            cap = (span - (g.pmax - g.su) * su[gi]
+                   - (g.pmax - g.sd) * sd_next[gi])
+            cap_a = cap_b = max(cap, 0.0)
+        else:
+            cap_a = max(span - (g.pmax - g.su) * su[gi], 0.0)
+            cap_b = max(span - (g.pmax - g.sd) * sd_next[gi], 0.0)
         gens.append(GenSetting(
-            bus=bus, on=on,
-            pmin=g.pmin if on else 0.0,
-            cap_a=span if on else 0.0,
-            cap_b=span if on else 0.0,
-            q_lo=g.qmin if on else 0.0,
-            q_hi=g.qmax if on else 0.0,
-            cost_segments=g.cost_segments,
-            no_load_cost=g.no_load_cost if on else 0.0,
-        ))
+            bus=bus, on=True, pmin=g.pmin, cap_a=cap_a, cap_b=cap_b,
+            q_lo=g.qmin, q_hi=g.qmax, cost_segments=g.cost_segments,
+            no_load_cost=g.no_load_cost))
     conds = [(net.bus_ids.index(c.bus), c.qmin, c.qmax)
              for c in inst.condensers]
     return DispatchSpec(gens=gens, condensers=conds,
-                        pd=inst.pd[:, hour].copy(), qd=inst.qd[:, hour].copy(),
-                        reserve=float(inst.reserve[hour]))
+                        pd=inst.pd[:, t].copy(), qd=inst.qd[:, t].copy(),
+                        reserve=float(inst.reserve[t]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,37 +675,11 @@ def specs_from_schedule(net, inst, y, u, w):
     """Per-period DispatchSpecs with the commitment binaries substituted
     into the generation limit constraints."""
     G, T = np.asarray(y).shape
-    specs = []
-    for t in range(T):
-        gens = []
-        for gi, g in enumerate(inst.gens):
-            on = bool(y[gi][t])
-            span = g.pmax - g.pmin
-            if not on:
-                gens.append(GenSetting(bus=net.bus_ids.index(g.bus), on=False,
-                                       pmin=0.0, cap_a=0.0, cap_b=0.0,
-                                       q_lo=0.0, q_hi=0.0,
-                                       cost_segments=g.cost_segments))
-                continue
-            ut = u[gi][t]
-            wt_next = w[gi][t + 1] if t + 1 < T else 0
-            if g.tu >= 2:
-                cap = span - (g.pmax - g.su) * ut - (g.pmax - g.sd) * wt_next
-                cap_a = cap_b = max(cap, 0.0)
-            else:
-                cap_a = max(span - (g.pmax - g.su) * ut, 0.0)
-                cap_b = max(span - (g.pmax - g.sd) * wt_next, 0.0)
-            gens.append(GenSetting(
-                bus=net.bus_ids.index(g.bus), on=True, pmin=g.pmin,
-                cap_a=cap_a, cap_b=cap_b, q_lo=g.qmin, q_hi=g.qmax,
-                cost_segments=g.cost_segments, no_load_cost=g.no_load_cost))
-        conds = [(net.bus_ids.index(c.bus), c.qmin, c.qmax)
-                 for c in inst.condensers]
-        specs.append(DispatchSpec(
-            gens=gens, condensers=conds,
-            pd=inst.pd[:, t].copy(), qd=inst.qd[:, t].copy(),
-            reserve=float(inst.reserve[t])))
-    return specs
+    return [_period_spec(net, inst, t,
+                         [bool(y[gi][t]) for gi in range(G)],
+                         [u[gi][t] for gi in range(G)],
+                         [w[gi][t + 1] if t + 1 < T else 0 for gi in range(G)])
+            for t in range(T)]
 
 
 def mtp_acopf_check(net, inst, sched, trust=None):

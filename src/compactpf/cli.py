@@ -1,29 +1,27 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: sample, train, compress, build,
-solve, verify-schedule, experiment, report. All heavy lifting lives in
-the library modules; this file only parses arguments and moves files.
+solve, verify-schedule, experiment, report. This file only parses
+arguments and moves files; every stage it runs is a function of
+``harness`` or of the library modules.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import case_ingest, grid_model, jacobian
-from .ac_solver import slp_acopf, mtp_acopf_check, make_dispatch_spec
+from . import harness, jacobian
+from .ac_solver import mtp_acopf_check
 from .data_factory import (SamplerConfig, LoadScheme, collect_dataset,
                            dump_dataset, load_dataset)
 from .pwl_learner import (TrainConfig, train_compact, sparsify_retrain,
                           model_to_json, model_from_json)
-from .milp_encode import (bound_box_from_network, interval_bounds,
-                          tighten_bounds, prune)
-from .milp_solve import solve_milp, export_mps, import_solution
-from .uc_builder import (build_nn_ac_uc, build_l_ac_uc, build_dc_uc,
-                         extract_schedule, schedule_to_json,
-                         schedule_from_json)
-from . import harness
+from .milp_encode import bound_box_from_network
+from .milp_solve import solve_milp, export_mps
+from .uc_builder import extract_schedule, schedule_to_json, schedule_from_json
 
 
 def _add_system_args(p):
@@ -33,26 +31,13 @@ def _add_system_args(p):
                    help="thermal limit derate factor in [0, 1)")
 
 
-def _load_system(args):
-    with open(args.case) as fh:
-        case = case_ingest.parse_matpower(fh.read())
-    case_ingest.validate_case(case)
-    if args.derate:
-        case = case_ingest.derate_thermal_limits(case, args.derate)
-    net = grid_model.build_network(case)
-    with open(args.uc) as fh:
-        inst = case_ingest.load_uc_instance(fh.read(), case)
-    return case, net, inst
-
-
-def _linearization(net, inst):
-    spec0 = make_dispatch_spec(net, inst, 0)
-    op0, _ = slp_acopf(net, spec0, objective="min-cost")
-    return op0, jacobian.linearize(net, op0)
+def _train_config(args):
+    return TrainConfig(lr=args.lr, batch=args.batch, steps=args.steps,
+                       seed=args.seed)
 
 
 def cmd_sample(args):
-    _, net, inst = _load_system(args)
+    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     cfg = SamplerConfig(combos_per_gen=args.combos_per_gen,
                         min_samples=args.min_samples)
     ds = collect_dataset(net, inst, cfg, seed=args.seed)
@@ -62,16 +47,14 @@ def cmd_sample(args):
 
 
 def cmd_train(args):
-    _, net, inst = _load_system(args)
+    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     ds = load_dataset(args.dataset)
-    op0, lin = _linearization(net, inst)
+    lin = harness.base_linearization(net, inst)
     if args.dump_jacobian:
         with open(args.dump_jacobian, "w") as fh:
             fh.write(jacobian.dump_jacobian(lin.Jstar, header="Jstar"))
-    cfg = TrainConfig(lr=args.lr, batch=args.batch, steps=args.steps,
-                      seed=args.seed)
     Xtr, Ytr = ds.train
-    model = train_compact(Xtr, Ytr, lin, args.rho, cfg)
+    model = train_compact(Xtr, Ytr, lin, args.rho, _train_config(args))
     with open(args.out, "w") as fh:
         fh.write(model_to_json(model))
     print(f"trained rho={args.rho} model -> {args.out}")
@@ -79,21 +62,16 @@ def cmd_train(args):
 
 
 def cmd_compress(args):
-    _, net, inst = _load_system(args)
+    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     with open(args.model) as fh:
         model, _ = model_from_json(fh.read())
     ds = load_dataset(args.dataset)
-    cfg = TrainConfig(lr=args.lr, batch=args.batch, steps=args.steps,
-                      seed=args.seed)
     Xtr, Ytr = ds.train
+    cfg = _train_config(args)
     for target in args.target:
         model = sparsify_retrain(model, Xtr, Ytr, target, cfg)
-    box = bound_box_from_network(net, inst)
-    bounds = interval_bounds(model, box)
-    if args.bound_mode in ("lp", "milp"):
-        bounds = tighten_bounds(model, box, mode=args.bound_mode,
-                                start=bounds)
-    bounds = prune(model, bounds)
+    bounds = harness.big_m_bounds(model, bound_box_from_network(net, inst),
+                                  args.bound_mode)
     kept = int(model.mask1.sum() + model.mask2.sum())
     total = model.mask1.size + model.mask2.size
     with open(args.out, "w") as fh:
@@ -103,29 +81,27 @@ def cmd_compress(args):
     return 0
 
 
-def _build_formulation(args, net, inst):
+def _build(args):
+    """(net, inst, MILPModel, UCVars) of the formulation the arguments
+    name; an nn model without stored bounds gets them from --bound-mode."""
+    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
+    prep = {"net": net, "box": bound_box_from_network(net, inst)}
     if args.formulation == "nn":
         if not args.model:
             raise SystemExit("--model is required for the nn formulation")
         with open(args.model) as fh:
-            model, bounds = model_from_json(fh.read())
-        box = bound_box_from_network(net, inst)
-        if bounds is None:
-            bounds = interval_bounds(model, box)
-            if args.bound_mode in ("lp", "milp"):
-                bounds = tighten_bounds(model, box, mode=args.bound_mode,
-                                        start=bounds)
-            bounds = prune(model, bounds)
-        return build_nn_ac_uc(inst, net, model, bounds, box=box)
-    if args.formulation == "linear":
-        _, lin = _linearization(net, inst)
-        return build_l_ac_uc(inst, net, lin)
-    return build_dc_uc(inst, net)
+            prep["model"], prep["bounds"] = model_from_json(fh.read())
+        if prep["bounds"] is None:
+            prep["bounds"] = harness.big_m_bounds(prep["model"], prep["box"],
+                                                  args.bound_mode)
+    elif args.formulation == "linear":
+        prep["lin"] = harness.base_linearization(net, inst)
+    milp, ucv = harness.build_formulation(args.formulation, inst, prep)
+    return net, inst, milp, ucv
 
 
 def cmd_build(args):
-    _, net, inst = _load_system(args)
-    milp, _ = _build_formulation(args, net, inst)
+    _, _, milp, _ = _build(args)
     if args.stats:
         for key, val in milp.stats().items():
             print(f"{key}: {val}")
@@ -136,14 +112,7 @@ def cmd_build(args):
 
 
 def cmd_solve(args):
-    _, net, inst = _load_system(args)
-    milp, ucv = _build_formulation(args, net, inst)
-    if args.engine == "export":
-        with open(args.out, "w") as fh:
-            fh.write(export_mps(milp))
-        print(f"exported MPS to {args.out}; solve externally and use "
-              "import on the solution file")
-        return 0
+    net, inst, milp, ucv = _build(args)
     sol = solve_milp(milp, gap_target=args.gap, time_budget=args.time_budget,
                      node_budget=args.node_budget)
     print(f"status: {sol.status}  objective: {sol.objective}  "
@@ -158,7 +127,7 @@ def cmd_solve(args):
 
 
 def cmd_verify_schedule(args):
-    _, net, inst = _load_system(args)
+    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     with open(args.schedule) as fh:
         sched = schedule_from_json(fh.read())
     report = mtp_acopf_check(net, inst, sched)
@@ -196,7 +165,6 @@ def cmd_experiment(args):
         time_budget=args.time_budget, seed=args.seed)
     report = harness.run_experiment(cfg)
     files = harness.emit_reports(report, args.out)
-    import os
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(harness.report_to_json(report))
     print(harness.format_tally(report))
@@ -272,8 +240,6 @@ def main(argv=None):
             p.add_argument("--stats", action="store_true",
                            help="print model size statistics")
         else:
-            p.add_argument("--engine", choices=("internal", "export"),
-                           default="internal")
             p.add_argument("--gap", type=float, default=0.01)
             p.add_argument("--time-budget", type=float, default=600.0)
             p.add_argument("--node-budget", type=int, default=200000)

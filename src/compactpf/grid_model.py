@@ -21,9 +21,6 @@ class Network:
     Yb: np.ndarray     # (n, n) complex nodal admittance
     Yft: np.ndarray    # (m, n) complex from-side flow matrix
     Ytf: np.ndarray    # (m, n) complex to-side flow matrix
-    E: np.ndarray      # (m, n) signed incidence (+1 from, -1 to)
-    E1: np.ndarray     # (m, n) sending-end selector
-    E2: np.ndarray     # (m, n) receiving-end selector
     f_bus: np.ndarray  # (m,) sending-end bus position of each branch
     t_bus: np.ndarray  # (m,) receiving-end bus position of each branch
     gsh: np.ndarray    # (n,) shunt conductance p.u.
@@ -33,7 +30,6 @@ class Network:
     vmax: np.ndarray   # (n,)
     theta_min: np.ndarray  # (m,) angle-difference bounds, rad
     theta_max: np.ndarray
-    branch_r: np.ndarray   # (m,) series resistance
     branch_x: np.ndarray   # (m,) series reactance
     ref: int           # reference bus position
     bus_ids: tuple     # external ids by position
@@ -64,42 +60,41 @@ class OperatingPoint:
 
 
 def build_network(case):
-    """Assemble admittance, flow, and incidence matrices from a RawCase."""
+    """Assemble the admittance and branch flow matrices from a RawCase."""
     n, m = case.n, case.m
     idx = case.bus_index()
 
-    E = np.zeros((m, n))
     f_bus = np.array([idx[br.f] for br in case.branches], dtype=int)
     t_bus = np.array([idx[br.t] for br in case.branches], dtype=int)
-    yff = np.zeros(m, dtype=complex)
-    yft = np.zeros(m, dtype=complex)
-    ytf = np.zeros(m, dtype=complex)
-    ytt = np.zeros(m, dtype=complex)
-    E[np.arange(m), f_bus] = 1.0
-    E[np.arange(m), t_bus] = -1.0
+    # each entry is added onto a zero, so a -0.0 part is stored as +0.0
+    Yft = np.zeros((m, n), dtype=complex)
+    Ytf = np.zeros((m, n), dtype=complex)
     for k, br in enumerate(case.branches):
         ys = 1.0 / complex(br.r, br.x)
         bc = 1j * br.b / 2.0
         tap = br.ratio * np.exp(1j * br.shift)
-        ytt[k] = ys + bc
-        yff[k] = (ys + bc) / (br.ratio ** 2)
-        yft[k] = -ys / np.conj(tap)
-        ytf[k] = -ys / tap
-
-    E1 = (np.abs(E) + E) / 2.0
-    E2 = (np.abs(E) - E) / 2.0
-    Yft = yff[:, None] * E1 + yft[:, None] * E2
-    Ytf = ytf[:, None] * E1 + ytt[:, None] * E2
+        f, t = f_bus[k], t_bus[k]
+        Yft[k, f] += (ys + bc) / (br.ratio ** 2)
+        Yft[k, t] += -ys / np.conj(tap)
+        Ytf[k, f] += -ys / tap
+        Ytf[k, t] += ys + bc
     gsh = np.array([b.gs for b in case.buses])
     bsh = np.array([b.bs for b in case.buses])
-    Yb = E1.T @ Yft + E2.T @ Ytf + np.diag(gsh + 1j * bsh)
+    # from-side rows enter Yb at their from bus, to-side rows at their to
+    # bus; as two sums added in this order, Yb equals the dense
+    # end-selector product form to the last bit
+    Yb_f = np.zeros((n, n), dtype=complex)
+    Yb_t = np.zeros((n, n), dtype=complex)
+    np.add.at(Yb_f, f_bus, Yft)
+    np.add.at(Yb_t, t_bus, Ytf)
+    Yb = Yb_f + Yb_t + np.diag(gsh + 1j * bsh)
 
     _check_connected(f_bus, t_bus, n)
 
     from .case_ingest import REF
     ref = next(i for i, b in enumerate(case.buses) if b.btype == REF)
     return Network(
-        n=n, m=m, Yb=Yb, Yft=Yft, Ytf=Ytf, E=E, E1=E1, E2=E2,
+        n=n, m=m, Yb=Yb, Yft=Yft, Ytf=Ytf,
         f_bus=f_bus, t_bus=t_bus,
         gsh=gsh, bsh=bsh,
         smax=np.array([br.rate_a for br in case.branches]),
@@ -107,7 +102,6 @@ def build_network(case):
         vmax=np.array([b.vmax for b in case.buses]),
         theta_min=np.array([br.ang_min for br in case.branches]),
         theta_max=np.array([br.ang_max for br in case.branches]),
-        branch_r=np.array([br.r for br in case.branches]),
         branch_x=np.array([br.x for br in case.branches]),
         ref=ref,
         bus_ids=tuple(b.id for b in case.buses),
@@ -143,8 +137,8 @@ def eval_power_flow(net, v, theta):
 
     V = v * np.exp(1j * theta)
     s_inj = V * np.conj(net.Yb @ V)
-    sf = (net.E1 @ V) * np.conj(net.Yft @ V)
-    st = (net.E2 @ V) * np.conj(net.Ytf @ V)
+    sf = V[net.f_bus] * np.conj(net.Yft @ V)
+    st = V[net.t_bus] * np.conj(net.Ytf @ V)
     return OperatingPoint(
         v=v, theta=theta,
         p_inj=s_inj.real, q_inj=s_inj.imag,

@@ -1,6 +1,10 @@
 """End-to-end experiment harness: sample -> train -> compress -> build ->
 solve -> verify, swept over load-alteration scenarios and formulations.
 
+The pipeline stages are written here once: ``load_system``,
+``base_linearization``, ``big_m_bounds`` and ``build_formulation``. Both
+``prepare_models`` and the command-line interface run them.
+
 Produces the feasibility tally (one row per formulation) and per-scenario
 apparent-flow 1-norm error data comparing each UC model's predicted flows
 against the flows realized by the MTP AC-OPF feasibility oracle.
@@ -87,6 +91,34 @@ class ExperimentReport:
                 raise ValidationError(f"tally for {f} does not conserve")
 
 
+def load_system(case_path, uc_path, derate):
+    """Parse a MATPOWER case, derate its thermal limits, and read a UC
+    instance against it. Returns (case, net, inst)."""
+    with open(case_path) as fh:
+        case = case_ingest.parse_matpower(fh.read())
+    case = case_ingest.derate_thermal_limits(case, derate)
+    with open(uc_path) as fh:
+        inst = case_ingest.load_uc_instance(fh.read(), case)
+    return case, grid_model.build_network(case), inst
+
+
+def base_linearization(net, inst):
+    """Linear model at the min-cost AC-OPF point of hour 1 with every unit
+    committed."""
+    op0, _ = slp_acopf(net, make_dispatch_spec(net, inst, 0),
+                       objective="min-cost")
+    return jacobian.linearize(net, op0)
+
+
+def big_m_bounds(model, box, mode):
+    """Interval bounds over the box, tightened by LP or MILP unless mode is
+    "interval", then pruned."""
+    bounds = interval_bounds(model, box)
+    if mode in ("lp", "milp"):
+        bounds = tighten_bounds(model, box, mode=mode, start=bounds)
+    return prune(model, bounds)
+
+
 def prepare_models(cfg, net=None, inst=None):
     """Shared pipeline prefix: parse, derate, sample, train, bound, prune.
 
@@ -100,13 +132,7 @@ def prepare_models(cfg, net=None, inst=None):
         raise ValidationError("sample_uc_path needs the case file; "
                               "pass neither net nor inst with it")
     if net is None or inst is None:
-        with open(cfg.case_path) as fh:
-            case = case_ingest.parse_matpower(fh.read())
-        case_ingest.validate_case(case)
-        case = case_ingest.derate_thermal_limits(case, cfg.derate)
-        net = grid_model.build_network(case)
-        with open(cfg.uc_path) as fh:
-            inst = case_ingest.load_uc_instance(fh.read(), case)
+        case, net, inst = load_system(cfg.case_path, cfg.uc_path, cfg.derate)
 
     # an optional richer instance (e.g. the full 24-hour profile) drives
     # sampling and training while scenarios run on the main instance
@@ -115,11 +141,7 @@ def prepare_models(cfg, net=None, inst=None):
         with open(cfg.sample_uc_path) as fh:
             inst_s = case_ingest.load_uc_instance(fh.read(), case)
 
-    # linearization point: hour-1 loads, every unit committed
-    spec0 = make_dispatch_spec(net, inst_s, 0)
-    op0, _ = slp_acopf(net, spec0, objective="min-cost")
-    lin = jacobian.linearize(net, op0)
-
+    lin = base_linearization(net, inst_s)
     ds = collect_dataset(net, inst_s, cfg.sampler, seed=cfg.seed)
     Xtr, Ytr = ds.train
     model = train_compact(Xtr, Ytr, lin, cfg.rho, cfg.train)
@@ -127,16 +149,15 @@ def prepare_models(cfg, net=None, inst=None):
         model = sparsify_retrain(model, Xtr, Ytr, target, cfg.train)
 
     box = bound_box_from_network(net, inst)
-    bounds = interval_bounds(model, box)
-    if cfg.bound_mode in ("lp", "milp"):
-        bounds = tighten_bounds(model, box, mode=cfg.bound_mode, start=bounds)
-    bounds = prune(model, bounds)
-
-    return {"net": net, "inst": inst, "lin": lin, "model": model,
-            "box": box, "bounds": bounds, "dataset": ds}
+    return {"net": net, "inst": inst, "lin": lin, "model": model, "box": box,
+            "bounds": big_m_bounds(model, box, cfg.bound_mode),
+            "dataset": ds}
 
 
-def _build(formulation, inst, prep):
+def build_formulation(formulation, inst, prep):
+    """The UC MILP of one formulation over ``inst``: "nn" reads the net,
+    model, bounds and box of ``prep``, "linear" its net, lin and box, and
+    "dc" its net alone. Returns (MILPModel, UCVars)."""
     if formulation == "nn":
         return build_nn_ac_uc(inst, prep["net"], prep["model"],
                               prep["bounds"], box=prep["box"])
@@ -169,7 +190,7 @@ def _flow_errors(formulation, prep, sched):
 def run_scenario_cell(cfg, prep, inst_s, formulation):
     """One (scenario, formulation) solve + verification; never raises."""
     try:
-        milp, ucv = _build(formulation, inst_s, prep)
+        milp, ucv = build_formulation(formulation, inst_s, prep)
         sol = solve_milp(milp, gap_target=cfg.gap_target,
                          time_budget=cfg.time_budget,
                          node_budget=cfg.node_budget)

@@ -209,8 +209,7 @@ def encode_relu_network(model, bounds, milp, x_vars, prefix="nn"):
         elif st == FREE:
             zi = milp.add_var(f"{prefix}.z[{i}]",
                               lb=0.0, ub=max(bounds.m_max[i], 0.0))
-            bi = milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY,
-                              annotation="relu_activation")
+            bi = milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY)
             z.append(zi)
             beta.append(bi)
             mmin, mmax = bounds.m_min[i], bounds.m_max[i]
@@ -232,32 +231,29 @@ def encode_relu_network(model, bounds, milp, x_vars, prefix="nn"):
         coeffs[zhat[i]] = 1.0
         milp.add_constr(coeffs, EQ, model.b[i], name=f"{prefix}.pre[{i}]")
 
-    # y = Jstar x + rstar + w2 z
-    J = model.linear.Jstar
-    for r in range(model.d_out):
-        coeffs = {y[r]: 1.0}
-        for j in range(model.d_in):
-            if J[r, j] != 0.0:
-                coeffs[x_vars[j]] = coeffs.get(x_vars[j], 0.0) - J[r, j]
-        for i in range(rho):
-            if model.w2[r, i] != 0.0:
-                coeffs[z[i]] = -model.w2[r, i]
-        milp.add_constr(coeffs, EQ, model.linear.rstar[r],
-                        name=f"{prefix}.out[{r}]")
-
+    _add_output_rows(milp, model.linear, x_vars, y, prefix, z, model.w2)
     return ReluFragment(x=list(x_vars), y=y, z=z, zhat=zhat, beta=beta)
 
 
 def encode_linear_model(lin, milp, x_vars, prefix="lin"):
     """Affine-only counterpart: y = Jstar x + rstar (no ReLU variables)."""
     y = milp.add_vars(f"{prefix}.y", lin.d_out, lb=-math.inf, ub=math.inf)
+    _add_output_rows(milp, lin, x_vars, y, prefix)
+    return ReluFragment(x=list(x_vars), y=y, z=[], zhat=[], beta=[])
+
+
+def _add_output_rows(milp, lin, x_vars, y, prefix, z=(), w2=None):
+    """The rows y = Jstar x + rstar (+ w2 z), one per output."""
+    J = lin.Jstar
     for r in range(lin.d_out):
         coeffs = {y[r]: 1.0}
         for j in range(lin.d_in):
-            if lin.Jstar[r, j] != 0.0:
-                coeffs[x_vars[j]] = coeffs.get(x_vars[j], 0.0) - lin.Jstar[r, j]
+            if J[r, j] != 0.0:
+                coeffs[x_vars[j]] = coeffs.get(x_vars[j], 0.0) - J[r, j]
+        for i, zi in enumerate(z):
+            if w2[r, i] != 0.0:
+                coeffs[zi] = -w2[r, i]
         milp.add_constr(coeffs, EQ, lin.rstar[r], name=f"{prefix}.out[{r}]")
-    return ReluFragment(x=list(x_vars), y=y, z=[], zhat=[], beta=[])
 
 
 def add_box_constraints(milp, frag, box, prefix=""):

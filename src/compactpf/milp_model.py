@@ -42,13 +42,11 @@ class MILPModel:
         self.constraints = []
         self.obj = {}          # var index -> coefficient
         self.obj_constant = 0.0
-        self.annotations = {}  # var index -> domain meaning string
         self._names = {}
 
     # -- construction -------------------------------------------------
 
-    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=math.inf,
-                annotation=None):
+    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=math.inf):
         if name in self._names:
             raise ValidationError(f"duplicate variable name {name!r}")
         if kind == BINARY:
@@ -58,8 +56,6 @@ class MILPModel:
         idx = len(self.variables)
         self.variables.append(Variable(name, kind, lb, ub))
         self._names[name] = idx
-        if annotation:
-            self.annotations[idx] = annotation
         return idx
 
     def add_vars(self, prefix, count, **kw):

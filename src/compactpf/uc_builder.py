@@ -73,12 +73,8 @@ def build_core_uc(inst, milp=None, reactive=True):
                 f"reserve requirement at t={t + 1} exceeds total "
                 f"dispatchable range; instance is statically infeasible")
 
-    y = [[milp.add_var(f"y[{g}][{t}]", kind=BINARY, annotation="commitment")
-          for t in range(T)] for g in range(G)]
-    u = [[milp.add_var(f"u[{g}][{t}]", kind=BINARY, annotation="startup")
-          for t in range(T)] for g in range(G)]
-    w = [[milp.add_var(f"w[{g}][{t}]", kind=BINARY, annotation="shutdown")
-          for t in range(T)] for g in range(G)]
+    y, u, w = ([[milp.add_var(f"{s}[{g}][{t}]", kind=BINARY)
+                 for t in range(T)] for g in range(G)] for s in "yuw")
     p_delta, r, q = [], [], []
     for gi, gen in enumerate(inst.gens):
         span = gen.pmax - gen.pmin
@@ -257,38 +253,36 @@ def _tie_balance(milp, inst, net, ucv, frag, t):
                         float(net.smax[k]), name=f"stf[{k}][{t}]")
 
 
-def _add_period_inputs(milp, box, d_in, t):
-    return [milp.add_var(f"x[{t}][{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
-            for j in range(d_in)]
-
-
 def build_nn_ac_uc(inst, net, model, bounds, box=None):
     """UC with the exact big-M encoding of the compact PWL surrogate
     standing in for the AC physics, one fragment per period."""
     if model.d_in != net.d_in or model.d_out != net.d_out:
         raise ValidationError("surrogate/network dimension mismatch")
-    box = box or bound_box_from_network(net, inst)
-    milp, ucv = build_core_uc(inst)
-    milp.name = "nn_ac_uc"
-    for t in range(inst.horizon):
-        x = _add_period_inputs(milp, box, model.d_in, t)
-        frag = encode_relu_network(model, bounds, milp, x, prefix=f"nn[{t}]")
-        add_box_constraints(milp, frag, box, prefix=f"t{t}.")
-        _tie_balance(milp, inst, net, ucv, frag, t)
-        ucv.frags.append(frag)
-    return milp, ucv
+    return _build_surrogate_uc(
+        inst, net, box, "nn_ac_uc", lambda milp, x, t: encode_relu_network(
+            model, bounds, milp, x, prefix=f"nn[{t}]"))
 
 
 def build_l_ac_uc(inst, net, lin, box=None):
     """UC over the affine power flow model y = Jstar x + rstar."""
     if lin.d_in != net.d_in or lin.d_out != net.d_out:
         raise ValidationError("linear model/network dimension mismatch")
+    return _build_surrogate_uc(
+        inst, net, box, "l_ac_uc", lambda milp, x, t: encode_linear_model(
+            lin, milp, x, prefix=f"lin[{t}]"))
+
+
+def _build_surrogate_uc(inst, net, box, name, encode):
+    """The core UC plus, per period t, input variables over the box, the
+    fragment ``encode(milp, x, t)`` over them, the box's angle and output
+    constraints, and the balance and flow-limit rows."""
     box = box or bound_box_from_network(net, inst)
     milp, ucv = build_core_uc(inst)
-    milp.name = "l_ac_uc"
+    milp.name = name
     for t in range(inst.horizon):
-        x = _add_period_inputs(milp, box, lin.d_in, t)
-        frag = encode_linear_model(lin, milp, x, prefix=f"lin[{t}]")
+        x = [milp.add_var(f"x[{t}][{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
+             for j in range(net.d_in)]
+        frag = encode(milp, x, t)
         add_box_constraints(milp, frag, box, prefix=f"t{t}.")
         _tie_balance(milp, inst, net, ucv, frag, t)
         ucv.frags.append(frag)

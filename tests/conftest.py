@@ -134,6 +134,17 @@ def compact4(dataset14, lin14):
     return small_model(dataset14, lin14, 4)
 
 
+def end_selectors(net):
+    """Dense (m, n) 0/1 selectors of each branch's from and to bus, built
+    from ``f_bus``/``t_bus`` as reference forms for the tests."""
+    rows = np.arange(net.m)
+    E1 = np.zeros((net.m, net.n))
+    E2 = np.zeros((net.m, net.n))
+    E1[rows, net.f_bus] = 1.0
+    E2[rows, net.t_bus] = 1.0
+    return E1, E2
+
+
 def sample_box_inputs(box, count, rng, theta_cap=0.10):
     """Random packed inputs inside the box's constraint sets.
 

@@ -10,7 +10,8 @@ from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
                                  slp_acopf, make_dispatch_spec,
                                  check_schedule_logic, startup_cost_of,
                                  commitment_cost, production_cost,
-                                 mtp_acopf_check, _Ramps)
+                                 mtp_acopf_check, specs_from_schedule,
+                                 _Ramps)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
 
@@ -60,6 +61,26 @@ def test_slp_rejects_bad_objective(net14, inst24):
     spec = make_dispatch_spec(net14, inst24, 0)
     with pytest.raises(ValidationError):
         slp_acopf(net14, spec, objective="maximize-profit")
+
+
+@pytest.mark.parametrize("off", [(), (0,), (1, 3), (0, 2, 3),
+                                 (0, 1, 2, 3)])
+def test_dispatch_spec_is_schedule_hour(net14, inst24, off):
+    """make_dispatch_spec(hour, off) is hour `hour` of specs_from_schedule
+    with every unit but `off` committed and no startup or shutdown."""
+    G, T = inst24.ngen, inst24.horizon
+    y = np.ones((G, T), dtype=int)
+    y[list(off)] = 0
+    zero = np.zeros((G, T), dtype=int)
+    specs = specs_from_schedule(net14, inst24, y, zero, zero)
+    for hour in range(T):
+        got = make_dispatch_spec(net14, inst24, hour, off=off)
+        want = specs[hour]
+        assert got.gens == want.gens
+        assert got.condensers == want.condensers
+        assert np.array_equal(got.pd, want.pd)
+        assert np.array_equal(got.qd, want.qd)
+        assert got.reserve == want.reserve
 
 
 def _all_on_schedule(inst):
@@ -248,8 +269,7 @@ def _reference_lp(net, specs, ramps, radius):
                 row[col(t, "sth", side + k)] = -1.0
                 ub_rows.append((row, net.smax[k] - s0[k]))
         for k in range(m):
-            i = int(np.flatnonzero(net.E[k] > 0)[0])
-            j = int(np.flatnonzero(net.E[k] < 0)[0])
+            i, j = int(net.f_bus[k]), int(net.t_bus[k])
             row = {}
             if i != net.ref:
                 row[col(t, "dth", nonref.index(i))] = 1.0

@@ -79,6 +79,17 @@ def test_cli_sample_train_compress(tmp_path, capsys):
         + len(doc["mask2"]) * len(doc["mask2"][0])
     assert kept <= total // 2 + 1
 
+    # both surrogate formulations build through the shared stages
+    for extra, frag in ((["nn", "--model", str(comp_path)], "nn[0]"),
+                        (["linear"], "lin[0]")):
+        mps_path = tmp_path / f"{extra[0]}.mps"
+        rc = main(["build", *SYSTEM, "--formulation", *extra,
+                   "--out", str(mps_path)])
+        assert rc == 0
+        model = parse_mps(mps_path.read_text())
+        assert any(v.name.startswith(frag) for v in model.variables)
+        assert model.binary_indices()
+
 
 def test_cli_report_round_trip(tmp_path, capsys):
     report = ExperimentReport(

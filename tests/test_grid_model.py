@@ -9,7 +9,7 @@ from compactpf.grid_model import (build_network, eval_power_flow,
                                   eval_at_input)
 from compactpf.errors import ValidationError
 
-from conftest import TWO_BUS_CASE
+from conftest import TWO_BUS_CASE, end_selectors
 
 
 def test_two_bus_admittance(net2):
@@ -18,7 +18,7 @@ def test_two_bus_admittance(net2):
     assert np.allclose(net2.Yb, expect)
     assert np.allclose(net2.Yft, np.array([[y, -y]]))
     assert np.allclose(net2.Ytf, np.array([[-y, y]]))
-    assert np.allclose(net2.E, np.array([[1.0, -1.0]]))
+    assert net2.f_bus.tolist() == [0] and net2.t_bus.tolist() == [1]
 
 
 def test_flat_start_zero(net2):
@@ -59,8 +59,9 @@ def test_flow_matrix_consistency(net14):
     theta = rng.uniform(-0.2, 0.2, net14.n)
     op = eval_power_flow(net14, v, theta)
     sh = (net14.gsh - 1j * net14.bsh) * v ** 2
-    s_bus = net14.E1.T @ (op.p_ft + 1j * op.q_ft) \
-        + net14.E2.T @ (op.p_tf + 1j * op.q_tf) + sh
+    E1, E2 = end_selectors(net14)
+    s_bus = E1.T @ (op.p_ft + 1j * op.q_ft) \
+        + E2.T @ (op.p_tf + 1j * op.q_tf) + sh
     assert np.allclose(s_bus.real, op.p_inj, atol=1e-12)
     assert np.allclose(s_bus.imag, op.q_inj, atol=1e-12)
 
@@ -120,7 +121,40 @@ def test_branch_end_buses(net14, case14):
     idx = case14.bus_index()
     assert net14.f_bus.tolist() == [idx[br.f] for br in case14.branches]
     assert net14.t_bus.tolist() == [idx[br.t] for br in case14.branches]
-    rows = np.arange(net14.m)
-    assert np.all(net14.E[rows, net14.f_bus] == 1.0)
-    assert np.all(net14.E[rows, net14.t_bus] == -1.0)
-    assert np.count_nonzero(net14.E) == 2 * net14.m
+    assert np.all(net14.f_bus != net14.t_bus)
+    # a branch's flow rows reach only its two end buses
+    E1, E2 = end_selectors(net14)
+    ends = E1 + E2
+    assert np.all(net14.Yft[ends == 0] == 0)
+    assert np.all(net14.Ytf[ends == 0] == 0)
+
+
+@pytest.mark.parametrize("name", ["net14", "net2"])
+def test_admittance_equals_selector_products(name, request):
+    """Yb is the selector-product form E1'Yft + E2'Ytf + diag(shunts),
+    to the last bit, with the selectors rebuilt from f_bus/t_bus."""
+    net = request.getfixturevalue(name)
+    E1, E2 = end_selectors(net)
+    expect = E1.T @ net.Yft + E2.T @ net.Ytf \
+        + np.diag(net.gsh + 1j * net.bsh)
+    assert np.array_equal(net.Yb, expect)
+
+
+@pytest.mark.parametrize("name", ["net14", "net2"])
+def test_branch_flows_equal_selector_products(name, request):
+    net = request.getfixturevalue(name)
+    E1, E2 = end_selectors(net)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        v = rng.uniform(0.95, 1.05, net.n)
+        theta = rng.uniform(-0.2, 0.2, net.n)
+        op = eval_power_flow(net, v, theta)
+        V = v * np.exp(1j * theta)
+        sf = (E1 @ V) * np.conj(net.Yft @ V)
+        st = (E2 @ V) * np.conj(net.Ytf @ V)
+        assert np.array_equal(op.p_ft, sf.real)
+        assert np.array_equal(op.q_ft, sf.imag)
+        assert np.array_equal(op.p_tf, st.real)
+        assert np.array_equal(op.q_tf, st.imag)
+        assert np.array_equal(op.s_ft, np.abs(sf))
+        assert np.array_equal(op.s_tf, np.abs(st))

@@ -4,6 +4,8 @@ import pytest
 from compactpf import grid_model, jacobian
 from compactpf.errors import ValidationError
 
+from conftest import end_selectors
+
 
 def _point(net, rng):
     v = rng.uniform(0.95, 1.05, net.n)
@@ -71,7 +73,8 @@ def _diag_injection(net, v, theta):
 def _diag_line_flow(net, v, theta, direction):
     """The line-flow Jacobian as products with np.diag matrices and the
     dense end selectors."""
-    Y, sel = (net.Yft, net.E1) if direction == "ft" else (net.Ytf, net.E2)
+    E1, E2 = end_selectors(net)
+    Y, sel = (net.Yft, E1) if direction == "ft" else (net.Ytf, E2)
     vnorm = np.exp(1j * theta)
     V = v * vnorm
     I = Y @ V
