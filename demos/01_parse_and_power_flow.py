@@ -31,12 +31,13 @@ print(f"case: {len(case.buses)} buses, {len(case.branches)} branches, "
 case = case_ingest.derate_thermal_limits(case, 0.30)
 
 # --- network matrices ------------------------------------------------------
-# build_network assembles the nodal admittance matrix Yb, the from/to flow
-# matrices, and the signed incidence matrix, and rejects disconnected grids.
+# build_network assembles the nodal admittance matrix Yb and the from/to flow
+# matrices, keeps each branch's end buses as f_bus/t_bus, and rejects
+# disconnected grids.
 net = grid_model.build_network(case)
 print(f"network: Yb is {net.Yb.shape}, reference bus position {net.ref}")
 print(f"surrogate input dim  d_in  = {net.d_in}  (v, theta without ref)")
-print(f"surrogate output dim d_out = {net.d_out} (p_inj, q_inj, p_ft, p_tf)")
+print(f"surrogate output dim d_out = {net.d_out} (p_inj, q_inj, s_ft, s_tf)")
 
 # --- AC-OPF for one hour ----------------------------------------------------
 # The UC instance supplies loads, reserve, and unit limits per hour.
@@ -45,7 +46,7 @@ spec = make_dispatch_spec(net, inst, hour=0)
 
 # slp_acopf solves a single-period AC-OPF by sequential linear programming;
 # the returned OperatingPoint satisfies the nonlinear equations.
-op, dispatch = slp_acopf(net, spec, objective="min-cost")
+op, dispatch = slp_acopf(net, spec)
 print(f"\nAC-OPF converged in {dispatch['iterations']} SLP iterations, "
       f"cost {dispatch['cost']:.4f}")
 print(f"voltages:   {op.v.min():.4f} .. {op.v.max():.4f} p.u.")

@@ -21,9 +21,9 @@ from .jacobian import (LinearPFModel, injection_jacobian,
                        line_flow_jacobian, apparent_flow_jacobian,
                        full_jacobian, linearize,
                        finite_difference_jacobian)
-from .ac_solver import (DispatchSpec, FeasibilityReport, TrustConfig,
-                        InfeasibleError, slp_acopf, mtp_acopf_check,
-                        make_dispatch_spec, check_schedule_logic)
+from .ac_solver import (DispatchSpec, FeasibilityReport, InfeasibleError,
+                        slp_acopf, mtp_acopf_check, make_dispatch_spec,
+                        check_schedule_logic)
 from .data_factory import (PFDataset, LoadScheme, SamplerConfig,
                            collect_dataset, apply_load_scheme,
                            dump_dataset, load_dataset)

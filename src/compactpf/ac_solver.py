@@ -25,23 +25,23 @@ from .highs import HighsInstance, linprog
 
 
 class InfeasibleError(CompactPFError):
-    """The (local) SLP phase-1 certifies the dispatch problem infeasible."""
+    """The dispatch-side LP constraints conflict, or the SLP converged with
+    an exact residual above ``TOL_FEAS``. The latter is a local stationary
+    point of the l1 merit, not a certificate that no feasible dispatch
+    exists."""
 
 
 TOL_FEAS = 1e-6
 SLACK_PENALTY = 1e5
+# trust region on the SLP step in v (p.u.) and theta (rad)
+INITIAL_RADIUS = 0.1
+MAX_RADIUS = 0.2
+MIN_RADIUS = 1e-10
+SHRINK = 0.5
+EXPAND = 2.0
+MAX_MAJOR_ITERS = 60
+STEP_TOL = 1e-7     # converged once the step is this small
 _log = logging.getLogger(__name__)
-
-
-@dataclass
-class TrustConfig:
-    initial_radius: float = 0.1
-    shrink: float = 0.5
-    expand: float = 2.0
-    max_radius: float = 0.2
-    min_radius: float = 1e-10
-    max_major_iters: int = 60
-    step_tol: float = 1e-7
 
 
 @dataclass
@@ -149,7 +149,7 @@ class _SLPProblem:
     stored dense, so HiGHS sees one model whichever way it was built.
     """
 
-    def __init__(self, net, specs, ramps, objective):
+    def __init__(self, net, specs, ramps):
         self.net = net
         self.T = T = len(specs)
         n, m = net.n, net.m
@@ -170,11 +170,10 @@ class _SLPProblem:
         dth_of[self.nonref] = np.arange(n - 1)   # bus -> dth position
 
         cost_cols = []   # (t, gi, column) of each cost epigraph variable
-        if objective == "min-cost":
-            for t, spec in enumerate(specs):
-                for gi, gs in enumerate(spec.gens):
-                    if gs.on and gs.cost_segments:
-                        cost_cols.append((t, gi, per * T + len(cost_cols)))
+        for t, spec in enumerate(specs):
+            for gi, gs in enumerate(spec.gens):
+                if gs.on and gs.cost_segments:
+                    cost_cols.append((t, gi, per * T + len(cost_cols)))
         nvar = per * T + len(cost_cols)
         self.c = np.zeros(nvar)
         self.c[slack.ravel()] = SLACK_PENALTY
@@ -426,8 +425,8 @@ class _SLPProblem:
         return lo2, hi2, lb2, ub2
 
 
-def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
-    """Shared single/multi-period SLP core, started flat.
+def _solve_slp(net, specs, ramps=None):
+    """Shared single/multi-period SLP core, started flat, minimizing cost.
 
     Each point is evaluated once: the flat start, and the trial point of
     every optimal LP, whose evaluation serves its merit, its second-order
@@ -442,14 +441,11 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).
     """
-    trust = trust or TrustConfig()
     T = len(specs)
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
-    lp = _SLPProblem(net, specs, ramps, objective)
+    lp = _SLPProblem(net, specs, ramps)
     highs = HighsInstance()
-    # the LP objective omits the no-load constant of committed units
-    noload_const = lp.no_load if objective == "min-cost" else 0.0
 
     def trial(dv_, dth_, pdel_, qg_, qsc_):
         """Evaluate the step (dv_, dth_): its point, evaluated points,
@@ -458,18 +454,16 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         ops_ = lp.evaluate(v_, th_)
         viol_, vsum_ = lp.violation(ops_, pdel_, qg_, qsc_)
         cost_ = lp.cost(pdel_)
-        merit_ = (cost_ if objective == "min-cost" else 0.0) \
-            + SLACK_PENALTY * vsum_
-        return v_, th_, ops_, viol_, cost_, merit_
+        return v_, th_, ops_, viol_, cost_, cost_ + SLACK_PENALTY * vsum_
 
-    radius = trust.initial_radius
+    radius = INITIAL_RADIUS
     ops = lp.evaluate(v, theta)
     lin = None          # (A, lo, hi, lin_ctx) at (v, theta)
     state = None        # (ops, pdel, rres, qg, qsc, cost, viol)
     cur_merit = math.inf
     iters = 0
     converged = False
-    for it in range(trust.max_major_iters):
+    for it in range(MAX_MAJOR_ITERS):
         iters = it + 1
         if lin is None:
             lin = lp.linearize(v, theta, ops)
@@ -484,7 +478,8 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         dv, dth, pdel, rres, qg, qsc = lp.extract(res.x)
         v_new, th_new, pts, viol, cost, cand_merit = trial(dv, dth, pdel,
                                                            qg, qsc)
-        model_merit = float(res.fun) + noload_const
+        # the LP objective omits the no-load constant of committed units
+        model_merit = float(res.fun) + lp.no_load
 
         # second-order correction: re-solve the same LP with shifted bounds
         dv2, dth2, pts2 = dv, dth, pts
@@ -507,7 +502,7 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
                    "model=%.9g cur=%.9g", it, radius, step, viol, cand_merit,
                    model_merit, cur_merit)
 
-        if state is None:
+        if it == 0:
             # first iterate: take the best the model offers
             take = True
         else:
@@ -521,11 +516,10 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
             else:
                 ratio = actual / pred
                 if ratio < 0.25:
-                    radius *= trust.shrink
+                    radius *= SHRINK
                 elif ratio > 0.75 and step >= 0.9 * radius:
-                    radius = min(radius * trust.expand, trust.max_radius)
-                converged = (step <= trust.step_tol
-                             or radius < trust.min_radius)
+                    radius = min(radius * EXPAND, MAX_RADIUS)
+                converged = step <= STEP_TOL or radius < MIN_RADIUS
         if take:
             v, theta, ops, lin = v_new, th_new, pts, None
             state = (pts, pdel, rres, qg, qsc, cost, viol)
@@ -533,9 +527,7 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
         if converged:
             break
 
-    if state is None:
-        return ("no_solution", None, None, None, None, None,
-                math.nan, iters, math.inf)
+    # the first iterate is always taken, so state is set
     pts, pdel, rres, qg, qsc, cost, viol = state
     if viol <= TOL_FEAS:
         verdict = "feasible"
@@ -546,17 +538,16 @@ def _solve_slp(net, specs, ramps=None, objective="min-cost", trust=None):
     return verdict, pts, pdel, rres, qg, qsc, cost, iters, viol
 
 
-def slp_acopf(net, spec, objective="min-cost", trust=None):
-    """Single-period AC-OPF via SLP.
+def slp_acopf(net, spec):
+    """Single-period min-cost AC-OPF via SLP.
 
     Returns (OperatingPoint, dispatch dict). Raises InfeasibleError when
-    phase-1 certifies (locally) that no feasible dispatch exists, and
+    the dispatch constraints conflict or the iteration converges with a
+    residual above ``TOL_FEAS`` (a local verdict, not a certificate), and
     ConvergenceError when the iteration budget is exhausted.
     """
-    if objective not in ("min-cost", "feasibility-only"):
-        raise ValidationError(f"unknown objective {objective!r}")
     verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
-        net, [spec], objective=objective, trust=trust)
+        net, [spec])
     if verdict == "infeasible":
         raise InfeasibleError(
             f"AC-OPF infeasible (residual {viol:.3e} after convergence)")
@@ -682,7 +673,7 @@ def specs_from_schedule(net, inst, y, u, w):
             for t in range(T)]
 
 
-def mtp_acopf_check(net, inst, sched, trust=None):
+def mtp_acopf_check(net, inst, sched):
     """Multi-time-period AC-OPF feasibility oracle for a fixed schedule.
 
     The schedule's binary logic is checked first; a logic violation is
@@ -704,7 +695,7 @@ def mtp_acopf_check(net, inst, sched, trust=None):
     )
     try:
         verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
-            net, specs, ramps=ramps, objective="min-cost", trust=trust)
+            net, specs, ramps=ramps)
     except InfeasibleError:
         return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
                                  objective=math.nan, iterations=0)

@@ -10,6 +10,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 # MATPOWER bus types
@@ -19,6 +21,9 @@ PQ, PV, REF = 1, 2, 3
 # we substitute a loose +/- 90 degree window so downstream models always
 # have finite angle-difference bounds.
 _ANGLE_FALLBACK = math.pi / 2
+
+# segments of the default piecewise-linear cost of a UC unit
+COST_SEGMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -330,15 +335,15 @@ class UCInstance:
         return len(self.gens)
 
 
-def _segments_from_poly(g, nseg=3):
-    """Secant piecewise-linear segments of the polynomial cost over
-    [pmin, pmax], expressed in the p_delta = p - pmin coordinate."""
+def _segments_from_poly(g):
+    """``COST_SEGMENTS`` secant piecewise-linear segments of the polynomial
+    cost over [pmin, pmax], in the p_delta = p - pmin coordinate."""
     span = g.pmax - g.pmin
     if span <= 0:
         return ((0.0, 0.0),)
-    width = span / nseg
+    width = span / COST_SEGMENTS
     segs = []
-    for k in range(nseg):
+    for k in range(COST_SEGMENTS):
         p0 = g.pmin + k * width
         p1 = p0 + width
         cost = lambda p: g.c2 * p * p + g.c1 * p
@@ -361,8 +366,6 @@ def _validate_segments(segs, label):
 def load_uc_instance(text, case):
     """Load a UC instance document (JSON, quantities in MW/MVAr/hours)
     against a parsed case. See README for the schema."""
-    import numpy as np
-
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

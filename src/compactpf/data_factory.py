@@ -15,13 +15,14 @@ from .errors import ValidationError, ConvergenceError
 from . import grid_model
 from .ac_solver import InfeasibleError, make_dispatch_spec, slp_acopf
 
+MAX_EXTRA_OFF = 3      # additional units turned off per outage draw
+V_PUSH_MAX = 0.03      # p.u. tightening of generator voltage bounds
+TEST_FRACTION = 0.2    # share of the samples held out as the test split
+
 
 @dataclass
 class SamplerConfig:
     combos_per_gen: int = 2      # outage draws per (hour, generator)
-    max_extra_off: int = 3       # additional units turned off per draw
-    v_push_max: float = 0.03     # p.u. tightening of generator V bounds
-    test_fraction: float = 0.2
     min_samples: int = 1
 
 
@@ -89,8 +90,8 @@ def apply_load_scheme(inst, scheme):
     return replace(inst, pd=inst.pd * fac, qd=inst.qd * fac)
 
 
-def _pushed_network(net, inst, rng, push_max):
-    """Tighten generator-bus voltage bounds by independent U[0, push_max]
+def _pushed_network(net, inst, rng):
+    """Tighten generator-bus voltage bounds by independent U[0, V_PUSH_MAX]
     draws, never crossing (keeps the box nonempty)."""
     vmin = net.vmin.copy()
     vmax = net.vmax.copy()
@@ -98,8 +99,8 @@ def _pushed_network(net, inst, rng, push_max):
     buses = sorted({net.bus_ids.index(g.bus) for g in inst.gens}
                    | {net.bus_ids.index(c.bus) for c in inst.condensers})
     for b in buses:
-        lo = rng.uniform(0.0, push_max)
-        hi = rng.uniform(0.0, push_max)
+        lo = rng.uniform(0.0, V_PUSH_MAX)
+        hi = rng.uniform(0.0, V_PUSH_MAX)
         width = vmax[b] - vmin[b]
         lo = min(lo, 0.45 * width)
         hi = min(hi, 0.45 * width)
@@ -113,8 +114,10 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     """Generate feasible power-flow samples across hours and outage sets.
 
     Per hour: one all-on base solve, then for each generator a number of
-    draws with that generator off plus up to `max_extra_off` random
-    additional units off, each with tightened voltage bounds. Candidates
+    draws with that generator off plus up to ``MAX_EXTRA_OFF`` random
+    additional units off, each with generator voltage bounds tightened by
+    up to ``V_PUSH_MAX``. A ``TEST_FRACTION`` share of the samples forms
+    the test split. Candidates
     whose AC-OPF is infeasible are rejected; the dataset keeps their count
     by reason in ``rejected``.
     """
@@ -130,19 +133,19 @@ def collect_dataset(net, inst, cfg=None, seed=0):
         for gi in range(G):
             for _ in range(cfg.combos_per_gen):
                 others = [g for g in range(G) if g != gi]
-                k = int(rng.integers(0, min(cfg.max_extra_off, len(others)) + 1))
+                k = int(rng.integers(0, min(MAX_EXTRA_OFF, len(others)) + 1))
                 extra = rng.choice(others, size=k, replace=False) if k else []
                 off = tuple(sorted({gi, *map(int, extra)}))
                 tasks.append((t, off, True))
 
     for t, off, perturb in tasks:
-        if perturb and cfg.v_push_max > 0:
-            net_s, pushes = _pushed_network(net, inst, rng, cfg.v_push_max)
+        if perturb:
+            net_s, pushes = _pushed_network(net, inst, rng)
         else:
             net_s, pushes = net, {}
         spec = make_dispatch_spec(net_s, inst, t, off=off)
         try:
-            op, _ = slp_acopf(net_s, spec, objective="min-cost")
+            op, _ = slp_acopf(net_s, spec)
         except InfeasibleError:
             rejected["infeasible"] += 1
             continue
@@ -161,7 +164,7 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     X = np.array(rows_x)
     Y = np.array(rows_y)
     order = np.random.default_rng(seed + 1).permutation(len(rows_x))
-    n_test = int(round(cfg.test_fraction * len(rows_x)))
+    n_test = int(round(TEST_FRACTION * len(rows_x)))
     split = np.array(["train"] * len(rows_x), dtype=object)
     split[order[:n_test]] = "test"
     return PFDataset(X=X, Y=Y, meta=meta, split=split,

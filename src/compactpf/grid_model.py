@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .case_ingest import REF
 from .errors import ValidationError
 
 
@@ -33,7 +34,6 @@ class Network:
     branch_x: np.ndarray   # (m,) series reactance
     ref: int           # reference bus position
     bus_ids: tuple     # external ids by position
-    gen_bus: tuple     # generator bus positions, case order
 
     @property
     def d_in(self):
@@ -91,7 +91,6 @@ def build_network(case):
 
     _check_connected(f_bus, t_bus, n)
 
-    from .case_ingest import REF
     ref = next(i for i, b in enumerate(case.buses) if b.btype == REF)
     return Network(
         n=n, m=m, Yb=Yb, Yft=Yft, Ytf=Ytf,
@@ -105,7 +104,6 @@ def build_network(case):
         branch_x=np.array([br.x for br in case.branches]),
         ref=ref,
         bus_ids=tuple(b.id for b in case.buses),
-        gen_bus=tuple(idx[g.bus] for g in case.gens),
     )
 
 

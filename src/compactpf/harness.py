@@ -53,7 +53,6 @@ class ExperimentConfig:
     bound_mode: str = "lp"           # interval | lp | milp
     gap_target: float = 0.01
     time_budget: float = 600.0
-    node_budget: int = 200000
     seed: int = 0
 
     def __post_init__(self):
@@ -105,8 +104,7 @@ def load_system(case_path, uc_path, derate):
 def base_linearization(net, inst):
     """Linear model at the min-cost AC-OPF point of hour 1 with every unit
     committed."""
-    op0, _ = slp_acopf(net, make_dispatch_spec(net, inst, 0),
-                       objective="min-cost")
+    op0, _ = slp_acopf(net, make_dispatch_spec(net, inst, 0))
     return jacobian.linearize(net, op0)
 
 
@@ -192,8 +190,7 @@ def run_scenario_cell(cfg, prep, inst_s, formulation):
     try:
         milp, ucv = build_formulation(formulation, inst_s, prep)
         sol = solve_milp(milp, gap_target=cfg.gap_target,
-                         time_budget=cfg.time_budget,
-                         node_budget=cfg.node_budget)
+                         time_budget=cfg.time_budget)
         if sol.status == "infeasible":
             return "infeasible", "no_solution", {}, ""
         if sol.x is None:

@@ -21,6 +21,7 @@ from .milp_model import MILPModel, BINARY, LE, EQ, GE
 from . import milp_solve
 
 FREE, FIXED_OFF, FIXED_ON = "free", "fixed_off", "fixed_on"
+TIGHTEN_BUDGET_S = 120.0   # wall-clock budget of one tighten_bounds call
 
 
 @dataclass
@@ -286,15 +287,15 @@ def standalone_fragment(model, bounds, box, prefix="nn"):
     return milp, frag
 
 
-def tighten_bounds(model, box, mode="lp", budget=120.0, start=None,
-                   milp_gap=0.0):
+def tighten_bounds(model, box, mode="lp", start=None):
     """Tighten per-ReLU pre-activation bounds by optimizing zhat_i over
     the encoded fragment restricted to the box's constraint sets.
 
     mode "lp" uses the LP relaxation (valid, looser); mode "milp" solves
-    the exact MILP per bound. Resulting bounds are never looser than the
-    starting bounds; entries not improved (or skipped once the budget is
-    exhausted) keep their starting value and provenance.
+    the exact MILP per bound to a zero gap. Resulting bounds are never
+    looser than the starting bounds; entries not improved (or skipped once
+    ``TIGHTEN_BUDGET_S`` is spent) keep their starting value and
+    provenance.
     """
     if mode not in ("lp", "milp"):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
@@ -306,7 +307,7 @@ def tighten_bounds(model, box, mode="lp", budget=120.0, start=None,
     prov = list(start.provenance)
     t0 = time.monotonic()
     for i in range(model.rho):
-        if time.monotonic() - t0 > budget:
+        if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
             break
         improved = False
         for direction in (+1.0, -1.0):
@@ -318,8 +319,9 @@ def tighten_bounds(model, box, mode="lp", budget=120.0, start=None,
                     continue
                 val = sol.objective
             else:
-                remaining = max(budget - (time.monotonic() - t0), 1.0)
-                sol = milp_solve.solve_milp(milp, gap_target=milp_gap,
+                remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0),
+                                1.0)
+                sol = milp_solve.solve_milp(milp, gap_target=0.0,
                                             time_budget=remaining)
                 if sol.status not in ("optimal", "gap_reached"):
                     continue

@@ -35,7 +35,8 @@ class LPSolution:
 
 @dataclass
 class MILPSolution:
-    # optimal | infeasible | gap_reached | budget_exhausted | error
+    # optimal | infeasible | unbounded | gap_reached | budget_exhausted |
+    # error
     status: str
     x: np.ndarray = None
     objective: float = math.nan
@@ -91,8 +92,9 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     ``node_budget`` nodes. Its point is cleaned up like the rounded root:
     an LP with the binaries fixed, then ``max_violation``. A node-budget
     stop keeps that point. The reported bound is the larger of the root
-    bound and the HiGHS dual bound. An LP or HiGHS call that ends in
-    error gives "error" without an incumbent. Deterministic for a fixed
+    bound and the HiGHS dual bound. An unbounded root relaxation gives
+    "unbounded", and an LP or HiGHS call that ends in error gives "error",
+    both without an incumbent. Deterministic for a fixed
     model and configuration.
     """
     start = time.monotonic()
@@ -127,7 +129,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     if root.status == "error":
         return finish("error", 1)
     if root.status == "unbounded":
-        return finish("budget_exhausted", 1)
+        return finish("unbounded", 1)
     if root.status != "optimal":
         return finish("infeasible", 1)
 

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .jacobian import LinearPFModel
+from .milp_encode import BigMBounds
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # ADAM moment decays and damping
+LOG_EVERY = 500                        # training-curve record interval
 
 
 @dataclass
@@ -22,10 +26,6 @@ class TrainConfig:
     batch: int = 75
     steps: int = 75000
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    log_every: int = 500
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -109,22 +109,21 @@ class ErrorStats:
 
 
 class _Adam:
-    def __init__(self, shapes, cfg):
-        self.cfg = cfg
+    def __init__(self, shapes, lr):
+        self.lr = lr
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
 
     def step(self, grads):
-        c = self.cfg
         self.t += 1
         out = []
         for k, g in enumerate(grads):
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            mh = self.m[k] / (1 - c.beta1 ** self.t)
-            vh = self.v[k] / (1 - c.beta2 ** self.t)
-            out.append(c.lr * mh / (np.sqrt(vh) + c.eps))
+            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
+            mh = self.m[k] / (1 - BETA1 ** self.t)
+            vh = self.v[k] / (1 - BETA2 ** self.t)
+            out.append(self.lr * mh / (np.sqrt(vh) + EPS))
         return out
 
 
@@ -139,7 +138,7 @@ def _train_core(X, R, w1, w2, b, mask1, mask2, cfg):
         raise ValidationError("empty training set")
     batch = min(cfg.batch, nsamp)
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam([w1.shape, w2.shape, b.shape], cfg)
+    opt = _Adam([w1.shape, w2.shape, b.shape], cfg.lr)
     curve = []
     order = rng.permutation(nsamp)
     pos = 0
@@ -158,7 +157,7 @@ def _train_core(X, R, w1, w2, b, mask1, mask2, cfg):
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise ValidationError(f"training diverged (NaN loss at step {step})")
-        if step % cfg.log_every == 0:
+        if step % LOG_EVERY == 0:
             curve.append((step, loss))
 
         g = (2.0 / err.size) * err
@@ -323,7 +322,6 @@ def model_from_json(text):
         mask2=np.array(doc["mask2"], dtype=bool))
     bounds = None
     if "bounds" in doc:
-        from .milp_encode import BigMBounds
         bd = doc["bounds"]
         bounds = BigMBounds(m_min=np.array(bd["m_min"]),
                             m_max=np.array(bd["m_max"]),

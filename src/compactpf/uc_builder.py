@@ -18,6 +18,7 @@ from .milp_model import MILPModel, BINARY, LE, GE, EQ
 from .milp_encode import (bound_box_from_network, encode_relu_network,
                           encode_linear_model, add_box_constraints)
 from .ac_solver import check_schedule_logic, commitment_cost, production_cost
+from .grid_model import unpack_input
 
 
 @dataclass
@@ -57,12 +58,12 @@ def _pre_w(g, tp):
     return 1 if (g.init_status < 0 and tp == 1 + g.init_status) else 0
 
 
-def build_core_uc(inst, milp=None, reactive=True):
+def build_core_uc(inst, reactive=True):
     """Commitment logic, costs, reserve, caps, and ramps (no network).
 
     Returns (MILPModel, UCVars); the network-side builders extend both.
     """
-    milp = milp or MILPModel(name="uc")
+    milp = MILPModel(name="uc")
     T = inst.horizon
     G = inst.ngen
 
@@ -381,7 +382,6 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
         theta = np.zeros((T, n))
         for t, frag in enumerate(ucv.frags):
             xin = np.array([x[j] for j in frag.x])
-            from .grid_model import unpack_input
             v[t], theta[t] = unpack_input(xin, net)
     elif ucv.theta and net is not None:
         theta = np.array([[x[ucv.theta[t][b]] for b in range(net.n)]

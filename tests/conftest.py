@@ -81,7 +81,7 @@ def inst4(case14, net14):
 def lin14(net14, inst24):
     """Linearization at the hour-1 base point with every unit committed."""
     spec0 = make_dispatch_spec(net14, inst24, 0)
-    op0, _ = slp_acopf(net14, spec0, objective="min-cost")
+    op0, _ = slp_acopf(net14, spec0)
     return jacobian.linearize(net14, op0)
 
 

@@ -76,6 +76,20 @@ def test_milp_infeasible():
     assert solve_milp(m).status == "infeasible"
 
 
+def test_milp_unbounded_root_is_unbounded():
+    """min -x with x >= b, x >= 0 and b binary: the root LP is unbounded,
+    so the MILP is reported unbounded, not as a spent budget."""
+    m = MILPModel()
+    x = m.add_var("x", lb=0.0, ub=math.inf)
+    b = m.add_var("b", kind=BINARY)
+    m.add_constr({x: 1.0, b: -1.0}, GE, 0.0)
+    m.add_obj(x, -1.0)
+    assert solve_lp(m).status == "unbounded"
+    sol = solve_milp(m)
+    assert sol.status == "unbounded"
+    assert sol.x is None and math.isnan(sol.objective)
+
+
 def test_milp_respects_equality_logic():
     # y = x1 + x2, y <= 1, maximize x1 + x2: optimum 1
     m = MILPModel()

@@ -77,7 +77,7 @@ def test_training_curve_is_a_field():
     """Each model class declares its loss curve: empty when built by hand,
     the (step, loss) record of the run when trained."""
     lin, X, Y = _toy_problem()
-    cfg = TrainConfig(lr=1e-3, batch=50, steps=1000, seed=0, log_every=250)
+    cfg = TrainConfig(lr=1e-3, batch=50, steps=1000, seed=0)
     trained = (train_compact(X, Y, lin, 2, cfg), train_direct(X, Y, 2, cfg))
     for model in trained:
         assert "training_curve" in {f.name for f in fields(model)}
