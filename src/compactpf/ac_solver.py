@@ -83,20 +83,26 @@ class FeasibilityReport:
 def make_dispatch_spec(net, inst, hour, off=()):
     """Single-period DispatchSpec from a UC instance: every unit ON
     except those listed in `off` (instance-order indices)."""
+    _check_loads(net, inst)
     G = inst.ngen
-    return _period_spec(net, inst, hour, [gi not in off for gi in range(G)],
+    return _period_spec(inst, hour, [gi not in off for gi in range(G)],
                         [0] * G, [0] * G)
 
 
-def _period_spec(net, inst, t, on, su, sd_next):
+def _check_loads(net, inst):
+    if inst.pd.shape[0] != net.n:
+        raise ValidationError(f"instance has {inst.pd.shape[0]} load rows, "
+                              f"network has {net.n} buses")
+
+
+def _period_spec(inst, t, on, su, sd_next):
     """DispatchSpec of period t: unit gi is committed when on[gi], starts up
     in t when su[gi] is 1 and shuts down in t + 1 when sd_next[gi] is 1;
     the startup/shutdown ramp caps enter as in the UC's cap rows."""
     gens = []
     for gi, g in enumerate(inst.gens):
-        bus = net.bus_ids.index(g.bus)
         if not on[gi]:
-            gens.append(GenSetting(bus=bus, on=False, pmin=0.0, cap_a=0.0,
+            gens.append(GenSetting(bus=g.bus, on=False, pmin=0.0, cap_a=0.0,
                                    cap_b=0.0, q_lo=0.0, q_hi=0.0,
                                    cost_segments=g.cost_segments))
             continue
@@ -109,11 +115,10 @@ def _period_spec(net, inst, t, on, su, sd_next):
             cap_a = max(span - (g.pmax - g.su) * su[gi], 0.0)
             cap_b = max(span - (g.pmax - g.sd) * sd_next[gi], 0.0)
         gens.append(GenSetting(
-            bus=bus, on=True, pmin=g.pmin, cap_a=cap_a, cap_b=cap_b,
+            bus=g.bus, on=True, pmin=g.pmin, cap_a=cap_a, cap_b=cap_b,
             q_lo=g.qmin, q_hi=g.qmax, cost_segments=g.cost_segments,
             no_load_cost=g.no_load_cost))
-    conds = [(net.bus_ids.index(c.bus), c.qmin, c.qmax)
-             for c in inst.condensers]
+    conds = [(c.bus, c.qmin, c.qmax) for c in inst.condensers]
     return DispatchSpec(gens=gens, condensers=conds,
                         pd=inst.pd[:, t].copy(), qd=inst.qd[:, t].copy(),
                         reserve=float(inst.reserve[t]))
@@ -122,13 +127,6 @@ def _period_spec(net, inst, t, on, su, sd_next):
 # ---------------------------------------------------------------------------
 # SLP engine
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _Ramps:
-    up: np.ndarray       # (G,)
-    down: np.ndarray     # (G,)
-    p_delta0: np.ndarray  # (G,) pre-horizon production above Pmin
-
 
 class _SLPProblem:
     """The SLP subproblem ``lo <= A x <= hi, lb <= x <= ub`` of one SLP call.
@@ -149,7 +147,7 @@ class _SLPProblem:
     stored dense, so HiGHS sees one model whichever way it was built.
     """
 
-    def __init__(self, net, specs, ramps):
+    def __init__(self, net, specs, units):
         self.net = net
         self.T = T = len(specs)
         n, m = net.n, net.m
@@ -225,20 +223,17 @@ class _SLPProblem:
                     slope * acc_w - acc_c)
                 acc_c += slope * width
                 acc_w += width
-        if ramps is not None:
+        if units is not None:
             for t in range(T):
-                for gi in range(G):
+                for gi, g in enumerate(units):
                     cur, res = self.pd[t, gi], self.r[t, gi]
                     if t == 0:
-                        row([(cur, 1.0), (res, 1.0)],
-                            ramps.up[gi] + ramps.p_delta0[gi])
-                        row([(cur, -1.0)],
-                            ramps.down[gi] - ramps.p_delta0[gi])
+                        row([(cur, 1.0), (res, 1.0)], g.ru + g.p_delta_init)
+                        row([(cur, -1.0)], g.rd - g.p_delta_init)
                     else:
                         prev = self.pd[t - 1, gi]
-                        row([(cur, 1.0), (res, 1.0), (prev, -1.0)],
-                            ramps.up[gi])
-                        row([(cur, -1.0), (prev, 1.0)], ramps.down[gi])
+                        row([(cur, 1.0), (res, 1.0), (prev, -1.0)], g.ru)
+                        row([(cur, -1.0), (prev, 1.0)], g.rd)
         n_ub = len(hi)
         self.p_rows = np.zeros((T, n), dtype=int)
         self.q_rows = np.zeros((T, n), dtype=int)
@@ -425,8 +420,11 @@ class _SLPProblem:
         return lo2, hi2, lb2, ub2
 
 
-def _solve_slp(net, specs, ramps=None):
+def _solve_slp(net, specs, units=None):
     """Shared single/multi-period SLP core, started flat, minimizing cost.
+
+    Given the instance's ``units``, ramp rows ``ru``/``rd`` couple the
+    periods, the first to the pre-horizon output ``p_delta_init``.
 
     Each point is evaluated once: the flat start, and the trial point of
     every optimal LP, whose evaluation serves its merit, its second-order
@@ -444,7 +442,7 @@ def _solve_slp(net, specs, ramps=None):
     T = len(specs)
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
-    lp = _SLPProblem(net, specs, ramps)
+    lp = _SLPProblem(net, specs, units)
     highs = HighsInstance()
 
     def trial(dv_, dth_, pdel_, qg_, qsc_):
@@ -665,8 +663,9 @@ def production_cost(inst, p_delta):
 def specs_from_schedule(net, inst, y, u, w):
     """Per-period DispatchSpecs with the commitment binaries substituted
     into the generation limit constraints."""
+    _check_loads(net, inst)
     G, T = np.asarray(y).shape
-    return [_period_spec(net, inst, t,
+    return [_period_spec(inst, t,
                          [bool(y[gi][t]) for gi in range(G)],
                          [u[gi][t] for gi in range(G)],
                          [w[gi][t + 1] if t + 1 < T else 0 for gi in range(G)])
@@ -687,15 +686,9 @@ def mtp_acopf_check(net, inst, sched):
             "schedule violates commitment logic: " + "; ".join(problems[:5]))
 
     specs = specs_from_schedule(net, inst, y, u, w)
-    ramps = _Ramps(
-        up=np.array([g.ru for g in inst.gens]),
-        down=np.array([g.rd for g in inst.gens]),
-        p_delta0=np.array([max(g.p_init - g.pmin, 0.0) if g.init_on else 0.0
-                           for g in inst.gens]),
-    )
     try:
         verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
-            net, specs, ramps=ramps)
+            net, specs, units=inst.gens)
     except InfeasibleError:
         return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
                                  objective=math.nan, iterations=0)

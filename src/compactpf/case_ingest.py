@@ -288,7 +288,7 @@ def write_matpower(case):
 class UCGen:
     """Temporal and cost parameters for one committable unit (all p.u.)."""
     name: str
-    bus: int
+    bus: int  # bus position in the case
     pmin: float
     pmax: float
     qmin: float
@@ -312,11 +312,16 @@ class UCGen:
     def init_on(self):
         return self.init_status > 0
 
+    @property
+    def p_delta_init(self):
+        """Pre-horizon production above Pmin; 0 when initially off."""
+        return max(self.p_init - self.pmin, 0.0) if self.init_on else 0.0
+
 
 @dataclass(frozen=True)
 class Condenser:
     """Always-on reactive source (Pmax = Pmin = 0 unit)."""
-    bus: int
+    bus: int  # bus position in the case
     qmin: float
     qmax: float
 
@@ -333,6 +338,14 @@ class UCInstance:
     @property
     def ngen(self):
         return len(self.gens)
+
+
+# every key load_uc_instance reads, at the top level and per unit
+_DOC_KEYS = {"description", "horizon", "load_profile", "loads", "reserve",
+             "generators"}
+_UNIT_KEYS = {"pmin", "pmax", "qmin", "qmax", "su", "sd", "ru", "rd",
+              "min_up", "min_down", "p_init", "init_status", "cost_segments",
+              "no_load_cost", "startup_tiers"}
 
 
 def _segments_from_poly(g):
@@ -365,11 +378,14 @@ def _validate_segments(segs, label):
 
 def load_uc_instance(text, case):
     """Load a UC instance document (JSON, quantities in MW/MVAr/hours)
-    against a parsed case. See README for the schema."""
+    against a parsed case, rejecting keys it does not read. See README."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"UC instance is not valid JSON: {e}", line=e.lineno)
+    unknown = set(doc) - _DOC_KEYS
+    if unknown:
+        raise ValidationError(f"UC instance: unknown keys {sorted(unknown)}")
 
     base = case.base_mva
     T = int(doc.get("horizon", 24))
@@ -412,20 +428,24 @@ def load_uc_instance(text, case):
         reserve = np.asarray(reserve, dtype=float) / base
 
     gdocs = doc.get("generators", {})
+    unknown = set(gdocs) - {str(i + 1) for i in range(len(case.gens))}
+    if unknown:
+        raise ValidationError(f"unknown unit ids {sorted(unknown)}")
     gens = []
     condensers = []
     for gi, g in enumerate(case.gens):
         gname = str(gi + 1)
         gd = gdocs.get(gname, {})
-        unknown = set(gdocs) - {str(i + 1) for i in range(len(case.gens))}
+        unknown = set(gd) - _UNIT_KEYS
         if unknown:
-            raise ValidationError(f"generators: unknown unit ids {sorted(unknown)}")
+            raise ValidationError(
+                f"unit {gname}: unknown keys {sorted(unknown)}")
         pmin = gd.get("pmin", g.pmin * base) / base
         pmax = gd.get("pmax", g.pmax * base) / base
         qmin = gd.get("qmin", g.qmin * base) / base
         qmax = gd.get("qmax", g.qmax * base) / base
         if pmax == 0.0 and pmin == 0.0:
-            condensers.append(Condenser(bus=g.bus, qmin=qmin, qmax=qmax))
+            condensers.append(Condenser(bus=idx[g.bus], qmin=qmin, qmax=qmax))
             continue
         su = gd.get("su", pmax * base) / base
         sd = gd.get("sd", pmax * base) / base
@@ -457,8 +477,8 @@ def load_uc_instance(text, case):
                     "and be non-decreasing in cost")
             prev_h, prev_c = h, c
         gens.append(UCGen(
-            name=gname, bus=g.bus, pmin=pmin, pmax=pmax, qmin=qmin, qmax=qmax,
-            su=su, sd=sd, ru=ru, rd=rd, tu=tu, td=td,
+            name=gname, bus=idx[g.bus], pmin=pmin, pmax=pmax,
+            qmin=qmin, qmax=qmax, su=su, sd=sd, ru=ru, rd=rd, tu=tu, td=td,
             p_init=p_init, init_status=init_status,
             cost_segments=segs,
             no_load_cost=gd.get("no_load_cost", g.c0),

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import harness, jacobian
 from .ac_solver import mtp_acopf_check
-from .data_factory import (SamplerConfig, LoadScheme, collect_dataset,
-                           dump_dataset, load_dataset)
+from .data_factory import (MAX_ALTERATION, SamplerConfig, LoadScheme,
+                           collect_dataset, dump_dataset, load_dataset)
 from .pwl_learner import (TrainConfig, train_compact, sparsify_retrain,
                           model_to_json, model_from_json)
 from .milp_encode import bound_box_from_network
@@ -143,12 +143,12 @@ def _generate_schemes(per_kind, seed):
     rng = np.random.default_rng(seed)
     schemes = []
     for i in range(per_kind):
-        schemes.append(LoadScheme("uniform",
-                                  scale=float(rng.uniform(0.85, 1.15))))
-        schemes.append(LoadScheme("per-bus-random", spread=0.15,
+        scale = rng.uniform(1.0 - MAX_ALTERATION, 1.0 + MAX_ALTERATION)
+        schemes.append(LoadScheme("uniform", scale=float(scale)))
+        schemes.append(LoadScheme("per-bus-random", spread=MAX_ALTERATION,
                                   seed=int(rng.integers(0, 2 ** 31))))
-        schemes.append(LoadScheme("sinusoidal",
-                                  amplitude=float(rng.uniform(0.0, 0.15))))
+        amplitude = rng.uniform(0.0, MAX_ALTERATION)
+        schemes.append(LoadScheme("sinusoidal", amplitude=float(amplitude)))
     return tuple(schemes)
 
 
@@ -221,7 +221,7 @@ def main(argv=None):
     p.add_argument("--dataset", required=True)
     p.add_argument("--target", type=float, action="append", required=True,
                    help="sparsity fraction; repeat for a schedule")
-    p.add_argument("--bound-mode", choices=("interval", "lp", "milp"),
+    p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
                    default="lp")
     _add_train_flags(p)
     p.add_argument("--out", required=True)
@@ -230,10 +230,10 @@ def main(argv=None):
     for name, fn in (("build", cmd_build), ("solve", cmd_solve)):
         p = sub.add_parser(name, help=f"{name} a UC formulation")
         _add_system_args(p)
-        p.add_argument("--formulation", choices=("nn", "linear", "dc"),
+        p.add_argument("--formulation", choices=harness.FORMULATIONS,
                        required=True)
         p.add_argument("--model", help="trained model JSON (nn formulation)")
-        p.add_argument("--bound-mode", choices=("interval", "lp", "milp"),
+        p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
                        default="lp")
         p.add_argument("--out", required=True)
         if name == "build":
@@ -260,8 +260,8 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--combos-per-gen", type=int, default=2)
     p.add_argument("--scenarios-per-scheme", type=int, default=1)
-    p.add_argument("--formulations", default="nn,linear,dc")
-    p.add_argument("--bound-mode", choices=("interval", "lp", "milp"),
+    p.add_argument("--formulations", default=",".join(harness.FORMULATIONS))
+    p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
                    default="lp")
     p.add_argument("--gap", type=float, default=0.01)
     p.add_argument("--time-budget", type=float, default=600.0)

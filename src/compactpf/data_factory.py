@@ -18,6 +18,7 @@ from .ac_solver import InfeasibleError, make_dispatch_spec, slp_acopf
 MAX_EXTRA_OFF = 3      # additional units turned off per outage draw
 V_PUSH_MAX = 0.03      # p.u. tightening of generator voltage bounds
 TEST_FRACTION = 0.2    # share of the samples held out as the test split
+MAX_ALTERATION = 0.15  # load schemes scale loads within 1 +/- this
 
 
 @dataclass
@@ -30,7 +31,7 @@ class SamplerConfig:
 class PFDataset:
     X: np.ndarray          # (samples, 2n-1)
     Y: np.ndarray          # (samples, 2n+2m)
-    meta: list             # dicts: hour, off (tuple), v_lo/v_hi pushes
+    meta: list             # dicts: hour, off (tuple)
     split: np.ndarray      # array of "train"/"test"
     n: int
     m: int
@@ -59,18 +60,19 @@ class LoadScheme:
     kind: str               # uniform | per-bus-random | sinusoidal
     scale: float = 1.0      # uniform: multiplicative factor
     amplitude: float = 0.0  # sinusoidal
-    spread: float = 0.15    # per-bus-random: factors in 1 +/- spread
+    spread: float = MAX_ALTERATION  # per-bus-random: factors in 1 +/- spread
     seed: int = 0
 
     def __post_init__(self):
+        env = MAX_ALTERATION
         if self.kind not in ("uniform", "per-bus-random", "sinusoidal"):
             raise ValidationError(f"unknown load scheme {self.kind!r}")
-        if self.kind == "uniform" and not 0.85 <= self.scale <= 1.15:
-            raise ValidationError("uniform scale outside [0.85, 1.15]")
-        if self.kind == "sinusoidal" and not 0.0 <= self.amplitude <= 0.15:
-            raise ValidationError("sinusoidal amplitude outside [0, 0.15]")
-        if self.kind == "per-bus-random" and not 0.0 <= self.spread <= 0.15:
-            raise ValidationError("per-bus spread outside [0, 0.15]")
+        if self.kind == "uniform" and not 1.0 - env <= self.scale <= 1.0 + env:
+            raise ValidationError(f"uniform scale outside 1 +/- {env}")
+        if self.kind == "sinusoidal" and not 0.0 <= self.amplitude <= env:
+            raise ValidationError(f"sinusoidal amplitude outside [0, {env}]")
+        if self.kind == "per-bus-random" and not 0.0 <= self.spread <= env:
+            raise ValidationError(f"per-bus spread outside [0, {env}]")
 
 
 def apply_load_scheme(inst, scheme):
@@ -95,9 +97,8 @@ def _pushed_network(net, inst, rng):
     draws, never crossing (keeps the box nonempty)."""
     vmin = net.vmin.copy()
     vmax = net.vmax.copy()
-    pushes = {}
-    buses = sorted({net.bus_ids.index(g.bus) for g in inst.gens}
-                   | {net.bus_ids.index(c.bus) for c in inst.condensers})
+    buses = sorted({g.bus for g in inst.gens}
+                   | {c.bus for c in inst.condensers})
     for b in buses:
         lo = rng.uniform(0.0, V_PUSH_MAX)
         hi = rng.uniform(0.0, V_PUSH_MAX)
@@ -106,8 +107,7 @@ def _pushed_network(net, inst, rng):
         hi = min(hi, 0.45 * width)
         vmin[b] += lo
         vmax[b] -= hi
-        pushes[b] = (lo, hi)
-    return replace(net, vmin=vmin, vmax=vmax), pushes
+    return replace(net, vmin=vmin, vmax=vmax)
 
 
 def collect_dataset(net, inst, cfg=None, seed=0):
@@ -139,10 +139,7 @@ def collect_dataset(net, inst, cfg=None, seed=0):
                 tasks.append((t, off, True))
 
     for t, off, perturb in tasks:
-        if perturb:
-            net_s, pushes = _pushed_network(net, inst, rng)
-        else:
-            net_s, pushes = net, {}
+        net_s = _pushed_network(net, inst, rng) if perturb else net
         spec = make_dispatch_spec(net_s, inst, t, off=off)
         try:
             op, _ = slp_acopf(net_s, spec)
@@ -154,7 +151,7 @@ def collect_dataset(net, inst, cfg=None, seed=0):
             continue
         rows_x.append(grid_model.pack_input(op, net))
         rows_y.append(grid_model.pack_output(op))
-        meta.append({"hour": t, "off": off, "v_push": pushes})
+        meta.append({"hour": t, "off": off})
 
     if len(rows_x) < cfg.min_samples:
         raise ValidationError(
@@ -218,7 +215,7 @@ def load_dataset(path):
             raise ValidationError(f"{path}: malformed dataset row")
         split.append(parts[0])
         off = () if parts[2] == "-" else tuple(int(g) for g in parts[2].split(","))
-        meta.append({"hour": int(parts[1]), "off": off, "v_push": {}})
+        meta.append({"hour": int(parts[1]), "off": off})
         vals = np.array([float(v) for v in parts[3:]])
         X.append(vals[:d_in])
         Y.append(vals[d_in:])

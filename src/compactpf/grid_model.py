@@ -33,7 +33,6 @@ class Network:
     theta_max: np.ndarray
     branch_x: np.ndarray   # (m,) series reactance
     ref: int           # reference bus position
-    bus_ids: tuple     # external ids by position
 
     @property
     def d_in(self):
@@ -103,7 +102,6 @@ def build_network(case):
         theta_max=np.array([br.ang_max for br in case.branches]),
         branch_x=np.array([br.x for br in case.branches]),
         ref=ref,
-        bus_ids=tuple(b.id for b in case.buses),
     )
 
 

@@ -32,6 +32,7 @@ from .uc_builder import build_nn_ac_uc, build_l_ac_uc, build_dc_uc, \
     extract_schedule
 
 FORMULATIONS = ("nn", "linear", "dc")
+BOUND_MODES = ("interval", "lp", "milp")
 # "error": the cell raised something other than a CompactPFError, i.e. a
 # fault in the program rather than an outcome of the model
 VERDICTS = ("feasible", "infeasible", "no_solution", "error")
@@ -50,7 +51,7 @@ class ExperimentConfig:
     compression: tuple = ()          # successive sparsity targets
     schemes: tuple = ()              # LoadScheme per scenario; empty = base
     formulations: tuple = FORMULATIONS
-    bound_mode: str = "lp"           # interval | lp | milp
+    bound_mode: str = "lp"           # one of BOUND_MODES
     gap_target: float = 0.01
     time_budget: float = 600.0
     seed: int = 0
@@ -59,7 +60,7 @@ class ExperimentConfig:
         for f in self.formulations:
             if f not in FORMULATIONS:
                 raise ValidationError(f"unknown formulation {f!r}")
-        if self.bound_mode not in ("interval", "lp", "milp"):
+        if self.bound_mode not in BOUND_MODES:
             raise ValidationError(f"unknown bound mode {self.bound_mode!r}")
 
 
@@ -117,20 +118,13 @@ def big_m_bounds(model, box, mode):
     return prune(model, bounds)
 
 
-def prepare_models(cfg, net=None, inst=None):
+def prepare_models(cfg):
     """Shared pipeline prefix: parse, derate, sample, train, bound, prune.
 
     Returns a dict with the network, instance, linear model, compact model,
-    and pruned bounds (reused across scenarios). ``cfg.sample_uc_path`` is
-    read against the parsed case file, so it cannot be combined with a
-    caller's ``net`` and ``inst``.
+    and pruned bounds (reused across scenarios).
     """
-    case = None
-    if net is not None and inst is not None and cfg.sample_uc_path:
-        raise ValidationError("sample_uc_path needs the case file; "
-                              "pass neither net nor inst with it")
-    if net is None or inst is None:
-        case, net, inst = load_system(cfg.case_path, cfg.uc_path, cfg.derate)
+    case, net, inst = load_system(cfg.case_path, cfg.uc_path, cfg.derate)
 
     # an optional richer instance (e.g. the full 24-hour profile) drives
     # sampling and training while scenarios run on the main instance

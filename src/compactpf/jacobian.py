@@ -26,7 +26,6 @@ class LinearPFModel:
     Jstar: np.ndarray  # (2n+2m, 2n-1)
     rstar: np.ndarray  # (2n+2m,)
     x0: np.ndarray     # (2n-1,)
-    net_id: str = ""
 
     @property
     def d_in(self):
@@ -141,7 +140,7 @@ def linearize(net, op):
     x0 = grid_model.pack_input(op, net)
     f0 = grid_model.pack_output(op)
     rstar = f0 - Jstar @ x0
-    return LinearPFModel(Jstar=Jstar, rstar=rstar, x0=x0, net_id=f"n{net.n}m{net.m}")
+    return LinearPFModel(Jstar=Jstar, rstar=rstar, x0=x0)
 
 
 def finite_difference_jacobian(fun, x, h=FD_STEP):

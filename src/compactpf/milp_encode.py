@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
 from .milp_model import MILPModel, BINARY, LE, EQ, GE
 from . import milp_solve
@@ -125,25 +126,22 @@ def bound_box_from_network(net, inst=None):
         qmin_at = np.zeros(n)
         qmax_at = np.zeros(n)
         for g in inst.gens:
-            b = net.bus_ids.index(g.bus)
-            pmax_at[b] += g.pmax
-            qmin_at[b] += min(g.qmin, 0.0)
-            qmax_at[b] += max(g.qmax, 0.0)
+            pmax_at[g.bus] += g.pmax
+            qmin_at[g.bus] += min(g.qmin, 0.0)
+            qmax_at[g.bus] += max(g.qmax, 0.0)
         for c in inst.condensers:
-            b = net.bus_ids.index(c.bus)
-            qmin_at[b] += min(c.qmin, 0.0)
-            qmax_at[b] += max(c.qmax, 0.0)
-        # widen the load range by the +-15% alteration envelope so one
-        # box stays valid across every load scheme scenario
-        env = 0.15
+            qmin_at[c.bus] += min(c.qmin, 0.0)
+            qmax_at[c.bus] += max(c.qmax, 0.0)
+        # widen the load range by the load-alteration envelope so one box
+        # stays valid across every load scheme scenario
         pd_max = inst.pd.max(axis=1)
         pd_min = inst.pd.min(axis=1)
         qd_max = inst.qd.max(axis=1)
         qd_min = inst.qd.min(axis=1)
-        pd_hi = pd_max + env * np.abs(pd_max)
-        pd_lo = pd_min - env * np.abs(pd_min)
-        qd_hi = qd_max + env * np.abs(qd_max)
-        qd_lo = qd_min - env * np.abs(qd_min)
+        pd_hi = pd_max + MAX_ALTERATION * np.abs(pd_max)
+        pd_lo = pd_min - MAX_ALTERATION * np.abs(pd_min)
+        qd_hi = qd_max + MAX_ALTERATION * np.abs(qd_max)
+        qd_lo = qd_min - MAX_ALTERATION * np.abs(qd_min)
         y_lo[:n] = -pd_hi
         y_hi[:n] = pmax_at - pd_lo
         y_lo[n:2 * n] = qmin_at - qd_hi

@@ -43,7 +43,6 @@ class MILPSolution:
     best_bound: float = -math.inf
     gap: float = math.inf
     nodes: int = 0         # HiGHS branch-and-cut nodes; 0 when the root closes
-    wall_time: float = 0.0
 
 
 class _LPBackend:
@@ -111,17 +110,14 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
     def finish(status, nodes, bound=-math.inf):
         """The solution to report; status None means solved, optimal or
         within the gap by the gap recomputed from the incumbent."""
-        wall = time.monotonic() - start
         if incumbent is None or status in ("error", "infeasible"):
-            return MILPSolution(status=status, best_bound=bound,
-                                nodes=nodes, wall_time=wall)
+            return MILPSolution(status=status, best_bound=bound, nodes=nodes)
         bound = min(bound, inc_obj)
         gap = _gap(inc_obj, bound)
         if status is None:
             status = "gap_reached" if gap > 1e-9 else "optimal"
         return MILPSolution(status=status, x=incumbent, objective=inc_obj,
-                            best_bound=bound, gap=gap, nodes=nodes,
-                            wall_time=wall)
+                            best_bound=bound, gap=gap, nodes=nodes)
 
     incumbent = None
     inc_obj = math.inf

@@ -179,11 +179,12 @@ def _train_core(X, R, w1, w2, b, mask1, mask2, cfg):
     return w1, w2, b, curve
 
 
-def train_compact(X, Y, lin, rho, cfg, mask1=None, mask2=None, warm=None):
+def train_compact(X, Y, lin, rho, cfg, warm=None):
     """Train the compact model on dataset (X, Y) around linear model lin.
 
     w2 starts at zero so the initial model is exactly the linear model;
-    training can only improve on it (in training loss).
+    training can only improve on it (in training loss). A ``warm`` model
+    supplies the starting weights and the masks of the trainable ones.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -195,13 +196,13 @@ def train_compact(X, Y, lin, rho, cfg, mask1=None, mask2=None, warm=None):
     rng = np.random.default_rng(cfg.seed)
     if warm is not None:
         w1, w2, b = warm.w1.copy(), warm.w2.copy(), warm.b.copy()
-        rho = warm.rho
+        m1, m2 = warm.mask1, warm.mask2
     else:
         w1 = rng.standard_normal((d_in, rho)) / np.sqrt(d_in)
         w2 = np.zeros((d_out, rho))
         b = np.zeros(rho)
-    m1 = np.ones_like(w1, dtype=bool) if mask1 is None else mask1
-    m2 = np.ones_like(w2, dtype=bool) if mask2 is None else mask2
+        m1 = np.ones_like(w1, dtype=bool)
+        m2 = np.ones_like(w2, dtype=bool)
     R = Y - lin.predict(X)
     base_loss = float(np.mean(R ** 2))
     w1, w2, b, curve = _train_core(X, R, w1 * m1, w2 * m2, b, m1, m2, cfg)
@@ -244,8 +245,7 @@ def sparsify_retrain(model, X, Y, target, cfg):
         mask2 = model.mask2 & (np.abs(model.w2) > cutoff)
     warm = replace(model, w1=model.w1 * mask1, w2=model.w2 * mask2,
                    mask1=mask1, mask2=mask2)
-    return train_compact(X, Y, model.linear, model.rho, cfg,
-                         mask1=mask1, mask2=mask2, warm=warm)
+    return train_compact(X, Y, model.linear, model.rho, cfg, warm=warm)
 
 
 def evaluate_model(compact, X, Y, direct=None):
@@ -296,7 +296,6 @@ def model_to_json(model, bounds=None):
         "Jstar": model.linear.Jstar.tolist(),
         "rstar": model.linear.rstar.tolist(),
         "x0": model.linear.x0.tolist(),
-        "net_id": model.linear.net_id,
     }
     if bounds is not None:
         doc["bounds"] = {
@@ -314,7 +313,7 @@ def model_from_json(text):
         raise ValidationError("not a compact PWL model document")
     lin = LinearPFModel(
         Jstar=np.array(doc["Jstar"]), rstar=np.array(doc["rstar"]),
-        x0=np.array(doc["x0"]), net_id=doc.get("net_id", ""))
+        x0=np.array(doc["x0"]))
     model = CompactPWLModel(
         w1=np.array(doc["w1"]), w2=np.array(doc["w2"]), b=np.array(doc["b"]),
         linear=lin,

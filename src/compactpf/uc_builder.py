@@ -97,7 +97,6 @@ def build_core_uc(inst, reactive=True):
     for gi, gen in enumerate(inst.gens):
         span = gen.pmax - gen.pmin
         y_init = 1 if gen.init_on else 0
-        pd0 = max(gen.p_init - gen.pmin, 0.0) if gen.init_on else 0.0
 
         if gen.p_init > gen.sd:
             milp.variables[w[gi][0]].ub = 0.0
@@ -158,14 +157,14 @@ def build_core_uc(inst, reactive=True):
             if t > 1:
                 coeffs[p_delta[gi][t - 2]] = -1.0
             else:
-                rhs += pd0
+                rhs += gen.p_delta_init
             milp.add_constr(coeffs, LE, rhs, name=f"rampup[{gi}][{t}]")
             coeffs = {pdv: -1.0}
             rhs = gen.rd
             if t > 1:
                 coeffs[p_delta[gi][t - 2]] = 1.0
             else:
-                rhs -= pd0
+                rhs -= gen.p_delta_init
             milp.add_constr(coeffs, LE, rhs, name=f"rampdown[{gi}][{t}]")
 
             # reactive limits tied to commitment
@@ -223,27 +222,35 @@ def build_core_uc(inst, reactive=True):
                         q_sc=q_sc, frags=[], theta=[])
 
 
-def _tie_balance(milp, inst, net, ucv, frag, t):
-    """Link a period's network fragment outputs to generation and load."""
-    n = net.n
-    gens_at = {}
-    for gi, g in enumerate(inst.gens):
-        gens_at.setdefault(net.bus_ids.index(g.bus), []).append(gi)
-    conds_at = {}
-    for ci, c in enumerate(inst.condensers):
-        conds_at.setdefault(net.bus_ids.index(c.bus), []).append(ci)
+def _units_at(units, n):
+    """Instance-order indices of the units at each of the n bus positions."""
+    at = [[] for _ in range(n)]
+    for i, unit in enumerate(units):
+        at[unit.bus].append(i)
+    return at
 
+
+def _add_generation(coeffs, inst, ucv, gens, t):
+    """Write the active output pmin y + p_delta of the units ``gens`` in
+    period t into a balance row's coefficients, with sign -1."""
+    for gi in gens:
+        coeffs[ucv.p_delta[gi][t]] = -1.0
+        coeffs[ucv.y[gi][t]] = -inst.gens[gi].pmin
+
+
+def _tie_balance(milp, inst, net, ucv, frag, t, gens_at, conds_at):
+    """Link a period's network fragment outputs to generation and load;
+    ``gens_at``/``conds_at`` list the units at each bus position."""
+    n = net.n
     for b in range(n):
         coeffs = {frag.y[b]: 1.0}
-        for gi in gens_at.get(b, ()):
-            coeffs[ucv.p_delta[gi][t]] = -1.0
-            coeffs[ucv.y[gi][t]] = -inst.gens[gi].pmin
+        _add_generation(coeffs, inst, ucv, gens_at[b], t)
         milp.add_constr(coeffs, EQ, -float(inst.pd[b, t]),
                         name=f"pbal[{b}][{t}]")
         coeffs = {frag.y[n + b]: 1.0}
-        for gi in gens_at.get(b, ()):
+        for gi in gens_at[b]:
             coeffs[ucv.q[gi][t]] = -1.0
-        for ci in conds_at.get(b, ()):
+        for ci in conds_at[b]:
             coeffs[ucv.q_sc[ci][t]] = -1.0
         milp.add_constr(coeffs, EQ, -float(inst.qd[b, t]),
                         name=f"qbal[{b}][{t}]")
@@ -280,12 +287,14 @@ def _build_surrogate_uc(inst, net, box, name, encode):
     box = box or bound_box_from_network(net, inst)
     milp, ucv = build_core_uc(inst)
     milp.name = name
+    gens_at = _units_at(inst.gens, net.n)
+    conds_at = _units_at(inst.condensers, net.n)
     for t in range(inst.horizon):
         x = [milp.add_var(f"x[{t}][{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
              for j in range(net.d_in)]
         frag = encode(milp, x, t)
         add_box_constraints(milp, frag, box, prefix=f"t{t}.")
-        _tie_balance(milp, inst, net, ucv, frag, t)
+        _tie_balance(milp, inst, net, ucv, frag, t, gens_at, conds_at)
         ucv.frags.append(frag)
     return milp, ucv
 
@@ -298,9 +307,7 @@ def build_dc_uc(inst, net):
     milp.name = "dc_uc"
     n, m = net.n, net.m
     f_bus, t_bus = net.f_bus.tolist(), net.t_bus.tolist()
-    gens_at = {}
-    for gi, g in enumerate(inst.gens):
-        gens_at.setdefault(net.bus_ids.index(g.bus), []).append(gi)
+    gens_at = _units_at(inst.gens, n)
 
     for t in range(inst.horizon):
         th = []
@@ -326,9 +333,7 @@ def build_dc_uc(inst, net):
                     coeffs[pft[k]] = coeffs.get(pft[k], 0.0) + 1.0
                 if j == b:
                     coeffs[pft[k]] = coeffs.get(pft[k], 0.0) - 1.0
-            for gi in gens_at.get(b, ()):
-                coeffs[ucv.p_delta[gi][t]] = -1.0
-                coeffs[ucv.y[gi][t]] = -inst.gens[gi].pmin
+            _add_generation(coeffs, inst, ucv, gens_at[b], t)
             milp.add_constr(coeffs, EQ, -float(inst.pd[b, t]),
                             name=f"pbal[{b}][{t}]")
     return milp, ucv

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,7 @@ from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
                                  slp_acopf, make_dispatch_spec,
                                  check_schedule_logic, startup_cost_of,
                                  commitment_cost, production_cost,
-                                 mtp_acopf_check, specs_from_schedule,
-                                 _Ramps)
+                                 mtp_acopf_check, specs_from_schedule)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
 
@@ -75,6 +75,18 @@ def test_dispatch_spec_is_schedule_hour(net14, inst24, off):
         assert np.array_equal(got.pd, want.pd)
         assert np.array_equal(got.qd, want.qd)
         assert got.reserve == want.reserve
+
+
+def test_dispatch_specs_reject_other_bus_count(net14, inst4):
+    """An instance with a load row too few is rejected before any LP."""
+    bad = replace(inst4, pd=inst4.pd[:-1], qd=inst4.qd[:-1])
+    assert bad.pd.shape[0] == net14.n - 1
+    y = np.ones((bad.ngen, bad.horizon), dtype=int)
+    zero = np.zeros_like(y)
+    with pytest.raises(ValidationError, match="load rows"):
+        make_dispatch_spec(net14, bad, 0)
+    with pytest.raises(ValidationError, match="load rows"):
+        specs_from_schedule(net14, bad, y, zero, zero)
 
 
 def _all_on_schedule(inst):
@@ -204,7 +216,7 @@ class _Captured(Exception):
     pass
 
 
-def _first_lp(monkeypatch, net, specs, ramps):
+def _first_lp(monkeypatch, net, specs, units):
     """The LP of the SLP's first iterate, as it is handed to HiGHS."""
     seen = {}
 
@@ -214,7 +226,7 @@ def _first_lp(monkeypatch, net, specs, ramps):
 
     monkeypatch.setattr(ac_solver, "linprog", capture)
     with pytest.raises(_Captured):
-        ac_solver._solve_slp(net, specs, ramps=ramps)
+        ac_solver._solve_slp(net, specs, units=units)
     return seen
 
 
@@ -353,19 +365,19 @@ def _reference_lp(net, specs, ramps, radius):
 
 
 def _inst4_ramps(inst):
-    return _Ramps(up=np.array([g.ru for g in inst.gens]),
-                  down=np.array([g.rd for g in inst.gens]),
-                  p_delta0=np.array([max(g.p_init - g.pmin, 0.0)
-                                     for g in inst.gens]))
+    return SimpleNamespace(up=np.array([g.ru for g in inst.gens]),
+                           down=np.array([g.rd for g in inst.gens]),
+                           p_delta0=np.array([max(g.p_init - g.pmin, 0.0)
+                                              for g in inst.gens]))
 
 
 @pytest.mark.parametrize("hours, off", [((0, 1), (2,)), ((1,), ())])
 def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
     specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
     assert inst4.condensers and all(s.reserve > 0 for s in specs)
-    ramps = _inst4_ramps(inst4)
-    got = _first_lp(monkeypatch, net14, specs, ramps)
-    ref = _reference_lp(net14, specs, ramps, ac_solver.INITIAL_RADIUS)
+    got = _first_lp(monkeypatch, net14, specs, inst4.gens)
+    ref = _reference_lp(net14, specs, _inst4_ramps(inst4),
+                        ac_solver.INITIAL_RADIUS)
     for key in ("c", "lo", "hi", "lb", "ub"):
         assert np.array_equal(got[key], ref[key]), key
     # the flat start (sin 0) leaves exact zeros among the Jacobian entries;
@@ -382,7 +394,7 @@ def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
 def test_linprog_cold_solve_matches_milp(monkeypatch, net14, inst4, hours,
                                          off):
     specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
-    lp = _first_lp(monkeypatch, net14, specs, _inst4_ramps(inst4))
+    lp = _first_lp(monkeypatch, net14, specs, inst4.gens)
     args = [lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub")]
     got = linprog(*args, HighsInstance())
     ref = milp(lp["c"], constraints=LinearConstraint(lp["A"], lp["lo"],
@@ -395,7 +407,7 @@ def test_linprog_cold_solve_matches_milp(monkeypatch, net14, inst4, hours,
 
 def test_linprog_warm_resolve_matches_cold_milp(monkeypatch, net14, inst4):
     specs = [make_dispatch_spec(net14, inst4, h) for h in (0, 1)]
-    lp = _first_lp(monkeypatch, net14, specs, _inst4_ramps(inst4))
+    lp = _first_lp(monkeypatch, net14, specs, inst4.gens)
     c, A, lo, hi, lb, ub = (lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub"))
     inst = HighsInstance()
     assert linprog(c, A, lo, hi, lb, ub, inst).status == 0

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +123,54 @@ def test_defaults_least_restrictive(case14):
     assert g.ru == pytest.approx(g.pmax)
     assert not g.init_on  # OFF long enough to allow startup at t=1
     assert g.init_status <= -g.td
+
+
+@pytest.mark.parametrize("inst", ["inst24", "inst4"])
+def test_unit_bus_is_case_position(request, case14, inst):
+    inst = request.getfixturevalue(inst)
+    pos = case14.bus_index()
+    rows = [case14.gens[int(g.name) - 1] for g in inst.gens]
+    assert [g.bus for g in inst.gens] == [pos[row.bus] for row in rows]
+    # the condensers are the case rows of no committable unit, in order
+    names = {g.name for g in inst.gens}
+    cond_rows = [row for i, row in enumerate(case14.gens)
+                 if str(i + 1) not in names]
+    assert inst.condensers
+    assert [c.bus for c in inst.condensers] == [pos[row.bus]
+                                                for row in cond_rows]
+
+
+def test_p_delta_init(case14):
+    doc = """{
+      "horizon": 1, "load_profile": [1.0],
+      "generators": {
+        "1": {"pmin": 10, "pmax": 50, "p_init": 40, "init_status": 3},
+        "2": {"pmin": 20, "pmax": 60, "p_init": 20, "init_status": 2},
+        "3": {"pmin": 10, "pmax": 50, "p_init": 30, "init_status": -2}
+      }
+    }"""
+    on_above, on_at_pmin, off = load_uc_instance(doc, case14).gens[:3]
+    assert on_above.p_delta_init == pytest.approx(0.3)
+    assert on_at_pmin.p_delta_init == 0.0
+    assert not off.init_on and off.p_init > 0
+    assert off.p_delta_init == 0.0
+
+
+@pytest.mark.parametrize("doc", [
+    # "generator" for "generators": every unit would get the case defaults
+    '{"horizon": 1, "load_profile": [1.0], "generator": {"1": {"pmin": 10}}}',
+    # "tu" for "min_up": the unit would load with a one-hour minimum
+    '{"horizon": 1, "load_profile": [1.0], "generators": {"1": {"tu": 4}}}',
+], ids=["generator", "tu"])
+def test_unknown_keys_rejected(case14, doc):
+    with pytest.raises(ValidationError, match="unknown keys"):
+        load_uc_instance(doc, case14)
+
+
+def test_readme_instance_loads(case14):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## UC instance JSON", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    inst = load_uc_instance(block, case14)
+    assert inst.horizon == 4
+    assert len(inst.gens) == 4 and len(inst.condensers) == 1

@@ -103,3 +103,17 @@ def test_scheme_validation():
         LoadScheme(kind="sinusoidal", amplitude=0.5)
     with pytest.raises(ValidationError):
         LoadScheme(kind="per-bus-random", spread=0.5)
+
+
+@pytest.mark.parametrize("field, kind, bound, outward", [
+    ("scale", "uniform", 0.85, 0.0),
+    ("scale", "uniform", 1.15, 2.0),
+    ("amplitude", "sinusoidal", 0.0, -1.0),
+    ("amplitude", "sinusoidal", 0.15, 1.0),
+    ("spread", "per-bus-random", 0.0, -1.0),
+    ("spread", "per-bus-random", 0.15, 1.0),
+])
+def test_scheme_envelope_bounds(field, kind, bound, outward):
+    LoadScheme(kind=kind, **{field: bound})
+    with pytest.raises(ValidationError):
+        LoadScheme(kind=kind, **{field: float(np.nextafter(bound, outward))})

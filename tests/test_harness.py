@@ -8,7 +8,7 @@ from compactpf import harness
 from compactpf.data_factory import LoadScheme
 from compactpf.milp_encode import interval_bounds, prune
 from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
-                               prepare_models, run_experiment, emit_reports, format_tally,
+                               run_experiment, emit_reports, format_tally,
                                report_to_json, report_from_json)
 from compactpf.errors import ValidationError
 
@@ -36,13 +36,6 @@ def test_config_validation():
         ExperimentConfig(case_path="", uc_path="", formulations=("ac",))
     with pytest.raises(ValidationError):
         ExperimentConfig(case_path="", uc_path="", bound_mode="none")
-
-
-def test_sample_uc_path_needs_the_case_file(net14, inst4):
-    cfg = ExperimentConfig(case_path="", uc_path="",
-                           sample_uc_path="uc14.json")
-    with pytest.raises(ValidationError, match="sample_uc_path"):
-        prepare_models(cfg, net=net14, inst=inst4)
 
 
 def test_experiment_tally_conserves(small_report):

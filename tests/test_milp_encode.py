@@ -75,7 +75,7 @@ def test_bound_box_with_instance(net14, inst24, box14):
     # active injection upper bound covers max generation at each bus
     pmax_at = np.zeros(n)
     for g in inst24.gens:
-        pmax_at[net14.bus_ids.index(g.bus)] += g.pmax
+        pmax_at[g.bus] += g.pmax
     assert np.all(box14.y_hi[:n] >= pmax_at - inst24.pd.min(axis=1) - 1e-12)
     # load buses can absorb at least the peak load (plus envelope)
     assert np.all(box14.y_lo[:n] <= -inst24.pd.max(axis=1) + 1e-12)

@@ -156,8 +156,7 @@ def test_l_ac_uc_solves(net14, inst4, lin14, box14):
         y = lin14.predict(x)
         p_bus = -inst4.pd[:, t].copy()
         for gi, g in enumerate(inst4.gens):
-            b = net14.bus_ids.index(g.bus)
-            p_bus[b] += sched.p_delta[gi, t] + g.pmin * sched.y[gi, t]
+            p_bus[g.bus] += sched.p_delta[gi, t] + g.pmin * sched.y[gi, t]
         assert np.allclose(y[:net14.n], p_bus, atol=1e-6)
 
 
