@@ -339,6 +339,13 @@ class UCInstance:
     def ngen(self):
         return len(self.gens)
 
+    def check_load_rows(self, n):
+        """ValidationError unless the instance has one load row per bus of
+        an ``n``-bus network."""
+        if self.pd.shape[0] != n:
+            raise ValidationError(f"instance has {self.pd.shape[0]} load "
+                                  f"rows, network has {n} buses")
+
 
 # every key load_uc_instance reads, at the top level and per unit
 _DOC_KEYS = {"description", "horizon", "load_profile", "loads", "reserve",
@@ -365,6 +372,39 @@ def _segments_from_poly(g):
     return tuple(segs)
 
 
+def _object(value, label):
+    """``value`` if it is a JSON object, else ValidationError."""
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{label}: expected a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _number(value, label):
+    """``value`` if it is a JSON number, else ValidationError (a string,
+    list, object, null or boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{label}: expected a number, got {value!r}")
+    return value
+
+
+def _numbers(value, label, width=None):
+    """``value`` if it is a JSON list of numbers, or with ``width`` a list
+    of lists of ``width`` numbers, else ValidationError."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{label}: expected a list, got {value!r}")
+    for item in value:
+        if width is None:
+            _number(item, label)
+            continue
+        if not (isinstance(item, list) and len(item) == width):
+            raise ValidationError(
+                f"{label}: expected lists of {width} numbers, got {item!r}")
+        for x in item:
+            _number(x, label)
+    return value
+
+
 def _validate_segments(segs, label):
     prev = -math.inf
     for width, slope in segs:
@@ -378,17 +418,19 @@ def _validate_segments(segs, label):
 
 def load_uc_instance(text, case):
     """Load a UC instance document (JSON, quantities in MW/MVAr/hours)
-    against a parsed case, rejecting keys it does not read. See README."""
+    against a parsed case, rejecting keys it does not read and values
+    that are not of their key's JSON type. See README."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"UC instance is not valid JSON: {e}", line=e.lineno)
+    _object(doc, "UC instance")
     unknown = set(doc) - _DOC_KEYS
     if unknown:
         raise ValidationError(f"UC instance: unknown keys {sorted(unknown)}")
 
     base = case.base_mva
-    T = int(doc.get("horizon", 24))
+    T = int(_number(doc.get("horizon", 24), "horizon"))
     if T < 1:
         raise ValidationError("horizon must be >= 1")
     n = case.n
@@ -398,15 +440,19 @@ def load_uc_instance(text, case):
     pd = np.zeros((n, T))
     profile = doc.get("load_profile")
     if profile is not None:
-        if len(profile) != T:
+        if len(_numbers(profile, "load_profile")) != T:
             raise ValidationError("load_profile length != horizon")
         for i, b in enumerate(case.buses):
             pd[i, :] = b.pd * np.asarray(profile, dtype=float)
-    for bus_id, series in doc.get("loads", {}).items():
-        bid = int(bus_id)
+    for bus_id, series in _object(doc.get("loads", {}), "loads").items():
+        try:
+            bid = int(bus_id)
+        except ValueError:
+            raise ValidationError(f"loads: bus id {bus_id!r} is not an "
+                                  "integer") from None
         if bid not in idx:
             raise ValidationError(f"loads: unknown bus id {bid}")
-        if len(series) != T:
+        if len(_numbers(series, f"loads[{bid}]")) != T:
             raise ValidationError(f"loads[{bid}]: length != horizon")
         pd[idx[bid], :] = np.asarray(series, dtype=float) / base
 
@@ -420,14 +466,14 @@ def load_uc_instance(text, case):
         qd[i, :] = pd[i, :] * ratio
 
     reserve = doc.get("reserve", 0.0)
-    if np.isscalar(reserve):
-        reserve = np.full(T, float(reserve) / base)
-    else:
-        if len(reserve) != T:
+    if isinstance(reserve, list):
+        if len(_numbers(reserve, "reserve")) != T:
             raise ValidationError("reserve length != horizon")
         reserve = np.asarray(reserve, dtype=float) / base
+    else:
+        reserve = np.full(T, float(_number(reserve, "reserve")) / base)
 
-    gdocs = doc.get("generators", {})
+    gdocs = _object(doc.get("generators", {}), "generators")
     unknown = set(gdocs) - {str(i + 1) for i in range(len(case.gens))}
     if unknown:
         raise ValidationError(f"unknown unit ids {sorted(unknown)}")
@@ -435,26 +481,30 @@ def load_uc_instance(text, case):
     condensers = []
     for gi, g in enumerate(case.gens):
         gname = str(gi + 1)
-        gd = gdocs.get(gname, {})
+        gd = _object(gdocs.get(gname, {}), f"unit {gname}")
         unknown = set(gd) - _UNIT_KEYS
         if unknown:
             raise ValidationError(
                 f"unit {gname}: unknown keys {sorted(unknown)}")
-        pmin = gd.get("pmin", g.pmin * base) / base
-        pmax = gd.get("pmax", g.pmax * base) / base
-        qmin = gd.get("qmin", g.qmin * base) / base
-        qmax = gd.get("qmax", g.qmax * base) / base
+
+        def num(key, default):
+            return _number(gd.get(key, default), f"unit {gname}: {key}")
+
+        pmin = num("pmin", g.pmin * base) / base
+        pmax = num("pmax", g.pmax * base) / base
+        qmin = num("qmin", g.qmin * base) / base
+        qmax = num("qmax", g.qmax * base) / base
         if pmax == 0.0 and pmin == 0.0:
             condensers.append(Condenser(bus=idx[g.bus], qmin=qmin, qmax=qmax))
             continue
-        su = gd.get("su", pmax * base) / base
-        sd = gd.get("sd", pmax * base) / base
-        ru = gd.get("ru", pmax * base) / base
-        rd = gd.get("rd", pmax * base) / base
-        tu = int(gd.get("min_up", 1))
-        td = int(gd.get("min_down", 1))
-        p_init = gd.get("p_init", 0.0) / base
-        init_status = int(gd.get("init_status", -max(td, 1)))
+        su = num("su", pmax * base) / base
+        sd = num("sd", pmax * base) / base
+        ru = num("ru", pmax * base) / base
+        rd = num("rd", pmax * base) / base
+        tu = int(num("min_up", 1))
+        td = int(num("min_down", 1))
+        p_init = num("p_init", 0.0) / base
+        init_status = int(num("init_status", -max(td, 1)))
         if tu < 1 or td < 1:
             raise ValidationError(f"unit {gname}: min up/down must be >= 1")
         if ru < 0 or rd < 0:
@@ -463,12 +513,14 @@ def load_uc_instance(text, case):
             raise ValidationError(
                 f"unit {gname}: SU/SD must lie within [Pmin, Pmax]")
         if "cost_segments" in gd:
-            segs = tuple((w / base, s * base) for w, s in gd["cost_segments"])
+            segs = tuple((w / base, s * base) for w, s in _numbers(
+                gd["cost_segments"], f"unit {gname}: cost_segments", 2))
         else:
             segs = _segments_from_poly(g)
         _validate_segments(segs, f"unit {gname}")
         tiers = tuple((int(h), float(c))
-                      for h, c in gd.get("startup_tiers", [[0, 0.0]]))
+                      for h, c in _numbers(gd.get("startup_tiers", [[0, 0.0]]),
+                                           f"unit {gname}: startup_tiers", 2))
         prev_h, prev_c = -1, -math.inf
         for h, c in tiers:
             if h <= prev_h or c < prev_c:
@@ -481,7 +533,7 @@ def load_uc_instance(text, case):
             qmin=qmin, qmax=qmax, su=su, sd=sd, ru=ru, rd=rd, tu=tu, td=td,
             p_init=p_init, init_status=init_status,
             cost_segments=segs,
-            no_load_cost=gd.get("no_load_cost", g.c0),
+            no_load_cost=num("no_load_cost", g.c0),
             startup_tiers=tiers,
         ))
 

@@ -13,6 +13,8 @@ rejected model, a failed ``run()`` and a non-finite "optimal".
 """
 
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +113,23 @@ def linprog(c, A, lo, hi, lb, ub, inst):
     return LPResult(0, np.array(h.getSolution().col_value), fun)
 
 
+def _run_off_stdout(h):
+    """``h.run()`` with file descriptor 1 on the null device. HiGHS 1.12's
+    MIP prints ``transformNewIntegerFeasibleSolution`` lines straight to
+    stdout whatever its log options say, and a caller's stdout may be data
+    (a JSON result, a schedule)."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, 1)
+        return h.run()
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(null)
+
+
 def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
     """One HiGHS branch-and-cut call: min c.x s.t. lo <= A x <= hi,
     lb <= x <= ub, x integral on ``bins``.
@@ -119,6 +138,7 @@ def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
     ``mip_rel_gap`` ``gap``, ``time_limit`` and ``mip_max_nodes``
     ``node_limit``. The point, objective, node count and dual bound are
     read from HiGHS; the point only when HiGHS holds a feasible one.
+    HiGHS runs with stdout pointed at the null device.
     """
     h = HighsInstance().highs
     h.setOptionValue("mip_rel_gap", float(gap))
@@ -127,7 +147,7 @@ def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
     kind = np.zeros(A.shape[1], np.int32)
     kind[np.asarray(bins, dtype=int)] = int(_highs.HighsVarType.kInteger)
     if (_pass_model(h, c, A, lo, hi, lb, ub, kind) == _ERROR
-            or h.run() == _ERROR):
+            or _run_off_stdout(h) == _ERROR):
         return MIPResult(4, None, math.nan, 0, -math.inf)
     info = h.getInfo()
     feasible = info.primal_solution_status == _highs.kSolutionStatusFeasible

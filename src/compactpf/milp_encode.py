@@ -80,6 +80,8 @@ def bound_box_from_network(net, inst=None):
     """Input box from voltage limits and angle-difference reachability;
     output bounds from UC engineering limits when an instance is given."""
     n, m = net.n, net.m
+    if inst is not None:
+        inst.check_load_rows(n)
     d_in, d_out = net.d_in, net.d_out
 
     # per-bus angle reach: cheapest sum of line angle-limit magnitudes

@@ -5,9 +5,19 @@ physics-based affine feedthrough plus a learned single-hidden-layer
 correction. A "direct" variant (no feedthrough) is kept as a baseline.
 Training uses in-repo mini-batched ADAM with manual backpropagation;
 the model is small enough that a learning framework buys nothing.
+
+With arrays of a few hundred entries, a training step costs numpy calls,
+not arithmetic. The trainer therefore holds the parameters, their
+gradient and their mask as one flat vector each, with w1, w2 and b as
+reshaped views, and ADAM's two moments as the rows of one (2, N) array:
+the backward pass writes into the gradient's views, and each elementwise
+step of the update is one call for all three arrays. Every operation
+keeps the rounding order of a per-array update, so the weights and
+curves are the same bytes as the textbook loop gives.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,37 +118,48 @@ class ErrorStats:
         return float(np.mean(self.direct_l1)) if self.direct_l1 is not None else None
 
 
-class _Adam:
-    def __init__(self, shapes, lr):
-        self.lr = lr
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
-
-    def step(self, grads):
-        self.t += 1
-        out = []
-        for k, g in enumerate(grads):
-            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
-            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
-            mh = self.m[k] / (1 - BETA1 ** self.t)
-            vh = self.v[k] / (1 - BETA2 ** self.t)
-            out.append(self.lr * mh / (np.sqrt(vh) + EPS))
-        return out
-
-
 def _train_core(X, R, w1, w2, b, mask1, mask2, cfg):
-    """Minimize ||R - relu(X w1 + b) w2'||^2 over mini-batches.
+    """Minimize ||R - relu(X w1 + b) w2'||^2 over mini-batches by ADAM.
 
     R is the residual target (Y for the direct model, Y - linear(X) for
-    the compact model). Returns trained parameters and the loss curve.
+    the compact model). The arguments are left as they are. Returns the
+    trained parameters, views of one flat vector (see the module
+    docstring), and the loss curve.
     """
     nsamp = X.shape[0]
     if nsamp == 0:
         raise ValidationError("empty training set")
     batch = min(cfg.batch, nsamp)
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam([w1.shape, w2.shape, b.shape], cfg.lr)
+
+    cut1, cut2 = w1.size, w1.size + w2.size
+
+    def views(flat):
+        return (flat[:cut1].reshape(w1.shape),
+                flat[cut1:cut2].reshape(w2.shape), flat[cut2:])
+
+    theta = np.concatenate([w1.ravel(), w2.ravel(), b])
+    mask = np.concatenate([mask1.ravel(), mask2.ravel(),
+                           np.ones(b.size, dtype=bool)])
+    grad = np.empty_like(theta)
+    w1, w2, b = views(theta)
+    gw1, gw2, gb = views(grad)
+    dz = np.empty((batch, b.size))
+    scale = 2.0 / (batch * R.shape[1])   # d(mean squared error)/d(err)
+    # ADAM's moments m and v are the rows of one array. Each elementwise
+    # operation keeps the order of the per-array update m = B1 m + (1-B1) g,
+    # v = B2 v + ((1-B2) g) g, update = (lr (m/c1)) / (sqrt(v/c2) + EPS),
+    # so the result is the same bit for bit.
+    moments = np.zeros((2, theta.size))
+    incr = np.empty_like(moments)
+    unbiased = np.empty_like(moments)
+    update, denom = unbiased             # rows: m/c1 and v/c2, in place
+    incr_v = incr[1]
+    decay = np.array([[BETA1], [BETA2]])
+    gain = np.array([[1 - BETA1], [1 - BETA2]])
+    correction = np.empty((2, 1))
+    c1c2 = correction.ravel()
+
     curve = []
     order = rng.permutation(nsamp)
     pos = 0
@@ -150,29 +171,39 @@ def _train_core(X, R, w1, w2, b, mask1, mask2, cfg):
         pos += batch
         Xb, Rb = X[sel], R[sel]
 
-        zhat = Xb @ w1 + b
+        zhat = Xb @ w1
+        zhat += b
         act = zhat > 0
         z = np.where(act, zhat, 0.0)
-        err = z @ w2.T - Rb
-        loss = float(np.mean(err ** 2))
-        if not np.isfinite(loss):
+        err = z @ w2.T
+        err -= Rb
+        loss = np.add.reduce(err * err, axis=None) / err.size
+        if not math.isfinite(loss):
             raise ValidationError(f"training diverged (NaN loss at step {step})")
         if step % LOG_EVERY == 0:
-            curve.append((step, loss))
+            curve.append((step, float(loss)))
 
-        g = (2.0 / err.size) * err
-        gw2 = g.T @ z
-        dz = (g @ w2) * act
-        gw1 = Xb.T @ dz
-        gb = dz.sum(axis=0)
-        gw1 *= mask1
-        gw2 *= mask2
-        dw1, dw2, db = opt.step([gw1, gw2, gb])
-        w1 -= dw1
-        w2 -= dw2
-        b -= db
-        w1 *= mask1
-        w2 *= mask2
+        err *= scale
+        np.matmul(err.T, z, out=gw2)
+        np.matmul(err, w2, out=dz)
+        dz *= act
+        np.matmul(Xb.T, dz, out=gw1)
+        np.add.reduce(dz, axis=0, out=gb)
+        grad *= mask
+
+        c1c2[0] = 1 - BETA1 ** (step + 1)
+        c1c2[1] = 1 - BETA2 ** (step + 1)
+        np.multiply(gain, grad, out=incr)
+        incr_v *= grad
+        moments *= decay
+        moments += incr
+        np.divide(moments, correction, out=unbiased)
+        update *= cfg.lr
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update /= denom
+        theta -= update
+        theta *= mask
     # final full-data loss
     z = np.maximum(X @ w1 + b, 0.0)
     curve.append((cfg.steps, float(np.mean((z @ w2.T - R) ** 2))))
@@ -195,7 +226,7 @@ def train_compact(X, Y, lin, rho, cfg, warm=None):
         raise ValidationError("dataset/linear-model dimension mismatch")
     rng = np.random.default_rng(cfg.seed)
     if warm is not None:
-        w1, w2, b = warm.w1.copy(), warm.w2.copy(), warm.b.copy()
+        w1, w2, b = warm.w1, warm.w2, warm.b
         m1, m2 = warm.mask1, warm.mask2
     else:
         w1 = rng.standard_normal((d_in, rho)) / np.sqrt(d_in)
@@ -225,7 +256,7 @@ def train_direct(X, Y, rho, cfg):
     b = np.zeros(rho)
     ones1 = np.ones_like(w1, dtype=bool)
     ones2 = np.ones_like(w2, dtype=bool)
-    w1, w2, b, curve = _train_core(X, Y.copy(), w1, w2, b, ones1, ones2, cfg)
+    w1, w2, b, curve = _train_core(X, Y, w1, w2, b, ones1, ones2, cfg)
     return DirectNNModel(w1=w1, w2=w2, b=b, training_curve=curve)
 
 

@@ -284,6 +284,7 @@ def _build_surrogate_uc(inst, net, box, name, encode):
     """The core UC plus, per period t, input variables over the box, the
     fragment ``encode(milp, x, t)`` over them, the box's angle and output
     constraints, and the balance and flow-limit rows."""
+    inst.check_load_rows(net.n)
     box = box or bound_box_from_network(net, inst)
     milp, ucv = build_core_uc(inst)
     milp.name = name
@@ -303,6 +304,7 @@ def build_dc_uc(inst, net):
     """Lossless DC UC: active power only, flow law p_ft = (th_f - th_t)/x."""
     if np.any(net.branch_x == 0.0):
         raise ValidationError("DC model requires nonzero branch reactance")
+    inst.check_load_rows(net.n)
     milp, ucv = build_core_uc(inst, reactive=False)
     milp.name = "dc_uc"
     n, m = net.n, net.m

@@ -167,6 +167,18 @@ def test_unknown_keys_rejected(case14, doc):
         load_uc_instance(doc, case14)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('[]', "UC instance: expected a JSON object, not list"),
+    ('{"generators": {"1": 5}}', "unit 1: expected a JSON object, not int"),
+    ('{"generators": {"1": {"pmin": "a"}}}',
+     "unit 1: pmin: expected a number, got 'a'"),
+], ids=["top_level_list", "unit_not_object", "pmin_string"])
+def test_malformed_values_rejected(case14, doc, message):
+    with pytest.raises(ValidationError) as e:
+        load_uc_instance(doc, case14)
+    assert str(e.value) == message
+
+
 def test_readme_instance_loads(case14):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## UC instance JSON", 1)[1]

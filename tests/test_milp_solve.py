@@ -5,7 +5,9 @@ import pytest
 
 from compactpf import milp_solve
 from compactpf.highs import LPResult, MIPResult
+from compactpf.milp_encode import tighten_bounds
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
+from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                                   export_mps, parse_mps, import_solution)
@@ -367,3 +369,16 @@ def test_rejected_model_is_error_not_infeasible():
     assert sol.status == "error"
     assert sol.x is None
     assert enumerate_binaries(m).status == "error"
+
+
+def test_highs_mip_prints_nothing_to_stdout(capfd, net14, lin14, box14):
+    # one of these fragment MILPs makes HiGHS 1.12 print
+    # "transformNewIntegerFeasibleSolution tmpSolver.run();" to stdout,
+    # whatever its log options say
+    rng = np.random.default_rng(9)
+    model = CompactPWLModel(
+        w1=rng.standard_normal((net14.d_in, 4)) / np.sqrt(net14.d_in),
+        w2=rng.standard_normal((net14.d_out, 4)) * 0.1,
+        b=rng.standard_normal(4) * 0.01, linear=lin14)
+    tighten_bounds(model, box14, mode="milp")
+    assert capfd.readouterr().out == ""

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from compactpf.case_ingest import UCGen, UCInstance
 from compactpf.jacobian import LinearPFModel
+from compactpf.milp_encode import bound_box_from_network, interval_bounds
 from compactpf.milp_model import GE
 from compactpf.milp_solve import solve_milp
+from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import (build_core_uc, build_nn_ac_uc,
                                   build_l_ac_uc, build_dc_uc,
                                   extract_schedule, schedule_to_json,
@@ -163,15 +167,33 @@ def test_l_ac_uc_solves(net14, inst4, lin14, box14):
 def test_nn_ac_uc_dimension_check(net14, inst4):
     lin = LinearPFModel(Jstar=np.zeros((3, 2)), rstar=np.zeros(3),
                         x0=np.zeros(2))
-    from compactpf.pwl_learner import CompactPWLModel
     bad = CompactPWLModel(w1=np.zeros((2, 1)), w2=np.zeros((3, 1)),
                           b=np.zeros(1), linear=lin)
     with pytest.raises(ValidationError):
         build_nn_ac_uc(inst4, net14, bad, None)
 
 
+@pytest.mark.parametrize("build", ["dc", "l", "l_box", "nn_box", "box"])
+def test_builders_reject_other_bus_count(net14, inst4, lin14, box14, build):
+    """An instance with a load row too few is rejected with the
+    dispatch-spec path's message, not a numpy error."""
+    bad = replace(inst4, pd=inst4.pd[:-1], qd=inst4.qd[:-1])
+    model = CompactPWLModel(w1=np.zeros((net14.d_in, 1)),
+                            w2=np.zeros((net14.d_out, 1)), b=np.zeros(1),
+                            linear=lin14)
+    calls = {
+        "dc": lambda: build_dc_uc(bad, net14),
+        "l": lambda: build_l_ac_uc(bad, net14, lin14),
+        "l_box": lambda: build_l_ac_uc(bad, net14, lin14, box=box14),
+        "nn_box": lambda: build_nn_ac_uc(
+            bad, net14, model, interval_bounds(model, box14), box=box14),
+        "box": lambda: bound_box_from_network(net14, bad),
+    }
+    with pytest.raises(ValidationError, match="13 load rows, network has 14"):
+        calls[build]()
+
+
 def test_dc_requires_reactance(net14, inst4):
-    from dataclasses import replace
     bad = replace(net14, branch_x=np.zeros(net14.m))
     with pytest.raises(ValidationError):
         build_dc_uc(inst4, bad)
