@@ -45,24 +45,15 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass
-class GenSetting:
-    """One generator's limits within a single period (schedule applied)."""
-    bus: int              # bus position
-    on: bool
-    pmin: float           # active floor while committed
-    cap_a: float          # p_delta + r <= cap_a
-    cap_b: float          # p_delta <= cap_b
-    q_lo: float
-    q_hi: float
-    cost_segments: tuple  # (width, slope) over p_delta
-    no_load_cost: float = 0.0
-
-
-@dataclass
 class DispatchSpec:
-    """Per-period continuous dispatch problem data."""
-    gens: list            # GenSetting, instance order
-    condensers: list      # (bus position, q_lo, q_hi)
+    """One period's continuous dispatch problem: the instance's units and
+    condensers, whose bus, limits and costs the SLP reads, and what the
+    schedule decides for the period."""
+    units: tuple          # UCGen, instance order (the instance's gens)
+    condensers: tuple     # Condenser, instance order
+    on: np.ndarray        # (G,) bool, committed in the period
+    cap_a: np.ndarray     # (G,) p_delta + r <= cap_a; 0 when off
+    cap_b: np.ndarray     # (G,) p_delta <= cap_b; 0 when off
     pd: np.ndarray        # (n,)
     qd: np.ndarray        # (n,)
     reserve: float = 0.0
@@ -93,27 +84,20 @@ def _period_spec(inst, t, on, su, sd_next):
     """DispatchSpec of period t: unit gi is committed when on[gi], starts up
     in t when su[gi] is 1 and shuts down in t + 1 when sd_next[gi] is 1;
     the startup/shutdown ramp caps enter as in the UC's cap rows."""
-    gens = []
-    for gi, g in enumerate(inst.gens):
-        if not on[gi]:
-            gens.append(GenSetting(bus=g.bus, on=False, pmin=0.0, cap_a=0.0,
-                                   cap_b=0.0, q_lo=0.0, q_hi=0.0,
-                                   cost_segments=g.cost_segments))
-            continue
+    on = np.array(on, dtype=bool)
+    cap_a, cap_b = np.zeros(inst.ngen), np.zeros(inst.ngen)
+    for gi in np.flatnonzero(on):
+        g = inst.gens[gi]
         span = g.pmax - g.pmin
         if g.tu >= 2:
             cap = (span - (g.pmax - g.su) * su[gi]
                    - (g.pmax - g.sd) * sd_next[gi])
-            cap_a = cap_b = max(cap, 0.0)
+            cap_a[gi] = cap_b[gi] = max(cap, 0.0)
         else:
-            cap_a = max(span - (g.pmax - g.su) * su[gi], 0.0)
-            cap_b = max(span - (g.pmax - g.sd) * sd_next[gi], 0.0)
-        gens.append(GenSetting(
-            bus=g.bus, on=True, pmin=g.pmin, cap_a=cap_a, cap_b=cap_b,
-            q_lo=g.qmin, q_hi=g.qmax, cost_segments=g.cost_segments,
-            no_load_cost=g.no_load_cost))
-    conds = [(c.bus, c.qmin, c.qmax) for c in inst.condensers]
-    return DispatchSpec(gens=gens, condensers=conds,
+            cap_a[gi] = max(span - (g.pmax - g.su) * su[gi], 0.0)
+            cap_b[gi] = max(span - (g.pmax - g.sd) * sd_next[gi], 0.0)
+    return DispatchSpec(units=inst.gens, condensers=inst.condensers, on=on,
+                        cap_a=cap_a, cap_b=cap_b,
                         pd=inst.pd[:, t].copy(), qd=inst.qd[:, t].copy(),
                         reserve=float(inst.reserve[t]))
 
@@ -130,8 +114,14 @@ class _SLPProblem:
     sth(2m); the cost epigraph variables of committed units follow all
     periods. Rows: per period the thermal rows (ft/tf interleaved per
     branch), the angle-difference rows, the capacity rows of committed
-    units and the reserve row; then the cost epigraph and ramp rows; last
-    the active and reactive balance rows of every period.
+    units and the reserve row; then the cost epigraph rows and, with
+    ``ramps``, the ramp rows; last the active and reactive balance rows of
+    every period.
+
+    The units' bus, pmin, reactive limits, cost segments, no-load cost and
+    ramps are read from the specs' ``units`` and ``condensers`` (one
+    instance's, shared by every period); each period's spec adds which
+    units are committed and their capacity caps.
 
     Everything that does not depend on the iterate is laid out once here.
     ``linearize`` refreshes the Jacobian entries (balance and thermal rows)
@@ -141,11 +131,12 @@ class _SLPProblem:
     stored dense, so HiGHS sees one model whichever way it was built.
     """
 
-    def __init__(self, net, specs, units):
+    def __init__(self, net, specs, ramps):
         self.net = net
         self.T = T = len(specs)
         n, m = net.n, net.m
-        G, C = len(specs[0].gens), len(specs[0].condensers)
+        units, conds = specs[0].units, specs[0].condensers
+        G, C = len(units), len(conds)
         self.nonref = np.array([b for b in range(n) if b != net.ref])
         per = (2 * n - 1) + 3 * G + C + 4 * n + 2 * m
         base = per * np.arange(T)[:, None]
@@ -161,17 +152,24 @@ class _SLPProblem:
         dth_of = np.full(n, -1)
         dth_of[self.nonref] = np.arange(n - 1)   # bus -> dth position
 
-        cost_cols = []   # (t, gi, column) of each cost epigraph variable
-        for t, spec in enumerate(specs):
-            for gi, gs in enumerate(spec.gens):
-                if gs.on and gs.cost_segments:
-                    cost_cols.append((t, gi, per * T + len(cost_cols)))
+        on = np.array([spec.on for spec in specs])     # (T, G)
+        self.on_at = np.nonzero(on)                    # (period, unit)
+        # (period, unit) of each cost epigraph variable, in column order
+        cost_cols = [(t, gi) for t, gi in zip(*self.on_at)
+                     if units[gi].cost_segments]
         nvar = per * T + len(cost_cols)
         self.c = np.zeros(nvar)
         self.c[slack.ravel()] = SLACK_PENALTY
         self.c[per * T:] = 1.0
         self.lb = np.zeros(nvar)
         self.ub = np.full(nvar, np.inf)
+        # an off unit's p_delta, r and q are fixed at 0
+        self.ub[self.pd] = [spec.cap_b for spec in specs]
+        self.ub[self.r] = np.where(on, np.inf, 0.0)
+        self.lb[self.q] = np.where(on, [g.qmin for g in units], 0.0)
+        self.ub[self.q] = np.where(on, [g.qmax for g in units], 0.0)
+        self.lb[self.qsc] = [c.qmin for c in conds]
+        self.ub[self.qsc] = [c.qmax for c in conds]
 
         rows, cols, vals, hi = [], [], [], []
 
@@ -195,29 +193,20 @@ class _SLPProblem:
                 self.ang_rows[t, 2 * k] = row(ends)
                 self.ang_rows[t, 2 * k + 1] = row(
                     [(col, -val) for col, val in ends])
-            for gi, gs in enumerate(spec.gens):
-                if not gs.on:
-                    self.ub[[self.pd[t, gi], self.r[t, gi],
-                             self.q[t, gi]]] = 0.0
-                    continue
-                self.ub[self.pd[t, gi]] = gs.cap_b
-                self.lb[self.q[t, gi]] = gs.q_lo
-                self.ub[self.q[t, gi]] = gs.q_hi
-                row([(self.pd[t, gi], 1.0), (self.r[t, gi], 1.0)], gs.cap_a)
-            for ci, (_, qlo, qhi) in enumerate(spec.condensers):
-                self.lb[self.qsc[t, ci]] = qlo
-                self.ub[self.qsc[t, ci]] = qhi
+            for gi in np.flatnonzero(spec.on).tolist():
+                row([(self.pd[t, gi], 1.0), (self.r[t, gi], 1.0)],
+                    spec.cap_a[gi])
             if spec.reserve > 0.0:
                 row([(col, -1.0) for col in self.r[t]], -spec.reserve)
         # convex piecewise cost by its epigraph: cost_g >= each segment line
-        for t, gi, cv in cost_cols:
+        for cv, (t, gi) in enumerate(cost_cols, start=per * T):
             acc_w, acc_c = 0.0, 0.0
-            for width, slope in specs[t].gens[gi].cost_segments:
+            for width, slope in units[gi].cost_segments:
                 row([(self.pd[t, gi], slope), (cv, -1.0)],
                     slope * acc_w - acc_c)
                 acc_c += slope * width
                 acc_w += width
-        if units is not None:
+        if ramps:
             for t in range(T):
                 for gi, g in enumerate(units):
                     cur, res = self.pd[t, gi], self.r[t, gi]
@@ -232,21 +221,20 @@ class _SLPProblem:
         self.p_rows = np.zeros((T, n), dtype=int)
         self.q_rows = np.zeros((T, n), dtype=int)
         for t, spec in enumerate(specs):
-            on = [gi for gi, gs in enumerate(spec.gens) if gs.on]
+            on_t = np.flatnonzero(spec.on).tolist()
             for b in range(n):
                 self.p_rows[t, b] = row(
-                    [(self.pd[t, gi], -1.0) for gi in on
-                     if spec.gens[gi].bus == b]
+                    [(self.pd[t, gi], -1.0) for gi in on_t
+                     if units[gi].bus == b]
                     + [(spp[t, b], -1.0), (spm[t, b], 1.0)])
             for b in range(n):
                 self.q_rows[t, b] = row(
-                    [(self.q[t, gi], -1.0) for gi in on
-                     if spec.gens[gi].bus == b]
+                    [(self.q[t, gi], -1.0) for gi in on_t
+                     if units[gi].bus == b]
                     + [(self.qsc[t, ci], -1.0)
-                       for ci, (cb, _, _) in enumerate(spec.condensers)
-                       if cb == b]
+                       for ci, c in enumerate(conds) if c.bus == b]
                     + [(sqp[t, b], -1.0), (sqm[t, b], 1.0)])
-        self._index_units(specs)
+        self._index_units(units, conds)
         self.shape = (len(hi), nvar)
         self.hi = np.array(hi)
         self.lo = np.full(len(hi), -np.inf)
@@ -271,28 +259,24 @@ class _SLPProblem:
         self.rows = rows[self.order].astype(np.int32)
         self.cols = cols[self.order]
 
-    def _index_units(self, specs):
+    def _index_units(self, units, conds):
         """Index arrays of the units of every period, in period-major
-        instance order: the committed generators (their period, position,
-        bus, pmin and padded cost segments), every generator's bus and
-        every condenser's bus, for the balance and cost arithmetic."""
-        T, G = self.T, len(specs[0].gens)
-        gens = [gs for spec in specs for gs in spec.gens]
-        on = np.array([gs.on for gs in gens]).reshape(T, G)
-        bus = np.array([gs.bus for gs in gens], dtype=int).reshape(T, G)
-        self.on_at = np.nonzero(on)                    # (period, unit)
-        self.p_gen_at = (self.on_at[0], bus[on])       # (period, bus)
-        self.p_gen_min = np.array([gs.pmin for gs in gens])[on.ravel()]
+        instance order: the committed generators (their bus, pmin and
+        padded cost segments), every generator's bus and every condenser's
+        bus, for the balance and cost arithmetic."""
+        T, G, C = self.T, len(units), len(conds)
+        g_on = self.on_at[1]
+        bus = np.array([g.bus for g in units], dtype=int)
+        self.p_gen_at = (self.on_at[0], bus[g_on])     # (period, bus)
+        self.p_gen_min = np.array([g.pmin for g in units])[g_on]
         t_all, g_all = np.indices((T, G)).reshape(2, -1)
-        self.q_gen_at = (t_all, bus.ravel())
+        self.q_gen_at = (t_all, bus[g_all])
         self.q_gen_of = (g_all, t_all)
-        C = len(specs[0].condensers)
-        cbus = np.array([[c[0] for c in spec.condensers] for spec in specs],
-                        dtype=int).reshape(T, C)
+        cbus = np.array([c.bus for c in conds], dtype=int)
         t_c, c_all = np.indices((T, C)).reshape(2, -1)
-        self.q_sc_at = (t_c, cbus.ravel())
+        self.q_sc_at = (t_c, cbus[c_all])
         self.q_sc_of = (c_all, t_c)
-        segs = [gs.cost_segments for gs in gens if gs.on]
+        segs = [units[gi].cost_segments for gi in g_on]
         k = max((len(seg) for seg in segs), default=0)
         self.seg_w = np.zeros((len(segs), k))
         self.seg_slope = np.zeros((len(segs), k))
@@ -300,7 +284,7 @@ class _SLPProblem:
             for j, (width, slope) in enumerate(seg):
                 self.seg_w[i, j], self.seg_slope[i, j] = width, slope
         self.seg_start = np.cumsum(self.seg_w, axis=1) - self.seg_w
-        self.no_load = sum(gs.no_load_cost for gs in gens if gs.on)
+        self.no_load = sum(units[gi].no_load_cost for gi in g_on)
 
     def evaluate(self, v, theta):
         """The exact power flow of every period at (v, theta)."""
@@ -414,11 +398,13 @@ class _SLPProblem:
         return lo2, hi2, lb2, ub2
 
 
-def _solve_slp(net, specs, units=None):
+def _solve_slp(net, specs, ramps=False):
     """Shared single/multi-period SLP core, started flat, minimizing cost.
 
-    Given the instance's ``units``, ramp rows ``ru``/``rd`` couple the
-    periods, the first to the pre-horizon output ``p_delta_init``.
+    ``specs`` holds one DispatchSpec per period, all over one instance's
+    units, whose limits, costs and buses the LP reads. With ``ramps``, the
+    units' ramp rows ``ru``/``rd`` couple the periods, the first to the
+    pre-horizon output ``p_delta_init``.
 
     Each point is evaluated once: the flat start, and the trial point of
     every optimal LP, whose evaluation serves its merit, its second-order
@@ -439,7 +425,7 @@ def _solve_slp(net, specs, units=None):
     T = len(specs)
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
-    lp = _SLPProblem(net, specs, units)
+    lp = _SLPProblem(net, specs, ramps)
     highs = HighsInstance()
 
     def trial(dv_, dth_, pdel_, qg_, qsc_):
@@ -565,10 +551,8 @@ def check_schedule_logic(inst, y, u, w):
     Returns a list of violation strings (empty when the schedule is
     logically valid).
     """
-    y = np.asarray(y)
-    u = np.asarray(u)
-    w = np.asarray(w)
-    G, T = y.shape
+    y, u, w = (np.asarray(a) for a in (y, u, w))
+    T = y.shape[1]
     problems = []
     for gi, g in enumerate(inst.gens):
         hist = g.init_status
@@ -646,10 +630,10 @@ def commitment_cost(inst, y, u, w):
 
 
 def production_cost(inst, p_delta):
+    """Cost of the (G, T) output above Pmin on the units' segments."""
     total = 0.0
     for gi, g in enumerate(inst.gens):
-        for t in range(inst.horizon if p_delta.ndim > 1 else 1):
-            rem = p_delta[gi, t] if p_delta.ndim > 1 else p_delta[gi]
+        for rem in p_delta[gi]:
             for width, slope in g.cost_segments:
                 take = min(max(rem, 0.0), width)
                 total += slope * take
@@ -661,22 +645,26 @@ def specs_from_schedule(net, inst, y, u, w):
     """Per-period DispatchSpecs with the commitment binaries substituted
     into the generation limit constraints."""
     inst.check_load_rows(net.n)
-    G, T = np.asarray(y).shape
-    return [_period_spec(inst, t,
-                         [bool(y[gi][t]) for gi in range(G)],
-                         [u[gi][t] for gi in range(G)],
-                         [w[gi][t + 1] if t + 1 < T else 0 for gi in range(G)])
-            for t in range(T)]
+    y, u, w = (np.asarray(a) for a in (y, u, w))
+    sd_next = np.pad(w[:, 1:], ((0, 0), (0, 1)))
+    return [_period_spec(inst, t, y[:, t], u[:, t], sd_next[:, t])
+            for t in range(y.shape[1])]
 
 
 def mtp_acopf_check(net, inst, sched):
     """Multi-time-period AC-OPF feasibility oracle for a fixed schedule.
 
-    The schedule's binary logic is checked first; a logic violation is
-    rejected with a diagnostic (ValidationError), which is distinct from
-    an AC infeasibility verdict.
+    The schedule's shape and binary logic are checked first: a schedule
+    that is not (units, horizon) of ``inst`` or violates the commitment
+    logic is rejected with a diagnostic (ValidationError), which is
+    distinct from an AC infeasibility verdict.
     """
     y, u, w = sched.y, sched.u, sched.w
+    want = (inst.ngen, inst.horizon)
+    for name, a in (("y", y), ("u", u), ("w", w)):
+        if np.shape(a) != want:
+            raise ValidationError(f"schedule {name} has shape "
+                                  f"{np.shape(a)}, instance needs {want}")
     problems = check_schedule_logic(inst, y, u, w)
     if problems:
         raise ValidationError(
@@ -685,7 +673,7 @@ def mtp_acopf_check(net, inst, sched):
     specs = specs_from_schedule(net, inst, y, u, w)
     try:
         verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
-            net, specs, units=inst.gens)
+            net, specs, ramps=True)
     except InfeasibleError:
         return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
                                  objective=math.nan, iterations=0)

@@ -388,6 +388,14 @@ def _number(value, label):
     return value
 
 
+def _integer(value, label):
+    """``value`` as an int if it is an integral JSON number (``4`` or
+    ``4.0``), else ValidationError."""
+    if not float(_number(value, label)).is_integer():
+        raise ValidationError(f"{label}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _numbers(value, label, width=None):
     """``value`` if it is a JSON list of numbers, or with ``width`` a list
     of lists of ``width`` numbers, else ValidationError."""
@@ -430,7 +438,7 @@ def load_uc_instance(text, case):
         raise ValidationError(f"UC instance: unknown keys {sorted(unknown)}")
 
     base = case.base_mva
-    T = int(_number(doc.get("horizon", 24), "horizon"))
+    T = _integer(doc.get("horizon", 24), "horizon")
     if T < 1:
         raise ValidationError("horizon must be >= 1")
     n = case.n
@@ -487,8 +495,8 @@ def load_uc_instance(text, case):
             raise ValidationError(
                 f"unit {gname}: unknown keys {sorted(unknown)}")
 
-        def num(key, default):
-            return _number(gd.get(key, default), f"unit {gname}: {key}")
+        def num(key, default, kind=_number):
+            return kind(gd.get(key, default), f"unit {gname}: {key}")
 
         pmin = num("pmin", g.pmin * base) / base
         pmax = num("pmax", g.pmax * base) / base
@@ -501,10 +509,10 @@ def load_uc_instance(text, case):
         sd = num("sd", pmax * base) / base
         ru = num("ru", pmax * base) / base
         rd = num("rd", pmax * base) / base
-        tu = int(num("min_up", 1))
-        td = int(num("min_down", 1))
+        tu = num("min_up", 1, _integer)
+        td = num("min_down", 1, _integer)
         p_init = num("p_init", 0.0) / base
-        init_status = int(num("init_status", -max(td, 1)))
+        init_status = num("init_status", -max(td, 1), _integer)
         if tu < 1 or td < 1:
             raise ValidationError(f"unit {gname}: min up/down must be >= 1")
         if ru < 0 or rd < 0:
@@ -518,9 +526,9 @@ def load_uc_instance(text, case):
         else:
             segs = _segments_from_poly(g)
         _validate_segments(segs, f"unit {gname}")
-        tiers = tuple((int(h), float(c))
-                      for h, c in _numbers(gd.get("startup_tiers", [[0, 0.0]]),
-                                           f"unit {gname}: startup_tiers", 2))
+        label = f"unit {gname}: startup_tiers"
+        tiers = tuple((_integer(h, label), float(c)) for h, c in
+                      _numbers(gd.get("startup_tiers", [[0, 0.0]]), label, 2))
         prev_h, prev_c = -1, -math.inf
         for h, c in tiers:
             if h <= prev_h or c < prev_c:

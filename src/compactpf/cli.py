@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import harness, jacobian
+from .harness import ExperimentConfig
 from .ac_solver import mtp_acopf_check
 from .data_factory import (MAX_ALTERATION, SamplerConfig, LoadScheme,
                            collect_dataset, dump_dataset, load_dataset)
@@ -153,7 +154,7 @@ def _generate_schemes(per_kind, seed):
 
 
 def cmd_experiment(args):
-    cfg = harness.ExperimentConfig(
+    cfg = ExperimentConfig(
         case_path=args.case, uc_path=args.uc,
         sample_uc_path=args.sample_uc, derate=args.derate,
         rho=args.rho,
@@ -184,10 +185,10 @@ def cmd_report(args):
 
 
 def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=2.5e-4)
-    p.add_argument("--batch", type=int, default=75)
-    p.add_argument("--steps", type=int, default=75000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def main(argv=None):
@@ -199,16 +200,18 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="generate a feasible power-flow dataset")
     _add_system_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--combos-per-gen", type=int, default=2)
-    p.add_argument("--min-samples", type=int, default=1)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--combos-per-gen", type=int,
+                   default=SamplerConfig.combos_per_gen)
+    p.add_argument("--min-samples", type=int,
+                   default=SamplerConfig.min_samples)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("train", help="train the compact PWL surrogate")
     _add_system_args(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--rho", type=int, default=8)
+    p.add_argument("--rho", type=int, default=ExperimentConfig.rho)
     _add_train_flags(p)
     p.add_argument("--dump-jacobian", metavar="FILE",
                    help="write the linearization Jacobian as text")
@@ -222,7 +225,7 @@ def main(argv=None):
     p.add_argument("--target", type=float, action="append", required=True,
                    help="sparsity fraction; repeat for a schedule")
     p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
-                   default="lp")
+                   default=ExperimentConfig.bound_mode)
     _add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)
@@ -234,14 +237,16 @@ def main(argv=None):
                        required=True)
         p.add_argument("--model", help="trained model JSON (nn formulation)")
         p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
-                       default="lp")
+                       default=ExperimentConfig.bound_mode)
         p.add_argument("--out", required=True)
         if name == "build":
             p.add_argument("--stats", action="store_true",
                            help="print model size statistics")
         else:
-            p.add_argument("--gap", type=float, default=0.01)
-            p.add_argument("--time-budget", type=float, default=600.0)
+            p.add_argument("--gap", type=float,
+                           default=ExperimentConfig.gap_target)
+            p.add_argument("--time-budget", type=float,
+                           default=ExperimentConfig.time_budget)
             p.add_argument("--node-budget", type=int, default=200000)
         p.set_defaults(func=fn)
 
@@ -255,16 +260,18 @@ def main(argv=None):
     _add_system_args(p)
     p.add_argument("--sample-uc", default=None,
                    help="richer UC instance used only for sampling/training")
-    p.add_argument("--rho", type=int, default=8)
-    p.add_argument("--steps", type=int, default=75000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--combos-per-gen", type=int, default=2)
+    p.add_argument("--rho", type=int, default=ExperimentConfig.rho)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--combos-per-gen", type=int,
+                   default=SamplerConfig.combos_per_gen)
     p.add_argument("--scenarios-per-scheme", type=int, default=1)
     p.add_argument("--formulations", default=",".join(harness.FORMULATIONS))
     p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
-                   default="lp")
-    p.add_argument("--gap", type=float, default=0.01)
-    p.add_argument("--time-budget", type=float, default=600.0)
+                   default=ExperimentConfig.bound_mode)
+    p.add_argument("--gap", type=float, default=ExperimentConfig.gap_target)
+    p.add_argument("--time-budget", type=float,
+                   default=ExperimentConfig.time_budget)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

@@ -1,4 +1,4 @@
-"""End-to-end experiment harness: sample -> train -> compress -> build ->
+"""End-to-end experiment harness: sample -> train -> bound -> build ->
 solve -> verify, swept over load-alteration scenarios and formulations.
 
 The pipeline stages are written here once: ``load_system``,
@@ -24,7 +24,7 @@ from . import case_ingest, grid_model, jacobian
 from .ac_solver import slp_acopf, mtp_acopf_check, make_dispatch_spec
 from .data_factory import SamplerConfig, LoadScheme, collect_dataset, \
     apply_load_scheme
-from .pwl_learner import TrainConfig, train_compact, sparsify_retrain
+from .pwl_learner import TrainConfig, train_compact
 from .milp_encode import bound_box_from_network, interval_bounds, \
     tighten_bounds, prune
 from .milp_solve import solve_milp
@@ -48,7 +48,6 @@ class ExperimentConfig:
     rho: int = 8
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    compression: tuple = ()          # successive sparsity targets
     schemes: tuple = ()              # LoadScheme per scenario; empty = base
     formulations: tuple = FORMULATIONS
     bound_mode: str = "lp"           # one of BOUND_MODES
@@ -135,10 +134,7 @@ def prepare_models(cfg):
 
     lin = base_linearization(net, inst_s)
     ds = collect_dataset(net, inst_s, cfg.sampler, seed=cfg.seed)
-    Xtr, Ytr = ds.train
-    model = train_compact(Xtr, Ytr, lin, cfg.rho, cfg.train)
-    for target in cfg.compression:
-        model = sparsify_retrain(model, Xtr, Ytr, target, cfg.train)
+    model = train_compact(*ds.train, lin, cfg.rho, cfg.train)
 
     box = bound_box_from_network(net, inst)
     return {"net": net, "inst": inst, "lin": lin, "model": model, "box": box,

@@ -27,16 +27,16 @@ def test_slp_acopf_hour1(net14, inst24):
     # nonlinear balance: injections equal generation minus load
     p_bus = -inst24.pd[:, 0].copy()
     q_bus = -inst24.qd[:, 0].copy()
-    for gs, pdel, q in zip(spec.gens, dispatch["p_delta"], dispatch["q"]):
-        p_bus[gs.bus] += gs.pmin + pdel
-        q_bus[gs.bus] += q
-    for (bus, _, _), q in zip(spec.condensers, dispatch["q_sc"]):
-        q_bus[bus] += q
+    for g, pdel, q in zip(spec.units, dispatch["p_delta"], dispatch["q"]):
+        p_bus[g.bus] += g.pmin + pdel
+        q_bus[g.bus] += q
+    for c, q in zip(spec.condensers, dispatch["q_sc"]):
+        q_bus[c.bus] += q
     assert np.max(np.abs(op.p_inj - p_bus)) < 1e-6
     assert np.max(np.abs(op.q_inj - q_bus)) < 1e-6
     # production covers load plus (nonnegative) losses
-    total_gen = sum(gs.pmin + d for gs, d in zip(spec.gens,
-                                                 dispatch["p_delta"]))
+    total_gen = sum(g.pmin + d for g, d in zip(spec.units,
+                                               dispatch["p_delta"]))
     assert total_gen >= inst24.pd[:, 0].sum() - 1e-6
     assert dispatch["cost"] > 0
 
@@ -46,8 +46,8 @@ def test_slp_reserve_honored(net14, inst24):
     spec.reserve = 0.3
     _, dispatch = slp_acopf(net14, spec)
     assert np.sum(dispatch["r"]) >= 0.3 - 1e-6
-    for gs, d, r in zip(spec.gens, dispatch["p_delta"], dispatch["r"]):
-        assert d + r <= gs.cap_a + 1e-8
+    for cap, d, r in zip(spec.cap_a, dispatch["p_delta"], dispatch["r"]):
+        assert d + r <= cap + 1e-8
 
 
 def test_slp_infeasible_when_all_units_off(net14, inst24):
@@ -70,8 +70,11 @@ def test_dispatch_spec_is_schedule_hour(net14, inst24, off):
     for hour in range(T):
         got = make_dispatch_spec(net14, inst24, hour, off=off)
         want = specs[hour]
-        assert got.gens == want.gens
-        assert got.condensers == want.condensers
+        assert np.array_equal(got.on, want.on)
+        assert np.array_equal(got.cap_a, want.cap_a)
+        assert np.array_equal(got.cap_b, want.cap_b)
+        assert got.units is want.units
+        assert got.condensers is want.condensers
         assert np.array_equal(got.pd, want.pd)
         assert np.array_equal(got.qd, want.qd)
         assert got.reserve == want.reserve
@@ -87,6 +90,20 @@ def test_dispatch_specs_reject_other_bus_count(net14, inst4):
         make_dispatch_spec(net14, bad, 0)
     with pytest.raises(ValidationError, match="load rows"):
         specs_from_schedule(net14, bad, y, zero, zero)
+
+
+def test_dispatch_specs_share_the_instance_units(net14, inst4):
+    """Every spec holds the instance's own units and condensers; an off
+    unit has no capacity."""
+    y, u, w = _all_on_schedule(inst4)
+    y[2], u[2] = 0, 0
+    specs = specs_from_schedule(net14, inst4, y, u, w)
+    specs.append(make_dispatch_spec(net14, inst4, 1, off=(2,)))
+    for spec in specs:
+        assert spec.units is inst4.gens
+        assert spec.condensers is inst4.condensers
+        assert not spec.on[2]
+        assert spec.cap_a[2] == spec.cap_b[2] == 0.0
 
 
 def _all_on_schedule(inst):
@@ -189,6 +206,32 @@ def test_mtp_check_rejects_bad_logic(net14, inst4):
         mtp_acopf_check(net14, inst4, sched)
 
 
+def _check_shape(net, inst, y, u, w):
+    with pytest.raises(ValidationError, match="shape"):
+        mtp_acopf_check(net, inst, SimpleNamespace(y=y, u=u, w=w))
+
+
+def test_mtp_check_rejects_short_horizon(net14, inst4, inst24):
+    """A 4-h schedule does not pass as an audit of 24 hours."""
+    _check_shape(net14, inst24, *_all_on_schedule(inst4))
+
+
+def test_mtp_check_rejects_long_horizon(net14, inst4):
+    y, u, w = (np.pad(a, ((0, 0), (0, 26))) for a in _all_on_schedule(inst4))
+    y[:] = 1
+    _check_shape(net14, inst4, y, u, w)
+
+
+def test_mtp_check_rejects_extra_unit(net14, inst4):
+    y, u, w = (np.vstack([a, a[:1]]) for a in _all_on_schedule(inst4))
+    _check_shape(net14, inst4, y, u, w)
+
+
+def test_mtp_check_rejects_missing_unit(net14, inst4):
+    y, u, w = (a[:-1] for a in _all_on_schedule(inst4))
+    _check_shape(net14, inst4, y, u, w)
+
+
 def test_mtp_check_all_on_feasible(net14, inst4):
     y, u, w = _all_on_schedule(inst4)
     report = mtp_acopf_check(net14, inst4, SimpleNamespace(y=y, u=u, w=w))
@@ -216,7 +259,7 @@ class _Captured(Exception):
     pass
 
 
-def _first_lp(monkeypatch, net, specs, units):
+def _first_lp(monkeypatch, net, specs, ramps):
     """The LP of the SLP's first iterate, as it is handed to HiGHS."""
     seen = {}
 
@@ -226,7 +269,7 @@ def _first_lp(monkeypatch, net, specs, units):
 
     monkeypatch.setattr(ac_solver, "linprog", capture)
     with pytest.raises(_Captured):
-        ac_solver._solve_slp(net, specs, units=units)
+        ac_solver._solve_slp(net, specs, ramps=ramps)
     return seen
 
 
@@ -235,7 +278,8 @@ def _reference_lp(net, specs, ramps, radius):
     time: thermal, angle, capacity and reserve rows per period, then cost
     epigraph and ramp rows, then the balance rows of every period."""
     T, n, m = len(specs), net.n, net.m
-    G, C = len(specs[0].gens), len(specs[0].condensers)
+    units, conds = specs[0].units, specs[0].condensers
+    G, C = len(units), len(conds)
     nonref = [b for b in range(n) if b != net.ref]
     off, per = {}, 0
     for name, size in (("dv", n), ("dth", n - 1), ("pd", G), ("r", G),
@@ -249,8 +293,8 @@ def _reference_lp(net, specs, ramps, radius):
 
     cost_col = {}
     for t, spec in enumerate(specs):
-        for gi, gs in enumerate(spec.gens):
-            if gs.on and gs.cost_segments:
+        for gi, g in enumerate(units):
+            if spec.on[gi] and g.cost_segments:
                 cost_col[t, gi] = per * T + len(cost_col)
     nvar = per * T + len(cost_col)
 
@@ -284,16 +328,16 @@ def _reference_lp(net, specs, ramps, radius):
             ub_rows.append((row, net.theta_max[k]))
             ub_rows.append(({c: -x for c, x in row.items()},
                             -net.theta_min[k]))
-        for gi, gs in enumerate(spec.gens):
-            if gs.on:
+        for gi in range(G):
+            if spec.on[gi]:
                 ub_rows.append(({col(t, "pd", gi): 1.0,
-                                 col(t, "r", gi): 1.0}, gs.cap_a))
+                                 col(t, "r", gi): 1.0}, spec.cap_a[gi]))
         if spec.reserve > 0.0:
             ub_rows.append(({col(t, "r", gi): -1.0 for gi in range(G)},
                             -spec.reserve))
     for (t, gi), cv in cost_col.items():
         acc_w = acc_c = 0.0
-        for width, slope in specs[t].gens[gi].cost_segments:
+        for width, slope in units[gi].cost_segments:
             ub_rows.append(({col(t, "pd", gi): slope, cv: -1.0},
                             slope * acc_w - acc_c))
             acc_c += slope * width
@@ -315,20 +359,20 @@ def _reference_lp(net, specs, ramps, radius):
         for b in range(n):
             row = jac_row(t, Jpq[b])
             rhs = -op.p_inj[b] - spec.pd[b]
-            for gi, gs in enumerate(spec.gens):
-                if gs.on and gs.bus == b:
+            for gi, g in enumerate(units):
+                if spec.on[gi] and g.bus == b:
                     row[col(t, "pd", gi)] = -1.0
-                    rhs += gs.pmin
+                    rhs += g.pmin
             row[col(t, "spp", b)] = -1.0
             row[col(t, "spm", b)] = 1.0
             eq_rows.append((row, rhs))
         for b in range(n):
             row = jac_row(t, Jpq[n + b])
-            for gi, gs in enumerate(spec.gens):
-                if gs.on and gs.bus == b:
+            for gi, g in enumerate(units):
+                if spec.on[gi] and g.bus == b:
                     row[col(t, "q", gi)] = -1.0
-            for ci, (cb, _, _) in enumerate(spec.condensers):
-                if cb == b:
+            for ci, cond in enumerate(conds):
+                if cond.bus == b:
                     row[col(t, "qsc", ci)] = -1.0
             row[col(t, "sqp", b)] = -1.0
             row[col(t, "sqm", b)] = 1.0
@@ -352,13 +396,14 @@ def _reference_lp(net, specs, ramps, radius):
         ub[dv] = np.minimum(net.vmax - v, radius)
         dth = slice(col(t, "dth", 0), col(t, "dth", n - 1))
         lb[dth], ub[dth] = -radius, radius
-        for gi, gs in enumerate(spec.gens):
-            ub[col(t, "pd", gi)] = gs.cap_b if gs.on else 0.0
-            ub[col(t, "r", gi)] = np.inf if gs.on else 0.0
-            lb[col(t, "q", gi)] = gs.q_lo if gs.on else 0.0
-            ub[col(t, "q", gi)] = gs.q_hi if gs.on else 0.0
-        for ci, (_, qlo, qhi) in enumerate(spec.condensers):
-            lb[col(t, "qsc", ci)], ub[col(t, "qsc", ci)] = qlo, qhi
+        for gi, g in enumerate(units):
+            ub[col(t, "pd", gi)] = spec.cap_b[gi] if spec.on[gi] else 0.0
+            ub[col(t, "r", gi)] = np.inf if spec.on[gi] else 0.0
+            lb[col(t, "q", gi)] = g.qmin if spec.on[gi] else 0.0
+            ub[col(t, "q", gi)] = g.qmax if spec.on[gi] else 0.0
+        for ci, cond in enumerate(conds):
+            lb[col(t, "qsc", ci)] = cond.qmin
+            ub[col(t, "qsc", ci)] = cond.qmax
         c[col(t, "spp", 0):col(t, "sth", 2 * m)] = ac_solver.SLACK_PENALTY
     c[per * T:] = 1.0
     return dict(c=c, A=A, lo=lo, hi=hi, lb=lb, ub=ub)
@@ -375,7 +420,7 @@ def _inst4_ramps(inst):
 def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
     specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
     assert inst4.condensers and all(s.reserve > 0 for s in specs)
-    got = _first_lp(monkeypatch, net14, specs, inst4.gens)
+    got = _first_lp(monkeypatch, net14, specs, True)
     ref = _reference_lp(net14, specs, _inst4_ramps(inst4),
                         ac_solver.INITIAL_RADIUS)
     for key in ("c", "lo", "hi", "lb", "ub"):
@@ -394,7 +439,7 @@ def test_slp_lp_matches_row_reference(monkeypatch, net14, inst4, hours, off):
 def test_linprog_cold_solve_matches_milp(monkeypatch, net14, inst4, hours,
                                          off):
     specs = [make_dispatch_spec(net14, inst4, h, off=off) for h in hours]
-    lp = _first_lp(monkeypatch, net14, specs, inst4.gens)
+    lp = _first_lp(monkeypatch, net14, specs, True)
     args = [lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub")]
     got = linprog(*args, HighsInstance())
     ref = milp(lp["c"], constraints=LinearConstraint(lp["A"], lp["lo"],
@@ -407,7 +452,7 @@ def test_linprog_cold_solve_matches_milp(monkeypatch, net14, inst4, hours,
 
 def test_linprog_warm_resolve_matches_cold_milp(monkeypatch, net14, inst4):
     specs = [make_dispatch_spec(net14, inst4, h) for h in (0, 1)]
-    lp = _first_lp(monkeypatch, net14, specs, inst4.gens)
+    lp = _first_lp(monkeypatch, net14, specs, True)
     c, A, lo, hi, lb, ub = (lp[k] for k in ("c", "A", "lo", "hi", "lb", "ub"))
     inst = HighsInstance()
     assert linprog(c, A, lo, hi, lb, ub, inst).status == 0

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -186,3 +187,35 @@ def test_readme_instance_loads(case14):
     inst = load_uc_instance(block, case14)
     assert inst.horizon == 4
     assert len(inst.gens) == 4 and len(inst.condensers) == 1
+
+
+def _unit_doc(horizon=2, **unit):
+    return json.dumps({"horizon": horizon, "load_profile": [1.0] * 2,
+                       "generators": {"1": unit}})
+
+
+@pytest.mark.parametrize("doc, label", [
+    (_unit_doc(horizon=2.5), "horizon"),
+    (_unit_doc(min_up=2.7), "unit 1: min_up"),
+    (_unit_doc(min_down=1.5), "unit 1: min_down"),
+    (_unit_doc(init_status=1.5), "unit 1: init_status"),
+    (_unit_doc(startup_tiers=[[0, 10.0], [2.5, 20.0]]),
+     "unit 1: startup_tiers"),
+], ids=["horizon", "min_up", "min_down", "init_status", "tier_hours"])
+def test_non_integral_integer_keys_rejected(case14, doc, label):
+    """Integer keys are not truncated: 2.7 hours is not 2 hours."""
+    with pytest.raises(ValidationError) as e:
+        load_uc_instance(doc, case14)
+    assert str(e.value).startswith(f"{label}: expected an integer")
+
+
+def test_integral_floats_load_as_integers(case14):
+    doc = _unit_doc(horizon=2.0, min_up=2.0, min_down=3.0, init_status=-3.0,
+                    startup_tiers=[[0, 10.0], [2.0, 20.0]])
+    inst = load_uc_instance(doc, case14)
+    g = inst.gens[0]
+    assert inst.horizon == 2 and inst.pd.shape[1] == 2
+    assert (g.tu, g.td, g.init_status) == (2, 3, -3)
+    assert g.startup_tiers == ((0, 10.0), (2, 20.0))
+    assert all(type(x) is int for x in (inst.horizon, g.tu, g.td,
+                                        g.init_status, g.startup_tiers[1][0]))

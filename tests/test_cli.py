@@ -3,13 +3,18 @@ import json
 
 import pytest
 
+from compactpf import harness
 from compactpf.cli import main, _generate_schemes
-from compactpf.harness import (ExperimentReport, Cell, report_to_json)
+from compactpf.errors import ValidationError
+from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
+                               report_to_json)
+from compactpf.pwl_learner import TrainConfig
 from compactpf.milp_solve import parse_mps
 
 DATA = ir.files("compactpf.data")
 CASE = str(DATA / "case14.m")
 UC4 = str(DATA / "uc14_t4.json")
+UC24 = str(DATA / "uc14.json")
 
 SYSTEM = ["--case", CASE, "--uc", UC4, "--derate", "0.30"]
 
@@ -45,6 +50,35 @@ def test_cli_solve_and_verify_dc(tmp_path, capsys):
     assert rc in (0, 2, 3)
     out = capsys.readouterr().out
     assert "verdict:" in out
+
+
+def test_cli_verify_rejects_schedule_of_other_horizon(tmp_path):
+    """A 4-h schedule audited against the 24-h instance is refused, not
+    reported feasible after 4 of 24 hours."""
+    sched_path = tmp_path / "dc_sched.json"
+    assert main(["solve", *SYSTEM, "--formulation", "dc",
+                 "--out", str(sched_path)]) == 0
+    with pytest.raises(ValidationError, match="shape"):
+        main(["verify-schedule", "--case", CASE, "--uc", UC24,
+              "--schedule", str(sched_path)])
+
+
+def test_cli_experiment_defaults_are_the_config_defaults(tmp_path,
+                                                         monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(harness, "run_experiment", capture)
+    with pytest.raises(SystemExit):
+        main(["experiment", "--case", CASE, "--uc", UC4,
+              "--out", str(tmp_path)])
+    (cfg,) = seen
+    assert cfg.train == TrainConfig(steps=TrainConfig.steps, seed=0)
+    for name in ("rho", "bound_mode", "gap_target", "time_budget"):
+        assert getattr(cfg, name) == getattr(ExperimentConfig, name), name
 
 
 def test_cli_sample_train_compress(tmp_path, capsys):
