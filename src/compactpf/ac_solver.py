@@ -411,13 +411,11 @@ def _solve_slp(net, specs, ramps=False):
     correction and, once accepted, the next linearization. The call owns
     one HiGHS instance. Each major iteration at a new point passes it the
     step LP, warm from the basis of the last optimal solve (the first LP
-    is solved cold). The two second-order-correction re-solves keep that
-    matrix with other row and column bounds; each re-passes the whole
-    model and starts from the last optimal basis. Changing only the moved
-    bounds on the instance (``changeRowBounds``, ``changeColsBounds``) was
-    measured slower: 1.24 -> 1.41 s per 24-h oracle call, on 2 cores.
-    After a rejected step the point has not moved, so the next step LP
-    keeps the matrix and row bounds and only its trust bounds change.
+    is solved cold). The two second-order-correction LPs keep that matrix
+    with other row and column bounds, and are passed whole with the last
+    optimal basis too. After a rejected step the point has not moved, so
+    the next step LP keeps the matrix and row bounds and only its trust
+    bounds change.
 
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).

@@ -381,10 +381,13 @@ def _object(value, label):
 
 
 def _number(value, label):
-    """``value`` if it is a JSON number, else ValidationError (a string,
-    list, object, null or boolean)."""
+    """``value`` if it is a finite JSON number, else ValidationError (a
+    string, list, object, null, boolean, ``NaN`` or ``Infinity``)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{label}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"{label}: expected a finite number, got {value!r}")
     return value
 
 
@@ -496,7 +499,10 @@ def load_uc_instance(text, case):
                 f"unit {gname}: unknown keys {sorted(unknown)}")
 
         def num(key, default, kind=_number):
-            return kind(gd.get(key, default), f"unit {gname}: {key}")
+            # only the document's values are checked, not the case row's
+            if key not in gd:
+                return default
+            return kind(gd[key], f"unit {gname}: {key}")
 
         pmin = num("pmin", g.pmin * base) / base
         pmax = num("pmax", g.pmax * base) / base

@@ -6,10 +6,11 @@ not through scipy's ``milp`` and ``linprog``, which rebuild an instance
 per call, keep no basis, and report a node limit as an error and a
 rejected model as infeasible. Models are passed as CSC arrays through
 the binding's array ``passModel``. ``linprog`` solves LPs on an instance
-the caller keeps, warm across re-solves; ``mip`` makes one branch-and-cut
-call. Both map HiGHS's model status to 0 optimal; 1 time, iteration or
-node limit; 2 infeasible; 3 unbounded; 4 anything else, including a
-rejected model, a failed ``run()`` and a non-finite "optimal".
+the caller keeps, each warm from the last optimal basis; ``mip`` makes one
+branch-and-cut call. Both map HiGHS's model status to 0 optimal; 1 time,
+iteration or node limit; 2 infeasible; 3 unbounded; 4 anything else,
+including a rejected model, a failed ``run()`` and a non-finite
+"optimal".
 """
 
 import math
@@ -51,15 +52,12 @@ _STATUS = {
 
 
 class HighsInstance:
-    """One HiGHS instance kept across a sequence of LPs: the model it
-    holds, that model's bounds, and the basis of its last optimal
-    solve."""
+    """One HiGHS instance kept across a sequence of LPs, and the basis of
+    its last optimal solve."""
 
     def __init__(self):
         self.highs = _highs._Highs()
         self.highs.setOptionValue("log_to_console", False)
-        self.c = self.A = None
-        self.lo = self.hi = self.lb = self.ub = None
         self.basis = None
 
 
@@ -78,27 +76,15 @@ def _pass_model(h, c, A, lo, hi, lb, ub, integrality=None):
 def linprog(c, A, lo, hi, lb, ub, inst):
     """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub on ``inst``'s HiGHS.
 
-    A call that changes only column bounds of the model the instance holds
-    (the same matrix and cost objects, equal row bounds) is a re-solve: one
-    ``changeColsBounds`` call, and HiGHS continues from the basis it has.
-    Any other call passes the whole model as arrays and starts from the
-    basis of the instance's last optimal solve; the instance's first LP
-    has none and is solved cold, with scipy ``milp``'s options, so it
-    gives the result ``milp`` gives.
+    Every call passes the whole model as arrays and starts from the basis
+    of the instance's last optimal solve. The instance's first LP has none
+    and is solved cold, with scipy ``milp``'s options, so it gives the
+    result ``milp`` gives.
     """
     h = inst.highs
-    if (A is inst.A and c is inst.c
-            and (lo is inst.lo or np.array_equal(lo, inst.lo))
-            and (hi is inst.hi or np.array_equal(hi, inst.hi))):
-        cols = np.flatnonzero((lb != inst.lb) | (ub != inst.ub))
-        ok = h.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols],
-                                ub[cols]) != _ERROR
-    else:
-        ok = _pass_model(h, c, A, lo, hi, lb, ub) != _ERROR
-        inst.c, inst.A = (c, A) if ok else (None, None)
-        if ok and inst.basis is not None:
-            h.setBasis(inst.basis)
-    inst.lo, inst.hi, inst.lb, inst.ub = lo, hi, lb, ub
+    ok = _pass_model(h, c, A, lo, hi, lb, ub) != _ERROR
+    if ok and inst.basis is not None:
+        h.setBasis(inst.basis)
     if not ok or h.run() == _ERROR:
         return LPResult(4, None, math.nan)
     status = _STATUS.get(h.getModelStatus(), 4)

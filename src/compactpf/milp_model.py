@@ -121,8 +121,11 @@ class MILPModel:
 
     def max_violation(self, x):
         """Largest constraint/bound violation of a point (checker used to
-        validate solver output; shares nothing with the solve path)."""
+        validate solver output; shares nothing with the solve path). A
+        point with a non-finite entry violates by ``inf``."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            return math.inf
         worst = 0.0
         for v, xi in zip(self.variables, x):
             worst = max(worst, v.lb - xi, xi - v.ub)

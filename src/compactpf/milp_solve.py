@@ -7,7 +7,7 @@ otherwise one HiGHS branch-and-cut call (presolve, cuts, heuristics and
 the tree search) solves the whole model. Every incumbent is re-solved as
 an LP with its binaries fixed and checked against the model before it is
 reported. The LPs on one model share one HiGHS instance until the MIP
-call, so an LP that only moves bounds re-solves warm. Models can also be
+call, so each starts warm from the last optimal basis. Models can also be
 exported to MPS, solved externally and re-imported.
 """
 
@@ -47,7 +47,7 @@ class MILPSolution:
 
 class _LPBackend:
     """One model's LP data and the HiGHS instance its LPs run on: after
-    the first LP, one that only moves column bounds re-solves warm."""
+    the first LP, each starts warm from the last optimal basis."""
 
     def __init__(self, model):
         self.model = model
@@ -359,7 +359,11 @@ def import_solution(text, model):
             idx = model.var_index(name)
         except KeyError:
             raise ValidationError(f"solution references unknown variable {name!r}")
-        x[idx] = float(val)
+        try:
+            x[idx] = float(val)
+        except ValueError:
+            raise ValidationError(
+                f"solution line {lineno}: {val!r} is not a number") from None
     viol = model.max_violation(x)
     if viol > FEAS_TOL:
         raise ValidationError(

@@ -469,14 +469,30 @@ def test_linprog_warm_resolve_matches_cold_milp(monkeypatch, net14, inst4):
                 bounds=Bounds(lb2, ub2))
     assert warm.status == cold.status == 0
     assert warm.fun == pytest.approx(cold.fun, rel=1e-9)
-    # both the re-solve and a new matrix (the next step LP) start from the
-    # basis HiGHS found, not from scratch
+    # both the LP with other bounds and a new matrix (the next step LP)
+    # start warm from the last basis, not from scratch
     fresh = HighsInstance()
     assert linprog(c, A, lo2, hi2, lb2, ub2, fresh).status == 0
     cold_iters = _simplex_iters(fresh)
     assert warm_iters < cold_iters
     assert linprog(c, A.copy(), lo2, hi2, lb2, ub2, inst).status == 0
     assert _simplex_iters(inst) < cold_iters
+
+
+def test_linprog_reads_bounds_updated_in_place():
+    """An LP whose bounds array the caller changed in place is solved with
+    the new bounds, as a fresh instance solves it."""
+    c, A = np.array([-1.0, -1.0]), sparse.csc_array(np.array([[1.0, 1.0]]))
+    lo, hi = np.array([-np.inf]), np.array([10.0])
+    lb, ub = np.zeros(2), np.ones(2)
+    inst = HighsInstance()
+    first = linprog(c, A, lo, hi, lb, ub, inst)
+    assert np.array_equal(first.x, [1.0, 1.0]) and first.fun == -2.0
+    ub[:] = 3.0
+    again = linprog(c, A, lo, hi, lb, ub, inst)
+    fresh = linprog(c, A, lo, hi, lb, ub, HighsInstance())
+    assert np.array_equal(again.x, [3.0, 3.0]) and again.fun == -6.0
+    assert np.array_equal(fresh.x, again.x) and fresh.fun == again.fun
 
 
 def _simplex_iters(inst):
@@ -524,8 +540,8 @@ class _CountRuns:
 
 def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
     """One slp_acopf call evaluates the flat start and each optimal LP's
-    point once, linearizes each point it moves to once, re-solves warm at
-    an unmoved point, and runs HiGHS once per LP."""
+    point once, linearizes each point it moves to once, solves warm from
+    the last basis at an unmoved point, and runs HiGHS once per LP."""
     runs, optimal, evals, jacs = [], [], [], []
 
     class Counting(HighsInstance):
@@ -563,6 +579,7 @@ def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
     assert jacs[0] == evals[0]
     assert set(jacs) <= set(evals)
     assert len(set(jacs)) == len(jacs)
-    # this hour rejects steps, so some step LPs re-solve an unmoved point
+    # this hour rejects steps, so some step LPs start warm from the last
+    # basis at an unmoved point
     assert len(jacs) < dispatch["iterations"]
     assert point(op.v, op.theta) in evals

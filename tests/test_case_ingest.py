@@ -173,7 +173,24 @@ def test_unknown_keys_rejected(case14, doc):
     ('{"generators": {"1": 5}}', "unit 1: expected a JSON object, not int"),
     ('{"generators": {"1": {"pmin": "a"}}}',
      "unit 1: pmin: expected a number, got 'a'"),
-], ids=["top_level_list", "unit_not_object", "pmin_string"])
+    ('{"reserve": NaN}', "reserve: expected a finite number, got nan"),
+    ('{"reserve": Infinity}', "reserve: expected a finite number, got inf"),
+    ('{"horizon": 2, "reserve": [30.0, NaN]}',
+     "reserve: expected a finite number, got nan"),
+    ('{"horizon": 2, "reserve": [30.0, Infinity]}',
+     "reserve: expected a finite number, got inf"),
+    ('{"generators": {"1": {"qmax": NaN}}}',
+     "unit 1: qmax: expected a finite number, got nan"),
+    ('{"generators": {"1": {"qmax": Infinity}}}',
+     "unit 1: qmax: expected a finite number, got inf"),
+    ('{"generators": {"1": {"cost_segments": [[100.0, NaN]]}}}',
+     "unit 1: cost_segments: expected a finite number, got nan"),
+    ('{"generators": {"1": {"cost_segments": [[Infinity, 20.0]]}}}',
+     "unit 1: cost_segments: expected a finite number, got inf"),
+], ids=["top_level_list", "unit_not_object", "pmin_string",
+        "reserve_nan", "reserve_inf", "reserve_entry_nan",
+        "reserve_entry_inf", "qmax_nan", "qmax_inf", "cost_segment_nan",
+        "cost_segment_inf"])
 def test_malformed_values_rejected(case14, doc, message):
     with pytest.raises(ValidationError) as e:
         load_uc_instance(doc, case14)

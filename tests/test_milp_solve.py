@@ -164,12 +164,25 @@ def test_import_solution():
         import_solution("x[0] 1\nx[1] 1\n", m2)
 
 
+def test_import_solution_rejects_nan():
+    m, _ = _knapsack([10, 13], [3, 4], 7)
+    with pytest.raises(ValidationError, match="infeasible"):
+        import_solution("x[0] nan\n", m)
+
+
+def test_import_solution_rejects_unparsable_value():
+    m, _ = _knapsack([10, 13], [3, 4], 7)
+    with pytest.raises(ValidationError, match="line 2"):
+        import_solution("x[0] 1\nx[1] abc\n", m)
+
+
 def test_model_checker():
     m = MILPModel()
     x = m.add_var("x", lb=0.0, ub=2.0)
     m.add_constr({x: 1.0}, LE, 1.0)
     assert m.max_violation(np.array([0.5])) == pytest.approx(0.0, abs=1e-12)
     assert m.max_violation(np.array([1.5])) == pytest.approx(0.5)
+    assert m.max_violation(np.array([math.nan])) == math.inf
     with pytest.raises(ValidationError):
         m.add_var("x")  # duplicate name
     with pytest.raises(ValidationError):
