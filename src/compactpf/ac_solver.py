@@ -21,14 +21,23 @@ from scipy import sparse
 
 from .errors import ValidationError, ConvergenceError, CompactPFError
 from . import grid_model, jacobian
-from .highs import HighsInstance, linprog
+from .highs import PRIMAL_TOL, HighsInstance, linprog
 
 
 class InfeasibleError(CompactPFError):
-    """The dispatch-side LP constraints conflict, or the SLP converged with
-    an exact residual above ``TOL_FEAS``. The latter is a local stationary
+    """No feasible dispatch was found, for the ``reason`` it carries.
+
+    "short_of_load" is certified: in some period the committed units cannot
+    produce the load plus the network's least loss (``load_cover``), so no
+    AC operating point exists, and no LP ran. "infeasible" means the
+    dispatch-side LP constraints conflict, or the SLP converged with an
+    exact residual above ``TOL_FEAS``; the latter is a local stationary
     point of the l1 merit, not a certificate that no feasible dispatch
     exists."""
+
+    def __init__(self, message, reason="infeasible"):
+        super().__init__(message)
+        self.reason = reason
 
 
 TOL_FEAS = 1e-6
@@ -69,6 +78,7 @@ class FeasibilityReport:
     p_delta: np.ndarray = None    # (G, T)
     reserve_r: np.ndarray = None  # (G, T)
     q: np.ndarray = None          # (G, T)
+    detail: str = ""              # why the verdict is not "feasible"
 
 
 def make_dispatch_spec(net, inst, hour, off=()):
@@ -100,6 +110,47 @@ def _period_spec(inst, t, on, su, sd_next):
                         cap_a=cap_a, cap_b=cap_b,
                         pd=inst.pd[:, t].copy(), qd=inst.qd[:, t].copy(),
                         reserve=float(inst.reserve[t]))
+
+
+def load_cover(net, specs):
+    """Per period, (most, need, margin): the most active output the
+    committed units can give, the least the period needs, and the margin
+    below ``need`` at which ``_solve_slp`` screens the period.
+
+    ``most`` is the units' Pmin plus the largest sum(p_delta) that the LP's
+    rows p_delta <= cap_b, p_delta + r <= cap_a, r >= 0 and
+    sum(r) >= reserve allow: min(sum min(cap_a, cap_b), sum cap_a -
+    reserve). ``need`` is the load plus ``grid_model.loss_floor``, below
+    which no point in the voltage box meets the load, so most < need proves
+    the period AC-infeasible. The SLP accepts a point whose bus balances
+    each miss by up to ``TOL_FEAS`` and whose outputs pass each cap,
+    reserve and sign bound by up to HiGHS's ``PRIMAL_TOL``; ``margin``
+    covers both, so a period the SLP would accept is never screened.
+    """
+    on = np.array([spec.on for spec in specs])
+    cap_a = np.array([spec.cap_a for spec in specs])
+    cap_b = np.array([spec.cap_b for spec in specs])
+    reserve = np.array([spec.reserve for spec in specs])
+    units = specs[0].units
+    most = on @ np.array([g.pmin for g in units]) + np.minimum(
+        np.minimum(cap_a, cap_b).sum(axis=1), cap_a.sum(axis=1) - reserve)
+    need = np.array([spec.pd.sum() for spec in specs]) + \
+        grid_model.loss_floor(net)
+    margin = net.n * TOL_FEAS + (2 * len(units) + 1) * PRIMAL_TOL
+    return most, need, margin
+
+
+def _screen_load(net, specs):
+    """Raise InfeasibleError ("short_of_load") for the first period whose
+    committed units cannot cover its load plus least loss."""
+    most, need, margin = load_cover(net, specs)
+    short = np.flatnonzero(most < need - margin)
+    if short.size:
+        t = int(short[0])
+        raise InfeasibleError(
+            f"period {t}: the committed units give at most {most[t]:.4f} "
+            f"p.u., load plus least loss needs {need[t]:.4f} p.u. (short by "
+            f"{need[t] - most[t]:.4f})", reason="short_of_load")
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +457,9 @@ def _solve_slp(net, specs, ramps=False):
     units' ramp rows ``ru``/``rd`` couple the periods, the first to the
     pre-horizon output ``p_delta_init``.
 
+    A period whose committed units cannot cover its load plus the least
+    loss raises InfeasibleError ("short_of_load") before the LP is built.
+
     Each point is evaluated once: the flat start, and the trial point of
     every optimal LP, whose evaluation serves its merit, its second-order
     correction and, once accepted, the next linearization. The call owns
@@ -420,6 +474,7 @@ def _solve_slp(net, specs, ramps=False):
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation).
     """
+    _screen_load(net, specs)
     T = len(specs)
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
@@ -520,10 +575,13 @@ def _solve_slp(net, specs, ramps=False):
 def slp_acopf(net, spec):
     """Single-period min-cost AC-OPF via SLP.
 
-    Returns (OperatingPoint, dispatch dict). Raises InfeasibleError when
-    the dispatch constraints conflict or the iteration converges with a
-    residual above ``TOL_FEAS`` (a local verdict, not a certificate), and
-    ConvergenceError when the iteration budget is exhausted.
+    Returns (OperatingPoint, dispatch dict). Raises InfeasibleError with
+    reason "short_of_load" when the committed units cannot cover the load
+    plus the least loss (certified: no AC point exists, and no LP runs),
+    with reason "infeasible" when the dispatch constraints conflict or the
+    iteration converges with a residual above ``TOL_FEAS`` (a local
+    verdict, not a certificate), and ConvergenceError when the iteration
+    budget is exhausted.
     """
     verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
         net, [spec])
@@ -656,6 +714,13 @@ def mtp_acopf_check(net, inst, sched):
     that is not (units, horizon) of ``inst`` or violates the commitment
     logic is rejected with a diagnostic (ValidationError), which is
     distinct from an AC infeasibility verdict.
+
+    Verdict "infeasible" with 0 iterations and a ``detail`` naming the
+    period is certified when a period's committed units cannot cover its
+    load plus the least loss: no AC dispatch exists, and no LP ran. Any
+    other "infeasible" is the SLP's local verdict (dispatch constraints in
+    conflict, or convergence with a residual above ``TOL_FEAS``), not a
+    certificate; ``detail`` says which.
     """
     y, u, w = sched.y, sched.u, sched.w
     want = (inst.ngen, inst.horizon)
@@ -672,15 +737,21 @@ def mtp_acopf_check(net, inst, sched):
     try:
         verdict, pts, pdel, rres, qg, qsc, cost, iters, viol = _solve_slp(
             net, specs, ramps=True)
-    except InfeasibleError:
+    except InfeasibleError as err:
         return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
-                                 objective=math.nan, iterations=0)
+                                 objective=math.nan, iterations=0,
+                                 detail=str(err))
     # the SLP cost already holds production and no-load cost
     objective = math.nan
+    detail = ""
     if verdict == "feasible":
         objective = cost + startup_cost(inst, u, w)
+    elif verdict == "infeasible":
+        detail = f"SLP converged with residual {viol:.3e} (a local verdict)"
+    else:
+        detail = f"SLP stopped after {iters} iterations, residual {viol:.3e}"
     return FeasibilityReport(
         verdict=verdict, max_violation=viol, objective=objective,
         iterations=iters,
         points=pts if verdict == "feasible" else None,
-        p_delta=pdel, reserve_r=rres, q=qg)
+        p_delta=pdel, reserve_r=rres, q=qg, detail=detail)

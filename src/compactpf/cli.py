@@ -134,6 +134,8 @@ def cmd_verify_schedule(args):
     report = mtp_acopf_check(net, inst, sched)
     print(f"verdict: {report.verdict}")
     print(f"max violation: {report.max_violation:.3e}")
+    if report.detail:
+        print(f"detail: {report.detail}")
     if report.verdict == "feasible":
         print(f"dispatch cost: {report.objective:.6g}")
         return 0

@@ -119,13 +119,16 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     up to ``V_PUSH_MAX``. A ``TEST_FRACTION`` share of the samples forms
     the test split. Candidates
     whose AC-OPF is infeasible are rejected; the dataset keeps their count
-    by reason in ``rejected``.
+    by reason in ``rejected``: "short_of_load" (the committed units cannot
+    cover the load plus the least loss; screened before any LP),
+    "infeasible" (the SLP's local verdict) and "no_solution" (the SLP's
+    iteration budget ran out).
     """
     cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(seed)
     G = inst.ngen
     rows_x, rows_y, meta = [], [], []
-    rejected = {"infeasible": 0, "no_solution": 0}
+    rejected = {"infeasible": 0, "short_of_load": 0, "no_solution": 0}
 
     tasks = []
     for t in range(inst.horizon):
@@ -143,8 +146,8 @@ def collect_dataset(net, inst, cfg=None, seed=0):
         spec = make_dispatch_spec(net_s, inst, t, off=off)
         try:
             op, _ = slp_acopf(net_s, spec)
-        except InfeasibleError:
-            rejected["infeasible"] += 1
+        except InfeasibleError as err:
+            rejected[err.reason] += 1
             continue
         except ConvergenceError:
             rejected["no_solution"] += 1

@@ -144,6 +144,23 @@ def eval_power_flow(net, v, theta):
     )
 
 
+def loss_floor(net):
+    """A lower bound on the total active injection sum(p_inj), the network's
+    active loss, at every (v, theta) with v inside [vmin, vmax].
+
+    sum(p_inj) = Re(V^H Yb V) = V^H H V with H = (Yb + Yb^H) / 2 Hermitian,
+    so it is at least lam * sum(v^2) for any lam below H's eigenvalues. lam
+    is the Gershgorin bound min_i (H_ii - sum_{j != i} |H_ij|); sum(v^2) is
+    taken at vmin when lam >= 0 and at vmax when lam < 0. Elementwise, so no
+    eigensolver runs.
+    """
+    H = 0.5 * (net.Yb + net.Yb.conj().T)
+    mag = np.abs(H)
+    lam = float(np.min(H.diagonal().real - (mag.sum(axis=1) - mag.diagonal())))
+    v = net.vmin if lam >= 0.0 else net.vmax
+    return lam * float(v @ v)
+
+
 def pack_input(op, net):
     """Stack (v, theta) dropping the reference-bus angle: length 2n-1."""
     theta = np.delete(op.theta, net.ref)

@@ -193,7 +193,7 @@ def run_scenario_cell(cfg, prep, inst_s, formulation):
                 and sched.v is not None:
             extra["err_ft"], extra["err_tf"] = _flow_errors(
                 formulation, prep, sched)
-        return sol.status, report.verdict, extra, ""
+        return sol.status, report.verdict, extra, report.detail
     except CompactPFError as exc:
         return "error", "no_solution", {}, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # sweep must never abort

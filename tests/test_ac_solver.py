@@ -8,12 +8,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from compactpf import ac_solver, grid_model, jacobian
 from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
-                                 slp_acopf, make_dispatch_spec,
+                                 load_cover, slp_acopf, make_dispatch_spec,
                                  check_schedule_logic, startup_cost_of,
                                  commitment_cost, production_cost,
                                  mtp_acopf_check, specs_from_schedule)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
+from compactpf.highs import PRIMAL_TOL
 
 
 def test_slp_acopf_hour1(net14, inst24):
@@ -253,6 +254,50 @@ def test_mtp_objective_counts_no_load_once(net14, inst4):
     expect = production_cost(inst4, report.p_delta) \
         + commitment_cost(inst4, y, u, w)
     assert report.objective == pytest.approx(expect, rel=1e-9)
+
+
+def _no_lp(*args):
+    raise AssertionError("an LP ran")
+
+
+def test_short_of_load_is_screened_before_any_lp(monkeypatch, net14, inst24):
+    """With only unit 4 committed at the peak hour the unit cannot cover
+    the load: slp_acopf raises InfeasibleError itself (the class the
+    sampler and the benchmark tally), reason "short_of_load", with no LP."""
+    monkeypatch.setattr(ac_solver, "linprog", _no_lp)
+    peak = int(np.argmax(inst24.pd.sum(axis=0)))
+    spec = make_dispatch_spec(net14, inst24, peak, off=(0, 1, 2))
+    (most,), (need,), margin = load_cover(net14, [spec])
+    # Pmax less the reserve it must hold back
+    assert most == pytest.approx(inst24.gens[3].pmax - inst24.reserve[peak])
+    assert most < need - margin
+    with pytest.raises(InfeasibleError, match="period 0") as info:
+        slp_acopf(net14, spec)
+    assert type(info.value) is InfeasibleError
+    assert info.value.reason == "short_of_load"
+
+
+def test_oracle_screens_a_short_period(monkeypatch, net14, inst4):
+    """A schedule with one period short of load gets "infeasible" with 0
+    iterations and a detail naming that period, with no LP."""
+    monkeypatch.setattr(ac_solver, "linprog", _no_lp)
+    pd, qd = inst4.pd.copy(), inst4.qd.copy()
+    pd[:, 2] *= 3.0
+    qd[:, 2] *= 3.0
+    short = replace(inst4, pd=pd, qd=qd)
+    y, u, w = _all_on_schedule(short)
+    most, need, margin = load_cover(
+        net14, specs_from_schedule(net14, short, y, u, w))
+    assert (most < need - margin).tolist() == [False, False, True, False]
+    report = mtp_acopf_check(net14, short, SimpleNamespace(y=y, u=u, w=w))
+    assert (report.verdict, report.iterations) == ("infeasible", 0)
+    assert report.detail.startswith("period 2: ")
+
+
+def test_screen_margin_is_highs_tolerance():
+    """The screen's margin assumes HiGHS's default primal tolerance."""
+    assert HighsInstance().highs.getOptionValue(
+        "primal_feasibility_tolerance")[1] == PRIMAL_TOL
 
 
 class _Captured(Exception):

@@ -52,6 +52,22 @@ def test_cli_solve_and_verify_dc(tmp_path, capsys):
     assert "verdict:" in out
 
 
+def test_cli_verify_names_a_short_hour(tmp_path, capsys):
+    """A schedule audited against loads its units cannot cover in hour 2
+    is infeasible (exit 2), and the output names that hour."""
+    sched_path = tmp_path / "dc_sched.json"
+    assert main(["solve", *SYSTEM, "--formulation", "dc",
+                 "--out", str(sched_path)]) == 0
+    doc = json.loads((DATA / "uc14_t4.json").read_text())
+    doc["load_profile"][2] = 3.0
+    uc_path = tmp_path / "uc_short.json"
+    uc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify-schedule", "--case", CASE, "--uc", str(uc_path),
+                 "--derate", "0.30", "--schedule", str(sched_path)]) == 2
+    assert "detail: period 2: " in capsys.readouterr().out
+
+
 def test_cli_verify_rejects_schedule_of_other_horizon(tmp_path):
     """A 4-h schedule audited against the 24-h instance is refused, not
     reported feasible after 4 of 24 hours."""

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from compactpf.ac_solver import load_cover, make_dispatch_spec
 from compactpf.data_factory import (SamplerConfig, LoadScheme,
                                     apply_load_scheme, collect_dataset,
                                     verify_dataset, dump_dataset,
@@ -36,6 +39,23 @@ def test_dataset_tallies_rejections(inst24, dataset14):
     candidates = inst24.horizon * (1 + 3 * inst24.ngen)
     assert candidates == 24 * (1 + 3 * 4)
     assert dataset14.size + sum(dataset14.rejected.values()) == candidates
+    assert set(dataset14.rejected) == {"infeasible", "short_of_load",
+                                       "no_solution"}
+    assert dataset14.rejected["short_of_load"] > 0
+
+
+def test_accepted_rows_clear_the_load_screen(net14, inst24, dataset14):
+    """Every accepted row's period has more headroom over its load plus
+    least loss than the screen's margin. The floor is taken at the row's
+    own voltages, which lie inside the box its candidate was screened on,
+    so the screen saw at least this headroom."""
+    for x, meta in zip(dataset14.X, dataset14.meta):
+        v = x[:net14.n]
+        net_v = replace(net14, vmin=v, vmax=v)
+        spec = make_dispatch_spec(net_v, inst24, meta["hour"],
+                                  off=meta["off"])
+        (most,), (need,), margin = load_cover(net_v, [spec])
+        assert most - need > margin
 
 
 def test_dataset_covers_outages(dataset14):

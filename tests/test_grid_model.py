@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from compactpf.case_ingest import parse_matpower
 from compactpf.grid_model import (build_network, eval_power_flow,
-                                  pack_input, pack_output, unpack_input,
-                                  eval_at_input)
+                                  loss_floor, pack_input, pack_output,
+                                  unpack_input, eval_at_input)
 from compactpf.errors import ValidationError
 
 from conftest import TWO_BUS_CASE, end_selectors
@@ -158,3 +159,44 @@ def test_branch_flows_equal_selector_products(name, request):
         assert np.array_equal(op.q_tf, st.imag)
         assert np.array_equal(op.s_ft, np.abs(sf))
         assert np.array_equal(op.s_tf, np.abs(st))
+
+
+@pytest.mark.parametrize("tapped", [False, True])
+def test_loss_floor_bounds_total_injection(case14, tapped):
+    """sum(p_inj) >= loss_floor at points inside the voltage box, on case14
+    and on a copy whose first (resistive) line has an off-nominal tap and a
+    phase shift, which makes the Gershgorin bound negative."""
+    if tapped:
+        first, *rest = case14.branches
+        case14 = replace(case14, branches=(
+            replace(first, ratio=1.05, shift=0.1), *rest))
+    net = build_network(case14)
+    floor = loss_floor(net)
+    # below the eigenvalue bound at either end of the box; on case14 both
+    # are 0 up to rounding (H is a weighted Laplacian)
+    vals, vecs = np.linalg.eigh(0.5 * (net.Yb + net.Yb.conj().T))
+    assert floor <= min(vals[0] * net.vmin @ net.vmin,
+                        vals[0] * net.vmax @ net.vmax) + 1e-12
+    assert (floor < -0.1) == tapped
+    # random points, and box corners at the angles of the least eigenvector
+    rng = np.random.default_rng(0)
+    mag, ang = np.abs(vecs[:, 0]), np.angle(vecs[:, 0])
+    points = [(rng.uniform(net.vmin, net.vmax),
+               rng.uniform(-0.6, 0.6, net.n)) for _ in range(2000)]
+    points.append((np.where(mag > np.median(mag), net.vmax, net.vmin), ang))
+    for v, theta in points:
+        assert eval_power_flow(net, v, theta).p_inj.sum() >= floor
+
+
+@pytest.mark.parametrize("gs", [-50.0, 50.0])
+def test_loss_floor_is_tight_for_shunt_conductance(gs):
+    """With the same shunt conductance g at both ends of a lossless line,
+    sum(p_inj) = g * sum(v^2) at equal angles, so the floor is its least
+    value over the box: at vmin when g > 0 and at vmax when g < 0."""
+    text = TWO_BUS_CASE.replace("1 3 0  0  0 0 1", f"1 3 0  0  {gs} 0 1") \
+        .replace("2 1 50 10 0 0 1", f"2 1 50 10 {gs} 0 1")
+    net = build_network(parse_matpower(text))
+    assert np.all(net.gsh == gs / 100.0)
+    corners = [eval_power_flow(net, v, np.zeros(2)).p_inj.sum()
+               for v in (net.vmin, net.vmax)]
+    assert loss_floor(net) == pytest.approx(min(corners), rel=1e-12)

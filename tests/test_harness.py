@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from compactpf import harness
+from compactpf.ac_solver import FeasibilityReport
 from compactpf.data_factory import LoadScheme
 from compactpf.milp_encode import interval_bounds, prune
 from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
@@ -121,6 +123,20 @@ def test_cell_exception_verdict(monkeypatch, prep14, exc, verdict):
     header, row = format_tally(report).splitlines()[-3::2]
     assert header.split()[-1] == "error"
     assert row.split()[1 + harness.VERDICTS.index(verdict)] == "1"
+
+
+def test_cell_keeps_the_oracle_detail(monkeypatch, prep14):
+    """Why the oracle gave its verdict reaches the cell."""
+    def screened(net, inst, sched):
+        return FeasibilityReport(verdict="infeasible", max_violation=math.inf,
+                                 objective=math.nan, iterations=0,
+                                 detail="period 2: short by 1 p.u.")
+
+    monkeypatch.setattr(harness, "mtp_acopf_check", screened)
+    cfg = ExperimentConfig(case_path="", uc_path="", formulations=("dc",))
+    (cell,) = run_experiment(cfg, prep=prep14).cells
+    assert (cell.verdict, cell.detail) == ("infeasible",
+                                           "period 2: short by 1 p.u.")
 
 
 def test_conservation_check_detects_mismatch():
