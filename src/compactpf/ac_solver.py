@@ -295,7 +295,6 @@ class _SLPProblem:
         self.smax = np.stack([net.smax, net.smax])   # (ft, tf) limits
 
         # Jacobian entries: every (balance or thermal row, dv/dth column)
-        self.jac_sel = np.concatenate([np.arange(n), n + self.nonref])
         self.lin_rows = lin_rows = np.concatenate(
             [self.p_rows, self.q_rows, self.th_rows], axis=1)
         lin_cols = np.concatenate([self.dv, self.dth], axis=1)
@@ -304,11 +303,20 @@ class _SLPProblem:
         cols = np.concatenate([cols, np.repeat(lin_cols, 2 * (n + m), axis=0)
                                .reshape(T, 2 * (n + m), 2 * n - 1)
                                .ravel()]).astype(int)
-        self.vals = np.concatenate([vals, np.zeros(rows.size - len(vals))])
-        self.n_const = len(vals)
-        self.order = np.lexsort((rows, cols))
-        self.rows = rows[self.order].astype(np.int32)
-        self.cols = cols[self.order]
+        order = np.lexsort((rows, cols))
+        self.rows = rows[order].astype(np.int32)
+        self.cols = cols[order]
+        # the entries in CSC order: the constants, and where each Jacobian
+        # entry goes, split at the reference angle's column of the
+        # Jacobians, which has no variable
+        at = np.empty(order.size, dtype=int)
+        at[order] = np.arange(order.size)
+        self.vals = np.zeros(order.size)
+        self.vals[at[:len(vals)]] = vals
+        jac_at = at[len(vals):].reshape(T, 2 * (n + m), 2 * n - 1)
+        self.ref_col = n + net.ref
+        self.jac_at = (jac_at[..., :self.ref_col].copy(),
+                       jac_at[..., self.ref_col:].copy())
 
     def _index_units(self, units, conds):
         """Index arrays of the units of every period, in period-major
@@ -338,23 +346,24 @@ class _SLPProblem:
         self.no_load = sum(units[gi].no_load_cost for gi in g_on)
 
     def evaluate(self, v, theta):
-        """The exact power flow of every period at (v, theta)."""
-        return [grid_model.eval_power_flow(self.net, v[t], theta[t])
-                for t in range(self.T)]
+        """The exact power flow of every period at (v, theta) (T, n), as
+        one (T, ·) OperatingPoint."""
+        return grid_model.eval_power_flow(self.net, v, theta)
 
-    def violation(self, ops, pdel, qg, qsc):
+    def violation(self, op, pdel, qg, qsc):
         """Largest and summed exact violation of the balance and thermal
-        constraints when the periods' evaluated points are ``ops`` and the
-        units run at (pdel, qg, qsc)."""
+        constraints when the periods' evaluated point is ``op`` (T, ·) and
+        the units run at (pdel, qg, qsc)."""
         p_bus = -self.pd_load
         np.add.at(p_bus, self.p_gen_at,
                   self.p_gen_min + pdel[self.on_at[1], self.on_at[0]])
         q_bus = -self.qd_load
         np.add.at(q_bus, self.q_gen_at, qg[self.q_gen_of])
         np.add.at(q_bus, self.q_sc_at, qsc[self.q_sc_of])
-        ep = np.abs([op.p_inj for op in ops] - p_bus)
-        eq = np.abs([op.q_inj for op in ops] - q_bus)
-        eth = np.maximum([(op.s_ft, op.s_tf) for op in ops] - self.smax, 0.0)
+        ep = np.abs(op.p_inj - p_bus)
+        eq = np.abs(op.q_inj - q_bus)
+        eth = np.maximum(np.stack([op.s_ft, op.s_tf], axis=1) - self.smax,
+                         0.0)
         viol = max(ep.max(), eq.max(), eth.max(initial=0.0))
         return float(viol), float(ep.sum() + eq.sum() + eth.sum())
 
@@ -365,30 +374,27 @@ class _SLPProblem:
         take = np.minimum(np.maximum(out - self.seg_start, 0.0), self.seg_w)
         return self.no_load + float(np.sum(self.seg_slope * take))
 
-    @staticmethod
-    def packed(ops):
-        """The evaluated points' values in the order of the linearized rows
-        of each period: p, q and the thermal flows (ft/tf per branch)."""
-        return np.array([np.concatenate([op.p_inj, op.q_inj,
-                                         np.column_stack([op.s_ft, op.s_tf])
-                                         .ravel()]) for op in ops])
+    def packed(self, op):
+        """The evaluated point's values (T, ·) in the order of the
+        linearized rows of each period: p, q and the thermal flows (ft/tf
+        per branch)."""
+        flows = np.stack([op.s_ft, op.s_tf], axis=2).reshape(self.T, -1)
+        return np.concatenate([op.p_inj, op.q_inj, flows], axis=1)
 
-    def linearize(self, v, theta, ops):
-        """Differentiate every period at (v, theta), whose evaluated points
-        are ``ops``; return (A, lo, hi, lin_ctx) with lin_ctx = (y0, J), the
+    def linearize(self, v, theta, op):
+        """Differentiate every period at (v, theta), whose evaluated point
+        is ``op``; return (A, lo, hi, lin_ctx) with lin_ctx = (y0, J), the
         values and Jacobians of the linearized rows by period."""
         net, m = self.net, self.net.m
-        J = []
-        for t in range(self.T):
-            Jpq = jacobian.injection_jacobian(net, v[t], theta[t])
-            Jsf = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "ft")
-            Jst = jacobian.apparent_flow_jacobian(net, v[t], theta[t], "tf")
-            J.append(np.concatenate([Jpq, np.stack([Jsf, Jst], axis=1)
-                                     .reshape(2 * m, -1)]))
-        J = np.array(J)
-        y0 = self.packed(ops)
-        self.vals[self.n_const:] = J[:, :, self.jac_sel].ravel()
-        vals = self.vals[self.order]
+        Jpq = jacobian.injection_jacobian(net, v, theta)
+        Jsf = jacobian.apparent_flow_jacobian(net, v, theta, "ft")
+        Jst = jacobian.apparent_flow_jacobian(net, v, theta, "tf")
+        J = np.concatenate([Jpq, np.stack([Jsf, Jst], axis=2)
+                            .reshape(self.T, 2 * m, -1)], axis=1)
+        y0 = self.packed(op)
+        vals = self.vals.copy()
+        vals[self.jac_at[0]] = J[:, :, :self.ref_col]
+        vals[self.jac_at[1]] = J[:, :, self.ref_col + 1:]
         keep = vals != 0.0
         indptr = np.zeros(self.shape[1] + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.cols[keep], minlength=self.shape[1]),
@@ -429,7 +435,7 @@ class _SLPProblem:
 
     def soc_bounds(self, lo, hi, lb, ub, lin_ctx, trial, dv, dth):
         """Bounds of the second-order correction (against the Maratos
-        effect) of the trial step (dv, dth), whose evaluated points are
+        effect) of the trial step (dv, dth), whose evaluated point is
         ``trial``: balance and thermal rows are shifted by the
         linearization error at the trial point, and the corrected step must
         stay in a small box around the trial step (the shift is only valid
@@ -460,9 +466,11 @@ def _solve_slp(net, specs, ramps=False):
     A period whose committed units cannot cover its load plus the least
     loss raises InfeasibleError ("short_of_load") before the LP is built.
 
-    Each point is evaluated once: the flat start, and the trial point of
-    every optimal LP, whose evaluation serves its merit, its second-order
-    correction and, once accepted, the next linearization. The call owns
+    The iterate is one (T, n) state. Each is evaluated once, all periods
+    in one stacked call: the flat start, and the trial point of every
+    optimal LP, whose evaluation serves its merit, its second-order
+    correction and, once accepted, the next linearization, which
+    differentiates all periods in one stacked call too. The call owns
     one HiGHS instance. Each major iteration at a new point passes it the
     step LP, warm from the basis of the last optimal solve (the first LP
     is solved cold). The two second-order-correction LPs keep that matrix
@@ -472,7 +480,7 @@ def _solve_slp(net, specs, ramps=False):
     bounds change.
 
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
-    max_violation).
+    max_violation), with one OperatingPoint per period in ``points``.
     """
     _screen_load(net, specs)
     T = len(specs)
@@ -482,25 +490,25 @@ def _solve_slp(net, specs, ramps=False):
     highs = HighsInstance()
 
     def trial(dv_, dth_, pdel_, qg_, qsc_):
-        """Evaluate the step (dv_, dth_): its point, evaluated points,
+        """Evaluate the step (dv_, dth_): its point, evaluated point,
         violation, cost and merit."""
         v_, th_ = v + dv_, theta + dth_
-        ops_ = lp.evaluate(v_, th_)
-        viol_, vsum_ = lp.violation(ops_, pdel_, qg_, qsc_)
+        op_ = lp.evaluate(v_, th_)
+        viol_, vsum_ = lp.violation(op_, pdel_, qg_, qsc_)
         cost_ = lp.cost(pdel_)
-        return v_, th_, ops_, viol_, cost_, cost_ + SLACK_PENALTY * vsum_
+        return v_, th_, op_, viol_, cost_, cost_ + SLACK_PENALTY * vsum_
 
     radius = INITIAL_RADIUS
-    ops = lp.evaluate(v, theta)
+    op = lp.evaluate(v, theta)
     lin = None          # (A, lo, hi, lin_ctx) at (v, theta)
-    state = None        # (ops, pdel, rres, qg, qsc, cost, viol)
+    state = None        # (pt, pdel, rres, qg, qsc, cost, viol)
     cur_merit = math.inf
     iters = 0
     converged = False
     for it in range(MAX_MAJOR_ITERS):
         iters = it + 1
         if lin is None:
-            lin = lp.linearize(v, theta, ops)
+            lin = lp.linearize(v, theta, op)
         A, lo, hi, lin_ctx = lin
         lb, ub = lp.trust_bounds(v, radius)
         res = linprog(lp.c, A, lo, hi, lb, ub, highs)
@@ -510,27 +518,27 @@ def _solve_slp(net, specs, ramps=False):
         if res.status != 0:
             raise ConvergenceError(f"SLP subproblem failed (status {res.status})")
         dv, dth, pdel, rres, qg, qsc = lp.extract(res.x)
-        v_new, th_new, pts, viol, cost, cand_merit = trial(dv, dth, pdel,
-                                                           qg, qsc)
+        v_new, th_new, pt, viol, cost, cand_merit = trial(dv, dth, pdel,
+                                                          qg, qsc)
         # the LP objective omits the no-load constant of committed units
         model_merit = float(res.fun) + lp.no_load
 
         # second-order correction: re-solve the same LP with shifted bounds
-        dv2, dth2, pts2 = dv, dth, pts
+        dv2, dth2, pt2 = dv, dth, pt
         for _ in range(2):
             res2 = linprog(lp.c, A, *lp.soc_bounds(lo, hi, lb, ub, lin_ctx,
-                                                   pts2, dv2, dth2),
+                                                   pt2, dv2, dth2),
                            highs)
             if res2.status != 0:
                 break
             dv2, dth2, pdel2, rres2, qg2, qsc2 = lp.extract(res2.x)
-            v2, th2, pts2, viol2, cost2, cand2 = trial(dv2, dth2, pdel2,
-                                                       qg2, qsc2)
+            v2, th2, pt2, viol2, cost2, cand2 = trial(dv2, dth2, pdel2,
+                                                      qg2, qsc2)
             if cand2 < cand_merit:
                 dv, dth, pdel, rres, qg, qsc = \
                     dv2, dth2, pdel2, rres2, qg2, qsc2
-                v_new, th_new, pts, viol, cost, cand_merit = \
-                    v2, th2, pts2, viol2, cost2, cand2
+                v_new, th_new, pt, viol, cost, cand_merit = \
+                    v2, th2, pt2, viol2, cost2, cand2
         step = max(np.max(np.abs(dv)), np.max(np.abs(dth)))
         _log.debug("slp it=%d radius=%.2e step=%.2e viol=%.2e cand=%.9g "
                    "model=%.9g cur=%.9g", it, radius, step, viol, cand_merit,
@@ -555,21 +563,21 @@ def _solve_slp(net, specs, ramps=False):
                     radius = min(radius * EXPAND, MAX_RADIUS)
                 converged = step <= STEP_TOL or radius < MIN_RADIUS
         if take:
-            v, theta, ops, lin = v_new, th_new, pts, None
-            state = (pts, pdel, rres, qg, qsc, cost, viol)
+            v, theta, op, lin = v_new, th_new, pt, None
+            state = (pt, pdel, rres, qg, qsc, cost, viol)
             cur_merit = cand_merit
         if converged:
             break
 
     # the first iterate is always taken, so state is set
-    pts, pdel, rres, qg, qsc, cost, viol = state
+    pt, pdel, rres, qg, qsc, cost, viol = state
     if viol <= TOL_FEAS:
         verdict = "feasible"
     elif converged:
         verdict = "infeasible"
     else:
         verdict = "no_solution"
-    return verdict, pts, pdel, rres, qg, qsc, cost, iters, viol
+    return verdict, pt.periods(), pdel, rres, qg, qsc, cost, iters, viol
 
 
 def slp_acopf(net, spec):

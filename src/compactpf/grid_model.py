@@ -5,9 +5,15 @@ nodal injections from the bus admittance matrix and bidirectional
 apparent line flows from the branch flow matrices. Branches use the
 standard pi-model with off-nominal tap ratio and phase shift folded
 into the flow matrices.
+
+The evaluation takes a leading axis: ``v`` and ``theta`` of shape
+``(..., n)`` give every field of the OperatingPoint a shape ``(..., ·)``,
+one point per leading index (a multi-period SLP passes ``(T, n)``). Each
+point's matrix products are ``np.matmul(Y, V[..., None])``, which gives
+every point the same bits as evaluating it alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +52,8 @@ class Network:
 
 @dataclass(frozen=True)
 class OperatingPoint:
+    """The AC state and power flow of one point, or of a stack of points:
+    every field then carries the same leading axes."""
     v: np.ndarray
     theta: np.ndarray
     p_inj: np.ndarray
@@ -56,6 +64,12 @@ class OperatingPoint:
     q_tf: np.ndarray
     s_ft: np.ndarray
     s_tf: np.ndarray
+
+    def periods(self):
+        """The points of a (T, ·) stack, one per period, as views."""
+        cols = [getattr(self, f.name) for f in fields(self)]
+        return [OperatingPoint(*(a[t] for a in cols))
+                for t in range(self.v.shape[0])]
 
 
 def build_network(case):
@@ -122,19 +136,31 @@ def _check_connected(f_bus, t_bus, n):
         raise ValidationError(f"network is disconnected; island buses {island}")
 
 
-def eval_power_flow(net, v, theta):
-    """Exact AC power flow evaluation at (v, theta)."""
+def check_state(net, v, theta, positive=True):
+    """(v, theta) as float arrays of one shape (..., n); with ``positive``,
+    every v must be positive."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if v.shape != (net.n,) or theta.shape != (net.n,):
+    if v.shape[-1:] != (net.n,) or theta.shape != v.shape:
         raise ValidationError("v/theta dimension mismatch")
-    if np.any(v <= 0):
+    if positive and v.min(initial=np.inf) <= 0:
         raise ValidationError("voltage magnitudes must be positive")
+    return v, theta
 
+
+def products(Y, V):
+    """Y @ V for each point of V (..., n), with the bits of the product
+    taken one point at a time."""
+    return np.matmul(Y, V[..., None])[..., 0]
+
+
+def eval_power_flow(net, v, theta):
+    """Exact AC power flow evaluation at (v, theta) of shape (..., n)."""
+    v, theta = check_state(net, v, theta)
     V = v * np.exp(1j * theta)
-    s_inj = V * np.conj(net.Yb @ V)
-    sf = V[net.f_bus] * np.conj(net.Yft @ V)
-    st = V[net.t_bus] * np.conj(net.Ytf @ V)
+    s_inj = V * np.conj(products(net.Yb, V))
+    sf = V.take(net.f_bus, axis=-1) * np.conj(products(net.Yft, V))
+    st = V.take(net.t_bus, axis=-1) * np.conj(products(net.Ytf, V))
     return OperatingPoint(
         v=v, theta=theta,
         p_inj=s_inj.real, q_inj=s_inj.imag,
@@ -162,27 +188,29 @@ def loss_floor(net):
 
 
 def pack_input(op, net):
-    """Stack (v, theta) dropping the reference-bus angle: length 2n-1."""
-    theta = np.delete(op.theta, net.ref)
-    return np.concatenate([op.v, theta])
+    """Stack (v, theta) dropping the reference-bus angle: length 2n-1 on
+    the last axis."""
+    theta = np.delete(op.theta, net.ref, axis=-1)
+    return np.concatenate([op.v, theta], axis=-1)
 
 
 def pack_output(op):
-    """Stack (p_inj, q_inj, s_ft, s_tf): length 2n+2m."""
-    return np.concatenate([op.p_inj, op.q_inj, op.s_ft, op.s_tf])
+    """Stack (p_inj, q_inj, s_ft, s_tf): length 2n+2m on the last axis."""
+    return np.concatenate([op.p_inj, op.q_inj, op.s_ft, op.s_tf], axis=-1)
 
 
 def unpack_input(x, net):
-    """Inverse of pack_input; the reference angle is restored as 0."""
+    """Inverse of pack_input on the last axis of x (..., 2n-1); the
+    reference angle is restored as 0."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.d_in,):
+    if x.shape[-1:] != (net.d_in,):
         raise ValidationError(f"expected input of length {net.d_in}")
-    v = x[:net.n]
-    theta = np.insert(x[net.n:], net.ref, 0.0)
+    v = x[..., :net.n]
+    theta = np.insert(x[..., net.n:], net.ref, 0.0, axis=-1)
     return v, theta
 
 
 def eval_at_input(net, x):
-    """Evaluate the packed map x -> y_pf."""
+    """Evaluate the packed map x -> y_pf, on the last axis of x."""
     v, theta = unpack_input(x, net)
     return pack_output(eval_power_flow(net, v, theta))

@@ -165,13 +165,13 @@ def _flow_errors(formulation, prep, sched):
     n, m = net.n, net.m
     predictor = prep["model"].predict if formulation == "nn" \
         else prep["lin"].predict
+    op = grid_model.eval_power_flow(net, sched.v, sched.theta)
     eft, etf = [], []
     for t in range(sched.v.shape[0]):
         x = np.concatenate([sched.v[t], np.delete(sched.theta[t], net.ref)])
         y = predictor(x)
-        op = grid_model.eval_power_flow(net, sched.v[t], sched.theta[t])
-        eft.append(float(np.sum(np.abs(y[2 * n:2 * n + m] - op.s_ft))))
-        etf.append(float(np.sum(np.abs(y[2 * n + m:] - op.s_tf))))
+        eft.append(float(np.sum(np.abs(y[2 * n:2 * n + m] - op.s_ft[t]))))
+        etf.append(float(np.sum(np.abs(y[2 * n + m:] - op.s_tf[t]))))
     return float(np.mean(eft)), float(np.mean(etf))
 
 

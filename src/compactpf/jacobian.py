@@ -4,6 +4,10 @@ Derivatives are formed in polar coordinates with complex matrix algebra;
 correctness is pinned by finite-difference agreement with
 grid_model.eval_power_flow (see tests). Input ordering is (v, theta),
 output ordering follows the packed map (p, q) or s per direction.
+
+Like the evaluation, the Jacobians take a leading axis: (v, theta) of
+shape (..., n) give one Jacobian per point, (..., rows, 2n), each with
+the bits of that point's Jacobian taken alone.
 """
 
 from dataclasses import dataclass
@@ -40,89 +44,95 @@ class LinearPFModel:
         return x @ self.Jstar.T + self.rstar
 
 
+def _points(net, v, theta, positive=False):
+    """The points of (v, theta) (..., n) as rows: their leading shape, V
+    and V/|V|, complex (P, n). The shapes are checked, and with
+    ``positive`` also that every magnitude is positive."""
+    v, theta = grid_model.check_state(net, v, theta, positive)
+    vnorm = np.exp(1j * theta.reshape(-1, net.n))
+    return v.shape[:-1], v.reshape(-1, net.n) * vnorm, vnorm
+
+
 def _dS_dV(Y, V, vnorm):
     """d(diag(V) conj(Y V)) by (|V|, angle V), MATPOWER's ``dSbus_dV``
-    with the diagonal matrices applied by broadcasting."""
-    I = Y @ V
-    idx = np.arange(V.size)
-    dS_dVa = -Y * V
-    dS_dVa[idx, idx] += I
-    dS_dVa = 1j * V[:, None] * np.conj(dS_dVa)
-    dS_dVm = V[:, None] * np.conj(Y * vnorm)
-    dS_dVm[idx, idx] += np.conj(I) * vnorm
-    return dS_dVm, dS_dVa
+    with the diagonal matrices applied by broadcasting, for each point of
+    V (P, n): one (P, n, 2n) array [dS/d|V|, dS/dangle]."""
+    P, n = V.shape
+    dS = np.empty((P, n, 2 * n), dtype=complex)
+    # in each point's flat row, the diagonal of dS/d|V| is every
+    # (2n + 1)-th entry from 0, and that of dS/dangle from n
+    flat = dS.reshape(P, -1)
+    I = grid_model.products(Y, V)
+    dS_dVa = dS[:, :, n:]
+    np.multiply(-Y, V[:, None, :], out=dS_dVa)
+    flat[:, n::2 * n + 1] += I
+    np.multiply(1j * V[:, :, None], np.conj(dS_dVa), out=dS_dVa)
+    np.multiply(V[:, :, None], np.conj(Y * vnorm[:, None, :]),
+                out=dS[:, :, :n])
+    flat[:, ::2 * n + 1] += np.conj(I) * vnorm
+    return dS
 
 
-def _real_block(dS_dVm, dS_dVa):
-    """[[Re dS/d|V|, Re dS/dangle], [Im dS/d|V|, Im dS/dangle]]."""
-    return np.concatenate([np.hstack([dS_dVm.real, dS_dVa.real]),
-                           np.hstack([dS_dVm.imag, dS_dVa.imag])])
+def _real_block(lead, dS):
+    """[[Re dS/d|V|, Re dS/dangle], [Im dS/d|V|, Im dS/dangle]] of each
+    point, with the points' leading shape."""
+    J = np.concatenate([dS.real, dS.imag], axis=1)
+    return J.reshape(lead + J.shape[1:])
 
 
 def injection_jacobian(net, v, theta):
-    """d(p_inj, q_inj)/d(v, theta): (2n, 2n)."""
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(v <= 0):
-        raise ValidationError("voltage magnitudes must be positive")
-    vnorm = np.exp(1j * theta)
-    V = v * vnorm
-    dS_dVm, dS_dVa = _dS_dV(net.Yb, V, vnorm)
-    return _real_block(dS_dVm, dS_dVa)
+    """d(p_inj, q_inj)/d(v, theta) at (v, theta) of shape (..., n):
+    (..., 2n, 2n)."""
+    lead, V, vnorm = _points(net, v, theta, positive=True)
+    return _real_block(lead, _dS_dV(net.Yb, V, vnorm))
 
 
-def _flow_derivatives(net, v, theta, direction):
+def _flow_derivatives(net, V, vnorm, direction):
     """Flows S = V[bus] conj(Y V) of one direction and their derivatives
     by (|V|, angle V), MATPOWER's ``dSbr_dV`` by broadcasting: ``bus`` is
-    each branch's end on that side."""
-    vnorm = np.exp(1j * theta)
-    V = v * vnorm
+    each branch's end on that side. Each point of V (P, n) gets one
+    (m, 2n) array [dS/d|V|, dS/dangle]."""
     if direction == "ft":
         Y, bus = net.Yft, net.f_bus
     elif direction == "tf":
         Y, bus = net.Ytf, net.t_bus
     else:
         raise ValidationError(f"direction must be 'ft' or 'tf', got {direction!r}")
-    I = Y @ V
-    Vsel = V[bus]
-    br = np.arange(bus.size)
-    dS_dVa = -Vsel[:, None] * np.conj(Y * V)
-    dS_dVa[br, bus] += np.conj(I) * V[bus]
+    Ic = np.conj(grid_model.products(Y, V))
+    Vsel = V.take(bus, axis=1)
+    br = np.arange(net.m)
+    dS_dVa = -Vsel[:, :, None] * np.conj(Y * V[:, None, :])
+    dS_dVa[:, br, bus] += Ic * Vsel
     dS_dVa *= 1j
-    dS_dVm = Vsel[:, None] * np.conj(Y * vnorm)
-    dS_dVm[br, bus] += np.conj(I) * vnorm[bus]
-    S = Vsel * np.conj(I)
-    return S, dS_dVm, dS_dVa
+    dS_dVm = Vsel[:, :, None] * np.conj(Y * vnorm[:, None, :])
+    dS_dVm[:, br, bus] += Ic * vnorm.take(bus, axis=1)
+    return Vsel * Ic, np.concatenate([dS_dVm, dS_dVa], axis=2)
 
 
 def line_flow_jacobian(net, v, theta, direction):
-    """d(p^dir, q^dir)/d(v, theta): (2m, 2n)."""
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    _, dS_dVm, dS_dVa = _flow_derivatives(net, v, theta, direction)
-    return _real_block(dS_dVm, dS_dVa)
+    """d(p^dir, q^dir)/d(v, theta) at (v, theta) of shape (..., n):
+    (..., 2m, 2n)."""
+    lead, V, vnorm = _points(net, v, theta)
+    return _real_block(lead, _flow_derivatives(net, V, vnorm, direction)[1])
 
 
 def apparent_flow_jacobian(net, v, theta, direction):
-    """d(s^dir)/d(v, theta): (m, 2n), chain rule s = sqrt(p^2 + q^2)."""
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    S, dS_dVm, dS_dVa = _flow_derivatives(net, v, theta, direction)
-    p, q = S.real, S.imag
-    s = np.abs(S)
-    denom = np.maximum(s, S_EPS)
-    Jv = (p[:, None] * dS_dVm.real + q[:, None] * dS_dVm.imag) / denom[:, None]
-    Ja = (p[:, None] * dS_dVa.real + q[:, None] * dS_dVa.imag) / denom[:, None]
-    return np.hstack([Jv, Ja])
+    """d(s^dir)/d(v, theta) at (v, theta) of shape (..., n): (..., m, 2n),
+    chain rule s = sqrt(p^2 + q^2)."""
+    lead, V, vnorm = _points(net, v, theta)
+    S, dS = _flow_derivatives(net, V, vnorm, direction)
+    denom = np.maximum(np.abs(S), S_EPS)[:, :, None]
+    J = (S.real[:, :, None] * dS.real + S.imag[:, :, None] * dS.imag) / denom
+    return J.reshape(lead + J.shape[1:])
 
 
 def full_jacobian(net, v, theta):
-    """Stacked (2n+2m, 2n) Jacobian of the packed output y_pf."""
-    return np.vstack([
+    """(..., 2n+2m, 2n) Jacobian of the packed output y_pf."""
+    return np.concatenate([
         injection_jacobian(net, v, theta),
         apparent_flow_jacobian(net, v, theta, "ft"),
         apparent_flow_jacobian(net, v, theta, "tf"),
-    ])
+    ], axis=-2)
 
 
 def linearize(net, op):

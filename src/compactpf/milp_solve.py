@@ -22,6 +22,15 @@ from .highs import HighsInstance, linprog, mip
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
 
 FEAS_TOL = 1e-7
+# an incumbent is accepted when no row or bound of the model is violated by
+# more than this (``MILPModel.max_violation``)
+INCUMBENT_TOL = 1e-6
+# a binary this close to its rounding is integral, and a gap this small
+# reads "optimal"
+INT_TOL = 1e-9
+# slack on comparisons of bounds and objectives, against rounding in the
+# last digits
+CMP_TOL = 1e-12
 # a limit, a rejected model or numerical trouble give "error": no verdict
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -59,7 +68,7 @@ class _LPBackend:
     def solve(self, lb=None, ub=None):
         lb = self.lb if lb is None else lb
         ub = self.ub if ub is None else ub
-        if np.any(lb > ub + 1e-12):
+        if np.any(lb > ub + CMP_TOL):
             return LPSolution(status="infeasible")
         res = linprog(self.c, self.A, self.lo, self.hi, lb, ub, self.inst)
         status = _LP_STATUS.get(res.status, "error")
@@ -115,7 +124,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
         bound = min(bound, inc_obj)
         gap = _gap(inc_obj, bound)
         if status is None:
-            status = "gap_reached" if gap > 1e-9 else "optimal"
+            status = "gap_reached" if gap > INT_TOL else "optimal"
         return MILPSolution(status=status, x=incumbent, objective=inc_obj,
                             best_bound=bound, gap=gap, nodes=nodes)
 
@@ -135,21 +144,22 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
         unless ``obj`` comes with binaries integral already."""
         nonlocal incumbent, inc_obj
         rounded = np.round(x[bins])
-        if obj is None or (bins and np.max(np.abs(x[bins] - rounded)) > 1e-9):
+        if obj is None or (bins and np.max(np.abs(x[bins] - rounded))
+                           > INT_TOL):
             fixed = solve(*backend.fixed(bins, rounded))
             if fixed.status != "optimal":
                 return
             x, obj = fixed.x, fixed.objective
         x = x.copy()
         x[bins] = rounded
-        if obj < inc_obj - 1e-12 and model.max_violation(x) <= 1e-6:
+        if obj < inc_obj - CMP_TOL and model.max_violation(x) <= INCUMBENT_TOL:
             incumbent, inc_obj = x, obj
 
     consider(root.x, root.objective)
     bound = root.objective
     if failed:
         return finish("error", 0)
-    if incumbent is not None and _gap(inc_obj, bound) <= gap_target + 1e-12:
+    if incumbent is not None and _gap(inc_obj, bound) <= gap_target + CMP_TOL:
         return finish(None, 0, bound)
 
     backend.inst = HighsInstance()   # free the root LP's memory first

@@ -583,10 +583,14 @@ class _CountRuns:
         return self._highs.run()
 
 
-def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
-    """One slp_acopf call evaluates the flat start and each optimal LP's
-    point once, linearizes each point it moves to once, solves warm from
-    the last basis at an unmoved point, and runs HiGHS once per LP."""
+def _point_key(v, theta):
+    return np.concatenate([v, theta]).tobytes()
+
+
+def _count_solves(monkeypatch):
+    """Record, while the SLP runs: each HiGHS run, whether each LP was
+    optimal, and the (v, theta) of each evaluation and each injection
+    Jacobian, as bytes."""
     runs, optimal, evals, jacs = [], [], [], []
 
     class Counting(HighsInstance):
@@ -599,15 +603,12 @@ def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
         optimal.append(res.status == 0)
         return res
 
-    def point(v, theta):
-        return np.concatenate([v, theta]).tobytes()
-
     def evaluated(net, v, theta):
-        evals.append(point(v, theta))
+        evals.append(_point_key(v, theta))
         return eval_power_flow(net, v, theta)
 
     def differentiated(net, v, theta):
-        jacs.append(point(v, theta))
+        jacs.append(_point_key(v, theta))
         return injection_jacobian(net, v, theta)
 
     eval_power_flow = grid_model.eval_power_flow
@@ -616,6 +617,14 @@ def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
     monkeypatch.setattr(ac_solver, "linprog", counted)
     monkeypatch.setattr(grid_model, "eval_power_flow", evaluated)
     monkeypatch.setattr(jacobian, "injection_jacobian", differentiated)
+    return runs, optimal, evals, jacs
+
+
+def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
+    """One slp_acopf call evaluates the flat start and each optimal LP's
+    point once, linearizes each point it moves to once, solves warm from
+    the last basis at an unmoved point, and runs HiGHS once per LP."""
+    runs, optimal, evals, jacs = _count_solves(monkeypatch)
     op, dispatch = slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
     assert len(evals) == sum(optimal) + 1
     assert len(optimal) == len(runs)
@@ -627,4 +636,25 @@ def test_slp_evaluates_each_point_once(monkeypatch, net14, inst24):
     # this hour rejects steps, so some step LPs start warm from the last
     # basis at an unmoved point
     assert len(jacs) < dispatch["iterations"]
-    assert point(op.v, op.theta) in evals
+    assert _point_key(op.v, op.theta) in evals
+
+
+def test_mtp_evaluates_each_iterate_once(monkeypatch, net14, inst4):
+    """The 4-h oracle's iterate is one (4, n) state: each is evaluated in
+    one call, the flat start and each optimal LP's point once, and each
+    iterate it moves to is differentiated in one call, once."""
+    runs, optimal, evals, jacs = _count_solves(monkeypatch)
+    y, u, w = _all_on_schedule(inst4)
+    report = mtp_acopf_check(net14, inst4, SimpleNamespace(y=y, u=u, w=w))
+    assert report.verdict == "feasible"
+    key_size = 2 * inst4.horizon * net14.n * 8
+    assert {len(k) for k in evals + jacs} == {key_size}
+    assert len(evals) == sum(optimal) + 1
+    assert len(optimal) == len(runs)
+    assert report.iterations < len(runs) <= 3 * report.iterations
+    assert jacs[0] == evals[0]
+    assert set(jacs) <= set(evals)
+    assert len(set(jacs)) == len(jacs) <= report.iterations
+    final = [np.array([getattr(pt, f) for pt in report.points])
+             for f in ("v", "theta")]
+    assert _point_key(*final) in evals

@@ -19,6 +19,14 @@ def test_dataset_rows_are_exact_pf_solutions(net14, dataset14):
     assert verify_dataset(net14, dataset14, tol=1e-8) < 1e-8
 
 
+def test_verify_dataset_rejects_a_wrong_or_nan_row(net14, dataset14):
+    for bad in (1e-6, np.nan):
+        Y = dataset14.Y.copy()
+        Y[-1, 0] += bad
+        with pytest.raises(ValidationError):
+            verify_dataset(net14, replace(dataset14, Y=Y))
+
+
 def test_dataset_split_fractions(dataset14):
     Xtr, _ = dataset14.train
     Xte, _ = dataset14.test

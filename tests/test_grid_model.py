@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -81,6 +81,28 @@ def test_pack_unpack_inverse(net14):
     y = eval_at_input(net14, x)
     assert np.array_equal(y, pack_output(op))
     assert y.shape == (net14.d_out,)
+
+
+@pytest.mark.parametrize("T", [1, 3, 24])
+def test_stacked_eval_matches_per_point(net14, T):
+    """A (T, n) stack gives each point the bits of its own evaluation,
+    ``periods`` splits it back into those points, and the packed map works
+    on the last axis."""
+    rng = np.random.default_rng(30 + T)
+    v = rng.uniform(0.9, 1.1, (T, net14.n))
+    theta = rng.uniform(-0.4, 0.4, (T, net14.n))
+    theta[:, net14.ref] = 0.0
+    op = eval_power_flow(net14, v, theta)
+    x = pack_input(op, net14)
+    y = eval_at_input(net14, x)
+    assert x.shape == (T, net14.d_in) and y.shape == (T, net14.d_out)
+    assert np.array_equal(y, pack_output(op))
+    for t, pt in enumerate(op.periods()):
+        one = eval_power_flow(net14, v[t], theta[t])
+        for f in fields(one):
+            assert np.array_equal(getattr(pt, f.name), getattr(one, f.name))
+        assert np.array_equal(x[t], pack_input(one, net14))
+        assert np.array_equal(y[t], eval_at_input(net14, x[t]))
 
 
 def test_eval_rejects_bad_input(net2):

@@ -7,54 +7,86 @@ from compactpf.errors import ValidationError
 from conftest import end_selectors
 
 
-def _point(net, rng):
-    v = rng.uniform(0.95, 1.05, net.n)
-    theta = rng.uniform(-0.3, 0.3, net.n)
-    theta[net.ref] = 0.0
+def _point(net, rng, T=None):
+    """A random point, or a (T, n) stack of them, with theta[ref] = 0."""
+    shape = (net.n,) if T is None else (T, net.n)
+    v = rng.uniform(0.95, 1.05, shape)
+    theta = rng.uniform(-0.3, 0.3, shape)
+    theta[..., net.ref] = 0.0
     return v, theta
 
 
+def _fd_check(net, J, v, theta, out):
+    """Each point's Jacobian in the stack J against central differences of
+    out(op) at that point."""
+    n = net.n
+    for t in range(v.shape[0]):
+        def f(z):
+            return out(grid_model.eval_power_flow(net, z[:n], z[n:]))
+
+        Jfd = jacobian.finite_difference_jacobian(
+            f, np.concatenate([v[t], theta[t]]))
+        assert np.max(np.abs(J[t] - Jfd)) < 1e-6 * (1 + np.max(np.abs(J[t])))
+
+
 def test_injection_jacobian_fd(net14):
-    rng = np.random.default_rng(10)
-    v, theta = _point(net14, rng)
-
-    def f(z):
-        op = grid_model.eval_power_flow(net14, z[:net14.n], z[net14.n:])
-        return np.concatenate([op.p_inj, op.q_inj])
-
+    v, theta = _point(net14, np.random.default_rng(10), T=3)
     J = jacobian.injection_jacobian(net14, v, theta)
-    Jfd = jacobian.finite_difference_jacobian(f, np.concatenate([v, theta]))
-    assert np.max(np.abs(J - Jfd)) < 1e-6 * (1 + np.max(np.abs(J)))
+    _fd_check(net14, J, v, theta,
+              lambda op: np.concatenate([op.p_inj, op.q_inj]))
 
 
 @pytest.mark.parametrize("direction", ["ft", "tf"])
 def test_line_flow_jacobian_fd(net14, direction):
-    rng = np.random.default_rng(11)
-    v, theta = _point(net14, rng)
-
-    def f(z):
-        op = grid_model.eval_power_flow(net14, z[:net14.n], z[net14.n:])
-        p = getattr(op, f"p_{direction}")
-        q = getattr(op, f"q_{direction}")
-        return np.concatenate([p, q])
-
+    v, theta = _point(net14, np.random.default_rng(11), T=3)
     J = jacobian.line_flow_jacobian(net14, v, theta, direction)
-    Jfd = jacobian.finite_difference_jacobian(f, np.concatenate([v, theta]))
-    assert np.max(np.abs(J - Jfd)) < 1e-6 * (1 + np.max(np.abs(J)))
+    _fd_check(net14, J, v, theta,
+              lambda op: np.concatenate([getattr(op, f"p_{direction}"),
+                                         getattr(op, f"q_{direction}")]))
 
 
 @pytest.mark.parametrize("direction", ["ft", "tf"])
 def test_apparent_flow_jacobian_fd(net14, direction):
-    rng = np.random.default_rng(12)
-    v, theta = _point(net14, rng)
-
-    def f(z):
-        op = grid_model.eval_power_flow(net14, z[:net14.n], z[net14.n:])
-        return getattr(op, f"s_{direction}")
-
+    v, theta = _point(net14, np.random.default_rng(12), T=3)
     J = jacobian.apparent_flow_jacobian(net14, v, theta, direction)
-    Jfd = jacobian.finite_difference_jacobian(f, np.concatenate([v, theta]))
-    assert np.max(np.abs(J - Jfd)) < 1e-6 * (1 + np.max(np.abs(J)))
+    _fd_check(net14, J, v, theta, lambda op: getattr(op, f"s_{direction}"))
+
+
+@pytest.mark.parametrize("T", [1, 3, 24])
+def test_stacked_jacobians_match_per_point(net14, T):
+    """A (T, n) stack gives each point the bits of its own call."""
+    v, theta = _point(net14, np.random.default_rng(20 + T), T=T)
+    calls = [lambda v_, th_: jacobian.injection_jacobian(net14, v_, th_),
+             lambda v_, th_: jacobian.full_jacobian(net14, v_, th_)]
+    for d in ("ft", "tf"):
+        calls += [
+            lambda v_, th_, d=d: jacobian.apparent_flow_jacobian(
+                net14, v_, th_, d),
+            lambda v_, th_, d=d: jacobian.line_flow_jacobian(
+                net14, v_, th_, d)]
+    for call in calls:
+        stacked = call(v, theta)
+        for t in range(T):
+            assert np.array_equal(stacked[t], call(v[t], theta[t]))
+
+
+def test_stacked_shape_mismatch_rejected(net14):
+    v, _ = _point(net14, np.random.default_rng(16), T=3)
+    _, theta = _point(net14, np.random.default_rng(17), T=4)
+    for call in (grid_model.eval_power_flow, jacobian.injection_jacobian,
+                 lambda *a: jacobian.apparent_flow_jacobian(*a, "ft"),
+                 lambda *a: jacobian.line_flow_jacobian(*a, "tf")):
+        with pytest.raises(ValidationError):
+            call(net14, v, theta)
+        with pytest.raises(ValidationError):
+            call(net14, v[:, :-1], theta[:3, :-1])
+
+
+def test_injection_jacobian_rejects_nonpositive_v(net14):
+    v, theta = _point(net14, np.random.default_rng(18), T=3)
+    v[1, 4] = 0.0
+    with pytest.raises(ValidationError):
+        jacobian.injection_jacobian(net14, v, theta)
 
 
 def _diag_injection(net, v, theta):
