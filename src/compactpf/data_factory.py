@@ -7,6 +7,8 @@ emitted row is an exact power-flow solution that also satisfies the
 engineering limits used while sampling.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace, field
 
 import numpy as np
@@ -19,6 +21,10 @@ MAX_EXTRA_OFF = 3      # additional units turned off per outage draw
 V_PUSH_MAX = 0.03      # p.u. tightening of generator voltage bounds
 TEST_FRACTION = 0.2    # share of the samples held out as the test split
 MAX_ALTERATION = 0.15  # load schemes scale loads within 1 +/- this
+# candidates solved at once: HiGHS's run releases the GIL, the rest of a
+# candidate holds it, so threads beyond two gain nothing
+THREADS = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass
@@ -123,6 +129,14 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     cover the load plus the least loss; screened before any LP),
     "infeasible" (the SLP's local verdict) and "no_solution" (the SLP's
     iteration budget ran out).
+
+    Candidates are solved ``THREADS`` at a time (two, when the process may
+    use two CPUs) on a thread pool: one candidate's HiGHS ``run``, which
+    releases the GIL, overlaps the other's Python. Every random draw (the
+    outage sets, then the voltage pushes) is made up front in task order,
+    and outcomes are tallied in task order, so the dataset does not depend
+    on scheduling, and the first candidate in task order that raises raises
+    here (those not yet started are cancelled).
     """
     cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(seed)
@@ -140,21 +154,29 @@ def collect_dataset(net, inst, cfg=None, seed=0):
                 extra = rng.choice(others, size=k, replace=False) if k else []
                 off = tuple(sorted({gi, *map(int, extra)}))
                 tasks.append((t, off, True))
+    # the voltage pushes, drawn in task order after every outage set
+    jobs = [(t, off, _pushed_network(net, inst, rng) if perturb else net)
+            for t, off, perturb in tasks]
 
-    for t, off, perturb in tasks:
-        net_s = _pushed_network(net, inst, rng) if perturb else net
+    def candidate(job):
+        """The candidate's operating point, or why it was rejected."""
+        t, off, net_s = job
         spec = make_dispatch_spec(net_s, inst, t, off=off)
         try:
-            op, _ = slp_acopf(net_s, spec)
+            return slp_acopf(net_s, spec)[0]
         except InfeasibleError as err:
-            rejected[err.reason] += 1
-            continue
+            return err.reason
         except ConvergenceError:
-            rejected["no_solution"] += 1
-            continue
-        rows_x.append(grid_model.pack_input(op, net))
-        rows_y.append(grid_model.pack_output(op))
-        meta.append({"hour": t, "off": off})
+            return "no_solution"
+
+    with ThreadPoolExecutor(THREADS) as pool:
+        for (t, off, _), op in zip(jobs, pool.map(candidate, jobs)):
+            if isinstance(op, str):
+                rejected[op] += 1
+                continue
+            rows_x.append(grid_model.pack_input(op, net))
+            rows_y.append(grid_model.pack_output(op))
+            meta.append({"hour": t, "off": off})
 
     if len(rows_x) < cfg.min_samples:
         raise ValidationError(

@@ -76,6 +76,12 @@ def _pass_model(h, c, A, lo, hi, lb, ub, integrality=None):
         A.indices.astype(np.int32, copy=False), A.data, integrality)
 
 
+def _solution(h, n):
+    """The primal point of ``h``'s n columns. The binding hands it over as
+    a list; ``np.fromiter`` reads it without ``np.array``'s type probe."""
+    return np.fromiter(h.getSolution().col_value, float, n)
+
+
 def linprog(c, A, lo, hi, lb, ub, inst):
     """Solve min c.x s.t. lo <= A x <= hi, lb <= x <= ub on ``inst``'s HiGHS.
 
@@ -99,7 +105,7 @@ def linprog(c, A, lo, hi, lb, ub, inst):
     basis = h.getBasis()
     if basis.valid:
         inst.basis = basis
-    return LPResult(0, np.array(h.getSolution().col_value), fun)
+    return LPResult(0, _solution(h, A.shape[1]), fun)
 
 
 def _run_off_stdout(h):
@@ -140,7 +146,7 @@ def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):
         return MIPResult(4, None, math.nan, 0, -math.inf)
     info = h.getInfo()
     feasible = info.primal_solution_status == _highs.kSolutionStatusFeasible
-    x = np.array(h.getSolution().col_value) if feasible else None
+    x = _solution(h, A.shape[1]) if feasible else None
     status = _STATUS.get(h.getModelStatus(), 4)
     fun = info.objective_function_value
     if status == 0 and (x is None or not math.isfinite(fun)):

@@ -1,14 +1,17 @@
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from compactpf import data_factory
 from compactpf.ac_solver import load_cover, make_dispatch_spec
 from compactpf.data_factory import (SamplerConfig, LoadScheme,
                                     apply_load_scheme, collect_dataset,
                                     verify_dataset, dump_dataset,
                                     load_dataset)
-from compactpf.errors import ValidationError
+from compactpf.errors import ConvergenceError, ValidationError
 
 
 def test_dataset_rows_are_exact_pf_solutions(net14, dataset14):
@@ -40,6 +43,54 @@ def test_dataset_deterministic(net14, inst24, dataset14):
     assert np.array_equal(again.X, dataset14.X)
     assert np.array_equal(again.Y, dataset14.Y)
     assert np.array_equal(again.split, dataset14.split)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_threaded_dataset_equals_serial(net14, inst24, monkeypatch, seed):
+    """Candidates run on two threads give the dataset of one thread: the
+    random draws are made up front and outcomes tallied in task order."""
+    cfg = SamplerConfig(combos_per_gen=1)
+    runs = []
+    for threads in (2, 1):
+        monkeypatch.setattr(data_factory, "THREADS", threads)
+        runs.append(collect_dataset(net14, inst24, cfg, seed=seed))
+    threaded, serial = runs
+    assert np.array_equal(threaded.X, serial.X)
+    assert np.array_equal(threaded.Y, serial.Y)
+    assert threaded.meta == serial.meta
+    assert np.array_equal(threaded.split, serial.split)
+    assert threaded.rejected == serial.rejected
+
+
+def test_failing_candidate_raises_and_stops_the_pool(net14, inst24,
+                                                     monkeypatch):
+    """The 5th candidate's error propagates, the candidates not yet started
+    are cancelled, and the pool's threads are gone when the call returns.
+    Every other candidate takes the same 20 ms, so besides the 5th and its
+    predecessors at most one candidate per thread starts."""
+    monkeypatch.setattr(data_factory, "THREADS", 2)
+    push = data_factory._pushed_network
+    pushed, calls = [], []
+
+    def record_push(net, inst, rng):
+        pushed.append(push(net, inst, rng))
+        return pushed[-1]
+
+    def fifth_fails(net, spec):
+        calls.append(spec)
+        if net is pushed[3]:   # candidate 0 is the hour's unpushed base
+            raise ValidationError("fifth candidate")
+        time.sleep(0.02)
+        raise ConvergenceError("budget")
+
+    monkeypatch.setattr(data_factory, "_pushed_network", record_push)
+    monkeypatch.setattr(data_factory, "slp_acopf", fifth_fails)
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="fifth candidate"):
+        collect_dataset(net14, inst24, SamplerConfig(combos_per_gen=1),
+                        seed=1)
+    assert 5 <= len(calls) <= 5 + data_factory.THREADS
+    assert threading.active_count() == before
 
 
 def test_dataset_tallies_rejections(inst24, dataset14):

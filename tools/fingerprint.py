@@ -14,7 +14,7 @@ derated to 30%) and prints one JSON object of SHA-256 digests (their first
   flow errors, and the 24-hour oracle on the DC-UC schedule: verdict,
   iterations, the objective as a float hex, dispatch and points;
 - per stage, the LPs and MIPs of each layer: their number, and one digest
-  of every call's inputs and solution in call order.
+  of every call's inputs and solution, in call order per HiGHS instance.
 
 Equal objects from two checkouts mean these outputs, and the LPs behind
 them, are the same bit for bit; the same checkout run twice must print the
@@ -62,7 +62,13 @@ class LPLog:
     """Counts and digests every LP and MIP call, by stage and layer: the
     ``linprog`` of ``ac_solver`` (the SLP) and of ``milp_solve``, and
     ``milp_solve.mip``. A MIP's time limit depends on the clock, so it is
-    left out of the digest."""
+    left out of the digest.
+
+    The LPs of one HiGHS instance (``linprog``'s last argument) are hashed
+    in call order, and each MIP is a sequence of its own. A layer's digest
+    is the digest of its sorted sequence digests, so it does not depend on
+    how the sampler's threads interleave their instances. Each instance is
+    kept until its stage ends, so that no id is reused within a stage."""
 
     def __init__(self, ac_solver, milp_solve):
         self.stages = {}
@@ -77,13 +83,14 @@ class LPLog:
 
         def recorded(c, A, lo, hi, lb, ub, *rest):
             res = original(c, A, lo, hi, lb, ub, *rest)
-            key = rest[:2] if layer == "milp_solve.mip" else ()
-            per = log.stages[log._stage].setdefault(
-                layer, {"calls": 0, "h": hashlib.sha256()})
-            per["calls"] += 1
-            for item in (c, A.data, A.indices, A.indptr, A.shape, lo, hi,
-                         lb, ub, key, tuple(res)):
-                per["h"].update(_bytes(item))
+            if layer == "milp_solve.mip":
+                owner, key = object(), rest[:2]
+            else:
+                owner, key = rest[-1], ()
+            call = digest(c, A.data, A.indices, A.indptr, A.shape, lo, hi,
+                          lb, ub, key, tuple(res))
+            per = log.stages[log._stage].setdefault(layer, {})
+            per.setdefault(id(owner), (owner, []))[1].append(call)
             return res
 
         setattr(module, attr, recorded)
@@ -96,12 +103,11 @@ class LPLog:
             yield
         finally:
             self._stage = None
-
-    def summary(self):
-        return {stage: {layer: {"calls": per["calls"],
-                                "digest": per["h"].hexdigest()[:16]}
-                        for layer, per in layers.items()}
-                for stage, layers in self.stages.items()}
+            self.stages[name] = {
+                layer: {"calls": sum(len(calls) for _, calls in per.values()),
+                        "digest": digest(sorted(digest(calls) for _, calls
+                                                in per.values()))}
+                for layer, per in self.stages[name].items()}
 
 
 def _report(rep):
@@ -193,7 +199,7 @@ def fingerprint(src):
         rep = m["ac_solver"].mtp_acopf_check(net, inst24, sched)
     out["oracle_24h"] = {"commitment": digest(sched.y), **_report(rep)}
 
-    out["lps"] = lps.summary()
+    out["lps"] = lps.stages
     return out
 
 

@@ -115,11 +115,13 @@ def main(argv=None):
     metrics = [e["name"] for e in bench["end_to_end"]]
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
+    # the CPUs this process may use; the sampler's thread count follows them
+    usable = len(os.sched_getaffinity(0))
     doc = {
         "change": args.change_text,
         "parent_commit": commit_of(args.parent),
-        "machine": (f"{os.cpu_count()}-core {platform.machine()} "
-                    f"{platform.system()}, Python "
+        "machine": (f"{os.cpu_count()}-core ({usable} usable) "
+                    f"{platform.machine()} {platform.system()}, Python "
                     f"{platform.python_version()}, scipy {scipy.__version__}"),
         "command": " ".join(command) + " --workload W --seed N --seconds "
                    f"{seconds}",
