@@ -21,7 +21,9 @@ from scipy import sparse
 
 from .errors import ValidationError, ConvergenceError, CompactPFError
 from . import grid_model, jacobian
-from .highs import PRIMAL_TOL, HighsInstance, linprog
+from .highs import HighsInstance, linprog
+from .tolerances import (AC_FEAS_TOL, MIN_RADIUS, PRED_RTOL, PRIMAL_TOL,
+                         SOC_HALO_MIN, STEP_TOL)
 
 
 class InfeasibleError(CompactPFError):
@@ -31,7 +33,7 @@ class InfeasibleError(CompactPFError):
     produce the load plus the network's least loss (``load_cover``), so no
     AC operating point exists, and no LP ran. "infeasible" means the
     dispatch-side LP constraints conflict, or the SLP converged with an
-    exact residual above ``TOL_FEAS``; the latter is a local stationary
+    exact residual above ``AC_FEAS_TOL``; the latter is a local stationary
     point of the l1 merit, not a certificate that no feasible dispatch
     exists."""
 
@@ -40,16 +42,13 @@ class InfeasibleError(CompactPFError):
         self.reason = reason
 
 
-TOL_FEAS = 1e-6
 SLACK_PENALTY = 1e5
 # trust region on the SLP step in v (p.u.) and theta (rad)
 INITIAL_RADIUS = 0.1
 MAX_RADIUS = 0.2
-MIN_RADIUS = 1e-10
 SHRINK = 0.5
 EXPAND = 2.0
 MAX_MAJOR_ITERS = 60
-STEP_TOL = 1e-7     # converged once the step is this small
 _log = logging.getLogger(__name__)
 
 
@@ -123,7 +122,7 @@ def load_cover(net, specs):
     reserve). ``need`` is the load plus ``grid_model.loss_floor``, below
     which no point in the voltage box meets the load, so most < need proves
     the period AC-infeasible. The SLP accepts a point whose bus balances
-    each miss by up to ``TOL_FEAS`` and whose outputs pass each cap,
+    each miss by up to ``AC_FEAS_TOL`` and whose outputs pass each cap,
     reserve and sign bound by up to HiGHS's ``PRIMAL_TOL``; ``margin``
     covers both, so a period the SLP would accept is never screened.
     """
@@ -136,7 +135,7 @@ def load_cover(net, specs):
         np.minimum(cap_a, cap_b).sum(axis=1), cap_a.sum(axis=1) - reserve)
     need = np.array([spec.pd.sum() for spec in specs]) + \
         grid_model.loss_floor(net)
-    margin = net.n * TOL_FEAS + (2 * len(units) + 1) * PRIMAL_TOL
+    margin = net.n * AC_FEAS_TOL + (2 * len(units) + 1) * PRIMAL_TOL
     return most, need, margin
 
 
@@ -446,7 +445,7 @@ class _SLPProblem:
         lo2, hi2 = lo.copy(), hi.copy()
         hi2[self.lin_rows] -= self.packed(trial) - (y0 + (J @ d)[:, :, 0])
         lo2[self.eq_rows] = hi2[self.eq_rows]
-        halo = max(10.0 * float(np.max(np.abs(hi2 - hi))), 1e-9)
+        halo = max(10.0 * float(np.max(np.abs(hi2 - hi))), SOC_HALO_MIN)
         lb2, ub2 = lb.copy(), ub.copy()
         lb2[self.dv] = np.maximum(lb[self.dv], dv - halo)
         ub2[self.dv] = np.minimum(ub[self.dv], dv + halo)
@@ -553,7 +552,7 @@ def _solve_slp(net, specs, ramps=False):
             pred = cur_merit - model_merit
             actual = cur_merit - cand_merit
             take = actual > 0.0
-            if pred <= 1e-6 * max(1.0, abs(cur_merit)):
+            if pred <= PRED_RTOL * max(1.0, abs(cur_merit)):
                 converged = True
             else:
                 ratio = actual / pred
@@ -571,7 +570,7 @@ def _solve_slp(net, specs, ramps=False):
 
     # the first iterate is always taken, so state is set
     pt, pdel, rres, qg, qsc, cost, viol = state
-    if viol <= TOL_FEAS:
+    if viol <= AC_FEAS_TOL:
         verdict = "feasible"
     elif converged:
         verdict = "infeasible"
@@ -587,7 +586,7 @@ def slp_acopf(net, spec):
     reason "short_of_load" when the committed units cannot cover the load
     plus the least loss (certified: no AC point exists, and no LP runs),
     with reason "infeasible" when the dispatch constraints conflict or the
-    iteration converges with a residual above ``TOL_FEAS`` (a local
+    iteration converges with a residual above ``AC_FEAS_TOL`` (a local
     verdict, not a certificate), and ConvergenceError when the iteration
     budget is exhausted.
     """
@@ -609,6 +608,18 @@ def slp_acopf(net, spec):
 # Schedule logic checking and the MTP AC-OPF oracle
 # ---------------------------------------------------------------------------
 
+def _switch_at(g, row, t, start):
+    """Unit g's start (``start``) or stop binary at hour t (1-based): the
+    schedule's ``row`` inside the horizon, the unit's initial status before
+    it (t <= 0). A unit on for h hours started at t = 1 - h; one off for h
+    hours stopped then. Kept apart from the UC builder's own reading of the
+    initial status, so the checker stays independent of it."""
+    if t >= 1:
+        return row[t - 1]
+    hist = g.init_status if start else -g.init_status
+    return 1 if (hist > 0 and t == 1 - hist) else 0
+
+
 def check_schedule_logic(inst, y, u, w):
     """Verify the binary commitment logic independently of any builder.
 
@@ -619,19 +630,6 @@ def check_schedule_logic(inst, y, u, w):
     T = y.shape[1]
     problems = []
     for gi, g in enumerate(inst.gens):
-        hist = g.init_status
-
-        def u_at(t):   # t may be <= 0
-            if t >= 1:
-                return u[gi, t - 1]
-            # unit started at 1 - hist hours before horizon if initially on
-            return 1 if (hist > 0 and t == 1 - hist) else 0
-
-        def w_at(t):
-            if t >= 1:
-                return w[gi, t - 1]
-            return 1 if (hist < 0 and t == 1 + hist) else 0
-
         y_prev = 1 if g.init_on else 0
         for t in range(1, T + 1):
             yt, ut, wt = y[gi, t - 1], u[gi, t - 1], w[gi, t - 1]
@@ -639,9 +637,11 @@ def check_schedule_logic(inst, y, u, w):
                 problems.append(f"unit {g.name} t={t}: y transition != u - w")
             if ut and wt:
                 problems.append(f"unit {g.name} t={t}: simultaneous start/stop")
-            if sum(u_at(tp) for tp in range(t - g.tu + 1, t + 1)) > yt:
+            if sum(_switch_at(g, u[gi], tp, start=True)
+                   for tp in range(t - g.tu + 1, t + 1)) > yt:
                 problems.append(f"unit {g.name} t={t}: min-uptime violated")
-            if sum(w_at(tp) for tp in range(t - g.td + 1, t + 1)) > 1 - yt:
+            if sum(_switch_at(g, w[gi], tp, start=False)
+                   for tp in range(t - g.td + 1, t + 1)) > 1 - yt:
                 problems.append(f"unit {g.name} t={t}: min-downtime violated")
             y_prev = yt
         if g.p_init > g.sd and w[gi, 0]:
@@ -675,14 +675,10 @@ def startup_cost(inst, u, w):
     total = 0.0
     G, T = np.asarray(u).shape
     for gi, g in enumerate(inst.gens):
-        def w_at(t, gi=gi, g=g):
-            if t >= 1:
-                return w[gi][t - 1] if t <= T else 0
-            return 1 if (g.init_status < 0 and t == 1 + g.init_status) else 0
-
         for t in range(1, T + 1):
             if u[gi][t - 1]:
-                total += startup_cost_of(g, t, w_at)
+                total += startup_cost_of(
+                    g, t, lambda tp: _switch_at(g, w[gi], tp, start=False))
     return total
 
 
@@ -727,7 +723,7 @@ def mtp_acopf_check(net, inst, sched):
     period is certified when a period's committed units cannot cover its
     load plus the least loss: no AC dispatch exists, and no LP ran. Any
     other "infeasible" is the SLP's local verdict (dispatch constraints in
-    conflict, or convergence with a residual above ``TOL_FEAS``), not a
+    conflict, or convergence with a residual above ``AC_FEAS_TOL``), not a
     certificate; ``detail`` says which.
     """
     y, u, w = sched.y, sched.u, sched.w

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .tolerances import CMP_TOL
 
 # MATPOWER bus types
 PQ, PV, REF = 1, 2, 3
@@ -421,7 +422,7 @@ def _validate_segments(segs, label):
     for width, slope in segs:
         if width < 0:
             raise ValidationError(f"{label}: negative segment width")
-        if slope < prev - 1e-12:
+        if slope < prev - CMP_TOL:
             raise ValidationError(
                 f"{label}: cost segments not convex (decreasing slopes)")
         prev = slope

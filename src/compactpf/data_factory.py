@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidationError, ConvergenceError
 from . import grid_model
 from .ac_solver import InfeasibleError, make_dispatch_spec, slp_acopf
+from .tolerances import DATASET_TOL
 
 MAX_EXTRA_OFF = 3      # additional units turned off per outage draw
 V_PUSH_MAX = 0.03      # p.u. tightening of generator voltage bounds
@@ -193,14 +194,14 @@ def collect_dataset(net, inst, cfg=None, seed=0):
                      n=net.n, m=net.m, ref=net.ref, rejected=rejected)
 
 
-def verify_dataset(net, ds, tol=1e-8):
+def verify_dataset(net, ds):
     """Re-evaluate every row through the exact power flow map, all rows in
-    one stacked call, and return the worst packed-output mismatch; a NaN
-    mismatch fails."""
+    one stacked call, and return the worst packed-output mismatch; one
+    above ``DATASET_TOL``, or a NaN, fails."""
     if ds.size == 0:
         return 0.0
     worst = float(np.max(np.abs(grid_model.eval_at_input(net, ds.X) - ds.Y)))
-    if not worst <= tol:
+    if not worst <= DATASET_TOL:
         raise ValidationError(f"dataset inconsistent with power flow "
                               f"(worst mismatch {worst:.3e})")
     return worst

@@ -21,9 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-# HiGHS's default primal_feasibility_tolerance, which every instance here
-# keeps: an "optimal" point may pass a bound or a row by this much
-PRIMAL_TOL = 1e-7
 _ERROR = _highs.HighsStatus.kError
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)

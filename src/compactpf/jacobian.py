@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import grid_model
+from .tolerances import CMP_TOL
 
 # Apparent flow rows divide by s; regularize the denominator so lines at
 # exactly zero flow still produce finite (if arbitrary-direction) rows.
@@ -141,7 +142,7 @@ def linearize(net, op):
     The reference-angle column is removed so the model acts on packed
     inputs of length 2n-1; rstar makes the model exact at x0.
     """
-    if abs(op.theta[net.ref]) > 1e-12:
+    if abs(op.theta[net.ref]) > CMP_TOL:
         raise ValidationError("linearization point must have theta[ref] = 0")
     J = full_jacobian(net, op.v, op.theta)
     if not np.all(np.isfinite(J)):

@@ -20,6 +20,7 @@ from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
 from .milp_model import MILPModel, BINARY, LE, EQ, GE
 from . import milp_solve
+from .tolerances import CMP_TOL, PATH_TOL
 
 FREE, FIXED_OFF, FIXED_ON = "free", "fixed_off", "fixed_on"
 TIGHTEN_BUDGET_S = 120.0   # wall-clock budget of one tighten_bounds call
@@ -33,7 +34,7 @@ class BigMBounds:
     provenance: tuple      # per-ReLU "interval" / "lp" / "milp"
 
     def __post_init__(self):
-        if np.any(self.m_min > self.m_max + 1e-12):
+        if np.any(self.m_min > self.m_max + CMP_TOL):
             raise ValidationError("Mmin > Mmax")
         for st, lo, hi in zip(self.status, self.m_min, self.m_max):
             if st == FIXED_OFF and hi > 0:
@@ -100,7 +101,7 @@ def bound_box_from_network(net, inst=None):
             continue
         for vtx, wt in adj[u]:
             nd = d + wt
-            if nd < reach[vtx] - 1e-15:
+            if nd < reach[vtx] - PATH_TOL:
                 reach[vtx] = nd
                 heapq.heappush(heap, (nd, vtx))
 
@@ -327,10 +328,10 @@ def tighten_bounds(model, box, mode="lp", start=None):
                     continue
                 # the dual bound is the valid side for bound tightening
                 val = sol.best_bound
-            if direction > 0 and val > m_min[i] + 1e-12:
+            if direction > 0 and val > m_min[i] + CMP_TOL:
                 m_min[i] = val
                 improved = True
-            elif direction < 0 and -val < m_max[i] - 1e-12:
+            elif direction < 0 and -val < m_max[i] - CMP_TOL:
                 m_max[i] = -val
                 improved = True
         if improved:

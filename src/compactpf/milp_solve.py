@@ -20,17 +20,9 @@ import numpy as np
 from .errors import ValidationError
 from .highs import HighsInstance, linprog, mip
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
+from .tolerances import (CMP_TOL, GAP_FLOOR, INT_TOL, MIP_FEAS_TOL,
+                         OPTIMAL_GAP, PRIMAL_TOL)
 
-FEAS_TOL = 1e-7
-# an incumbent is accepted when no row or bound of the model is violated by
-# more than this (``MILPModel.max_violation``)
-INCUMBENT_TOL = 1e-6
-# a binary this close to its rounding is integral, and a gap this small
-# reads "optimal"
-INT_TOL = 1e-9
-# slack on comparisons of bounds and objectives, against rounding in the
-# last digits
-CMP_TOL = 1e-12
 # a limit, a rejected model or numerical trouble give "error": no verdict
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -45,7 +37,7 @@ class LPSolution:
 @dataclass
 class MILPSolution:
     # optimal | infeasible | unbounded | gap_reached | budget_exhausted |
-    # error
+    # error, from solve_milp; feasible, an imported point with no bound
     status: str
     x: np.ndarray = None
     objective: float = math.nan
@@ -124,7 +116,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
         bound = min(bound, inc_obj)
         gap = _gap(inc_obj, bound)
         if status is None:
-            status = "gap_reached" if gap > INT_TOL else "optimal"
+            status = "gap_reached" if gap > OPTIMAL_GAP else "optimal"
         return MILPSolution(status=status, x=incumbent, objective=inc_obj,
                             best_bound=bound, gap=gap, nodes=nodes)
 
@@ -152,7 +144,8 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
             x, obj = fixed.x, fixed.objective
         x = x.copy()
         x[bins] = rounded
-        if obj < inc_obj - CMP_TOL and model.max_violation(x) <= INCUMBENT_TOL:
+        if (obj < inc_obj - CMP_TOL
+                and model.max_violation(x) <= MIP_FEAS_TOL):
             incumbent, inc_obj = x, obj
 
     consider(root.x, root.objective)
@@ -184,7 +177,7 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
 def _gap(obj, bound):
     if not math.isfinite(obj):
         return math.inf
-    return max(0.0, (obj - bound) / max(abs(obj), 1e-9))
+    return max(0.0, (obj - bound) / max(abs(obj), GAP_FLOOR))
 
 
 def enumerate_binaries(model):
@@ -224,7 +217,9 @@ def export_mps(model):
     """Serialize to MPS text (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA).
 
     Coefficients are written with 17 significant digits so a reparse is
-    bit-exact. Binaries are marked with BV bound records.
+    bit-exact. Binaries are marked with BV bound records. A column with no
+    objective or row coefficient is declared with a zero objective entry,
+    so that every variable has a COLUMNS record.
     """
     names = [_mps_name(v.name) for v in model.variables]
     if len(set(names)) != len(names):
@@ -250,7 +245,7 @@ def export_mps(model):
 
     lines.append("COLUMNS")
     for i, entries in enumerate(cols):
-        for rn, coef in entries:
+        for rn, coef in entries or [("OBJ", 0.0)]:
             lines.append(f"    {names[i]}  {rn}  {_fmt(coef)}")
 
     lines.append("RHS")
@@ -320,6 +315,10 @@ def parse_mps(text):
 
     if model is None:
         raise ValidationError("MPS text missing NAME record")
+    undeclared = sorted(set(bounds) - set(col_entries))
+    if undeclared:
+        raise ValidationError(
+            f"BOUNDS record for undeclared column {undeclared[0]!r}")
 
     for vn in col_entries:
         lb, ub, kind = 0.0, math.inf, CONTINUOUS
@@ -342,7 +341,8 @@ def parse_mps(text):
         i = model.var_index(vn)
         for rn, coef in entries:
             if rows[rn] == "N":
-                model.add_obj(i, coef)
+                if coef != 0.0:     # zero only declares an empty column
+                    model.add_obj(i, coef)
             else:
                 con_coeffs[rn][i] = coef
     for rn in row_order:
@@ -355,7 +355,12 @@ def parse_mps(text):
 
 
 def import_solution(text, model):
-    """Read `name value` lines and validate them against the model."""
+    """Read `name value` lines and validate them against the model.
+
+    The point must pass every row and bound by ``PRIMAL_TOL`` and hold each
+    binary within ``MIP_FEAS_TOL`` of 0 or 1. It comes with no bound, so it
+    is reported "feasible", with bound -inf and gap inf.
+    """
     x = np.array([min(max(0.0, v.lb), v.ub) for v in model.variables])
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#")[0].strip()
@@ -375,9 +380,15 @@ def import_solution(text, model):
             raise ValidationError(
                 f"solution line {lineno}: {val!r} is not a number") from None
     viol = model.max_violation(x)
-    if viol > FEAS_TOL:
+    if viol > PRIMAL_TOL:
         raise ValidationError(
             f"imported solution infeasible: max violation {viol:.3e}")
-    obj = model.objective_value(x)
-    return MILPSolution(status="optimal", x=x, objective=obj,
-                        best_bound=obj, gap=0.0)
+    bins = model.binary_indices()
+    frac = np.abs(x[bins] - np.round(x[bins]))
+    if frac.size and frac.max() > MIP_FEAS_TOL:
+        k = bins[int(np.argmax(frac))]
+        raise ValidationError(
+            f"imported solution not integral: binary "
+            f"{model.variables[k].name!r} = {x[k]!r}")
+    return MILPSolution(status="feasible", x=x,
+                        objective=model.objective_value(x))

@@ -19,6 +19,7 @@ from .milp_encode import (bound_box_from_network, encode_relu_network,
                           encode_linear_model, add_box_constraints)
 from .ac_solver import check_schedule_logic, commitment_cost, production_cost
 from .grid_model import unpack_input
+from .tolerances import CMP_TOL, MIP_FEAS_TOL, OBJ_RTOL
 
 
 @dataclass
@@ -69,7 +70,7 @@ def build_core_uc(inst, reactive=True):
 
     total_span = sum(g.pmax - g.pmin for g in inst.gens)
     for t in range(T):
-        if inst.reserve[t] > total_span + 1e-12:
+        if inst.reserve[t] > total_span + CMP_TOL:
             warnings.warn(
                 f"reserve requirement at t={t + 1} exceeds total "
                 f"dispatchable range; instance is statically infeasible")
@@ -357,8 +358,9 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
     ubin = grab(ucv.u)
     wbin = grab(ucv.w)
     for name, arr in (("y", ybin), ("u", ubin), ("w", wbin)):
-        if np.max(np.abs(arr - np.round(arr))) > 1e-6:
-            raise ValidationError(f"{name} binaries not integral within 1e-6")
+        if np.max(np.abs(arr - np.round(arr))) > MIP_FEAS_TOL:
+            raise ValidationError(
+                f"{name} binaries not integral within {MIP_FEAS_TOL:g}")
     ybin = np.round(ybin).astype(int)
     ubin = np.round(ubin).astype(int)
     wbin = np.round(wbin).astype(int)
@@ -377,7 +379,7 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
     obj = milp.objective_value(x)
     recomputed = (production_cost(inst, p_delta)
                   + commitment_cost(inst, ybin, ubin, wbin))
-    if abs(recomputed - obj) > 1e-6 * max(1.0, abs(obj)):
+    if abs(recomputed - obj) > OBJ_RTOL * max(1.0, abs(obj)):
         raise ValidationError(
             f"objective recomputation mismatch: solver {obj!r} vs "
             f"recomputed {recomputed!r}")

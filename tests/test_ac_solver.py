@@ -14,7 +14,7 @@ from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
                                  mtp_acopf_check, specs_from_schedule)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
-from compactpf.highs import PRIMAL_TOL
+from compactpf.tolerances import PRIMAL_TOL
 
 
 def test_slp_acopf_hour1(net14, inst24):

@@ -12,6 +12,7 @@ from compactpf.data_factory import (SamplerConfig, LoadScheme,
                                     verify_dataset, dump_dataset,
                                     load_dataset)
 from compactpf.errors import ConvergenceError, ValidationError
+from compactpf.tolerances import DATASET_TOL
 
 
 def test_dataset_rows_are_exact_pf_solutions(net14, dataset14):
@@ -19,7 +20,7 @@ def test_dataset_rows_are_exact_pf_solutions(net14, dataset14):
     assert dataset14.X.shape == (dataset14.size, net14.d_in)
     assert dataset14.Y.shape == (dataset14.size, net14.d_out)
     # every row re-evaluates through the exact power flow map
-    assert verify_dataset(net14, dataset14, tol=1e-8) < 1e-8
+    assert verify_dataset(net14, dataset14) < DATASET_TOL
 
 
 def test_verify_dataset_rejects_a_wrong_or_nan_row(net14, dataset14):

@@ -5,13 +5,15 @@ import pytest
 
 from compactpf import milp_solve
 from compactpf.highs import LPResult, MIPResult
-from compactpf.milp_encode import tighten_bounds
+from compactpf.milp_encode import (FIXED_OFF, FREE, BigMBounds,
+                                   standalone_fragment, tighten_bounds)
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
 from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                                   export_mps, parse_mps, import_solution)
 from compactpf.errors import ValidationError
+from compactpf.tolerances import MIP_FEAS_TOL, PRIMAL_TOL
 
 
 def _knapsack(values, weights, cap):
@@ -143,6 +145,36 @@ def test_mps_round_trip_coefficients():
         solve_milp(m).objective, abs=1e-9)
 
 
+def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14):
+    # a ReLU that never activates keeps a zero w2 column, so its fixed-off
+    # z has no objective or row coefficient and only a BOUNDS record
+    rng = np.random.default_rng(3)
+    w2 = rng.standard_normal((net14.d_out, 4)) * 0.1
+    w2[:, 0] = 0.0
+    model = CompactPWLModel(
+        w1=rng.standard_normal((net14.d_in, 4)) / np.sqrt(net14.d_in),
+        w2=w2, b=rng.standard_normal(4) * 0.01, linear=lin14)
+    bounds = BigMBounds(m_min=np.full(4, -1.0),
+                        m_max=np.array([-0.5, 1.0, 1.0, 1.0]),
+                        status=(FIXED_OFF, FREE, FREE, FREE),
+                        provenance=("interval",) * 4)
+    m, _ = standalone_fragment(model, bounds, box14)
+    again = parse_mps(export_mps(m))
+    assert [v.name for v in again.variables] == [v.name for v in m.variables]
+    lb0, ub0 = m.bounds_arrays()
+    lb1, ub1 = again.bounds_arrays()
+    assert np.array_equal(lb0, lb1) and np.array_equal(ub0, ub1)
+    assert ({again.variables[i].name: c for i, c in again.obj.items()}
+            == {m.variables[i].name: c for i, c in m.obj.items()})
+
+
+def test_parse_mps_rejects_bounds_of_an_undeclared_column():
+    text = ("NAME          m\nROWS\n N  OBJ\nCOLUMNS\n    a  OBJ  1\nRHS\n"
+            "BOUNDS\n UP BND  a  1\n UP BND  b  2\nENDATA\n")
+    with pytest.raises(ValidationError, match="undeclared column 'b'"):
+        parse_mps(text)
+
+
 def test_mps_rejects_duplicate_rows():
     m = MILPModel()
     x = m.add_var("x", lb=0.0, ub=1.0)
@@ -168,6 +200,23 @@ def test_import_solution_rejects_nan():
     m, _ = _knapsack([10, 13], [3, 4], 7)
     with pytest.raises(ValidationError, match="infeasible"):
         import_solution("x[0] nan\n", m)
+
+
+def test_import_solution_claims_no_bound():
+    # the optimum is -13; the all-zero point passes the model and is only
+    # feasible
+    m, _ = _knapsack([10, 13], [3, 4], 6)
+    sol = import_solution("x[0] 0\nx[1] 0\n", m)
+    assert (sol.status, sol.objective) == ("feasible", 0.0)
+    assert sol.best_bound == -math.inf and sol.gap == math.inf
+
+
+def test_import_solution_rejects_a_fractional_binary():
+    m, _ = _knapsack([10, 13], [3, 4], 6)
+    with pytest.raises(ValidationError, match="not integral"):
+        import_solution("x[0] 0.5\nx[1] 0\n", m)
+    near = import_solution(f"x[0] {MIP_FEAS_TOL / 2!r}\nx[1] 1\n", m)
+    assert near.status == "feasible"
 
 
 def test_import_solution_rejects_unparsable_value():
@@ -349,7 +398,7 @@ def test_open_root_goes_to_highs_and_matches_enumeration(monkeypatch):
         assert sol.best_bound <= ref.objective + 1e-9
         assert ref.objective <= sol.objective + 1e-9
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-        assert m.max_violation(sol.x) <= milp_solve.FEAS_TOL
+        assert m.max_violation(sol.x) <= PRIMAL_TOL
 
 
 def test_node_budget_stop_keeps_highs_incumbent():
@@ -368,7 +417,7 @@ def test_node_budget_stop_keeps_highs_incumbent():
     sol = solve_milp(m, node_budget=3)
     assert sol.status == "budget_exhausted"
     assert sol.x is not None
-    assert m.max_violation(sol.x) <= milp_solve.FEAS_TOL
+    assert m.max_violation(sol.x) <= PRIMAL_TOL
     assert sol.best_bound <= sol.objective
 
 
