@@ -34,8 +34,8 @@ from .pwl_learner import (CompactPWLModel, DirectNNModel, TrainConfig,
 from .milp_model import MILPModel, LE, EQ, GE, CONTINUOUS, BINARY
 from .milp_encode import (BigMBounds, BoundBox, bound_box_from_network,
                           interval_bounds, tighten_bounds, prune,
-                          encode_relu_network, encode_linear_model,
-                          standalone_fragment)
+                          hourly_bounds, encode_relu_network,
+                          encode_linear_model, standalone_fragment)
 from .milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                          export_mps, parse_mps, import_solution)
 from .uc_builder import (UCSchedule, build_core_uc, build_nn_ac_uc,

@@ -6,7 +6,8 @@ and (unless the ReLU has been fixed by pruning) a binary beta_i with the
 four standard big-M inequalities. Valid [Mmin, Mmax] pre-activation
 bounds come from interval arithmetic over the input box, and can be
 tightened by optimizing zhat_i over the encoded fragment with the LP
-relaxation or the exact MILP.
+relaxation or the exact MILP. A UC model can then tighten them once more
+per hour, over the fragment with that hour's load balance.
 """
 
 import heapq
@@ -18,12 +19,14 @@ import numpy as np
 
 from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
+from .highs import HighsInstance
 from .milp_model import MILPModel, BINARY, LE, EQ, GE
 from . import milp_solve
 from .tolerances import CMP_TOL, PATH_TOL
 
 FREE, FIXED_OFF, FIXED_ON = "free", "fixed_off", "fixed_on"
-TIGHTEN_BUDGET_S = 120.0   # wall-clock budget of one tighten_bounds call
+TIGHTEN_BUDGET_S = 120.0   # wall-clock budget of one tighten_bounds or
+                           # hourly_bounds call
 
 
 @dataclass
@@ -125,16 +128,7 @@ def bound_box_from_network(net, inst=None):
     y_hi[2 * n:2 * n + m] = net.smax
     y_hi[2 * n + m:] = net.smax
     if inst is not None:
-        pmax_at = np.zeros(n)
-        qmin_at = np.zeros(n)
-        qmax_at = np.zeros(n)
-        for g in inst.gens:
-            pmax_at[g.bus] += g.pmax
-            qmin_at[g.bus] += min(g.qmin, 0.0)
-            qmax_at[g.bus] += max(g.qmax, 0.0)
-        for c in inst.condensers:
-            qmin_at[c.bus] += min(c.qmin, 0.0)
-            qmax_at[c.bus] += max(c.qmax, 0.0)
+        pmax_at, qmin_at, qmax_at = _bus_output_ranges(inst, n)
         # widen the load range by the load-alteration envelope so one box
         # stays valid across every load scheme scenario
         pd_max = inst.pd.max(axis=1)
@@ -151,6 +145,24 @@ def bound_box_from_network(net, inst=None):
         y_hi[n:2 * n] = qmax_at - qd_lo
     return BoundBox(x_lo=x_lo, x_hi=x_hi, angle_pairs=tuple(pairs),
                     y_lo=y_lo, y_hi=y_hi)
+
+
+def _bus_output_ranges(inst, n):
+    """Per bus position, the most active power its units can inject and
+    the least and most reactive power, each unit within its bounds in the
+    UC model: a unit, which may be off, in [0, pmax] and
+    [min(qmin, 0), max(qmax, 0)], a condenser in [qmin, qmax]."""
+    pmax_at = np.zeros(n)
+    qmin_at = np.zeros(n)
+    qmax_at = np.zeros(n)
+    for g in inst.gens:
+        pmax_at[g.bus] += g.pmax
+        qmin_at[g.bus] += min(g.qmin, 0.0)
+        qmax_at[g.bus] += max(g.qmax, 0.0)
+    for c in inst.condensers:
+        qmin_at[c.bus] += c.qmin
+        qmax_at[c.bus] += c.qmax
+    return pmax_at, qmin_at, qmax_at
 
 
 def interval_bounds(model, box):
@@ -288,6 +300,52 @@ def standalone_fragment(model, bounds, box, prefix="nn"):
     return milp, frag
 
 
+class _FragmentLP:
+    """The LP relaxation (beta in [0, 1]) of the standalone fragment over
+    a box, its arrays built once, and the one HiGHS instance that solves
+    every LP over it, each warm from the last optimal basis."""
+
+    def __init__(self, model, bounds, box):
+        milp, self.frag = standalone_fragment(model, bounds, box)
+        self.A, self.lo, self.hi = milp.constraint_matrices()
+        self.lb, self.ub = milp.bounds_arrays()
+        self.inst = HighsInstance()
+
+    def minimize(self, i, direction, lb=None, ub=None):
+        """min direction * zhat_i over the fragment, with the column bounds
+        ``lb``/``ub`` in place of its own when given; None unless the LP
+        is optimal."""
+        c = np.zeros(self.lb.size)
+        c[self.frag.zhat[i]] = direction
+        res = milp_solve.linprog(
+            c, self.A, self.lo, self.hi, self.lb if lb is None else lb,
+            self.ub if ub is None else ub, self.inst)
+        return res.fun if res.status == 0 else None
+
+
+def _tighten(relus, m_min, m_max, extreme, t0):
+    """Raise ``m_min[i]`` to ``extreme(i, +1)`` and lower ``m_max[i]`` to
+    ``-extreme(i, -1)`` in place for each ReLU i of ``relus``, where that
+    is tighter. ``extreme`` gives a valid lower bound on min direction *
+    zhat_i, or None, which leaves that side as it is, as does running past
+    ``TIGHTEN_BUDGET_S`` from ``t0``. Returns the ReLUs tightened."""
+    improved = set()
+    for i in relus:
+        if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
+            break
+        for direction in (+1.0, -1.0):
+            val = extreme(i, direction)
+            if val is None:
+                continue
+            if direction > 0 and val > m_min[i] + CMP_TOL:
+                m_min[i] = val
+                improved.add(i)
+            elif direction < 0 and -val < m_max[i] - CMP_TOL:
+                m_max[i] = -val
+                improved.add(i)
+    return improved
+
+
 def tighten_bounds(model, box, mode="lp", start=None):
     """Tighten per-ReLU pre-activation bounds by optimizing zhat_i over
     the encoded fragment restricted to the box's constraint sets.
@@ -302,54 +360,94 @@ def tighten_bounds(model, box, mode="lp", start=None):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
     if start is None:
         start = interval_bounds(model, box)
-    milp, frag = standalone_fragment(model, start, box)
+    t0 = time.monotonic()
+    if mode == "lp":
+        extreme = _FragmentLP(model, start, box).minimize
+    else:
+        milp, frag = standalone_fragment(model, start, box)
+
+        def extreme(i, direction):
+            milp.obj = {frag.zhat[i]: direction}
+            remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
+            sol = milp_solve.solve_milp(milp, gap_target=0.0,
+                                        time_budget=remaining)
+            # the dual bound is the valid side for bound tightening
+            return (sol.best_bound if sol.status in ("optimal", "gap_reached")
+                    else None)
+
     m_min = start.m_min.copy()
     m_max = start.m_max.copy()
-    prov = list(start.provenance)
-    t0 = time.monotonic()
-    for i in range(model.rho):
-        if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
-            break
-        improved = False
-        for direction in (+1.0, -1.0):
-            milp.obj = {frag.zhat[i]: direction}
-            milp.obj_constant = 0.0
-            if mode == "lp":
-                sol = milp_solve.solve_lp(milp)
-                if sol.status != "optimal":
-                    continue
-                val = sol.objective
-            else:
-                remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0),
-                                1.0)
-                sol = milp_solve.solve_milp(milp, gap_target=0.0,
-                                            time_budget=remaining)
-                if sol.status not in ("optimal", "gap_reached"):
-                    continue
-                # the dual bound is the valid side for bound tightening
-                val = sol.best_bound
-            if direction > 0 and val > m_min[i] + CMP_TOL:
-                m_min[i] = val
-                improved = True
-            elif direction < 0 and -val < m_max[i] - CMP_TOL:
-                m_max[i] = -val
-                improved = True
-        if improved:
-            prov[i] = mode
+    improved = _tighten(range(model.rho), m_min, m_max, extreme, t0)
     m_min = np.minimum(m_min, m_max)  # guard fp jitter on pinned ReLUs
+    prov = tuple(mode if i in improved else p
+                 for i, p in enumerate(start.provenance))
     return BigMBounds(m_min=m_min, m_max=m_max,
-                      status=start.status, provenance=tuple(prov))
+                      status=start.status, provenance=prov)
+
+
+def hourly_bounds(model, bounds, box, inst):
+    """One ``BigMBounds`` per hour of the UC instance ``inst``: ``bounds``
+    tightened, for every ReLU free under them, over that hour alone.
+
+    Hour t's relaxation is the standalone fragment over ``box`` (beta
+    relaxed) with hour t's active and reactive balance rows, each unit's
+    output within its bounds in the UC model (``_bus_output_ranges``).
+    Those rows say exactly that output y[b] lies in [least injection -
+    load, most injection - load] at bus b, so the relaxation is the
+    fragment with these bounds on its outputs. It drops only the UC's
+    inter-temporal, reserve and commitment rows, so the hour-t slice of
+    every UC-feasible point lies in it, and its LP optima bound the
+    pre-activations there as ``tighten_bounds(mode="lp")``'s do. Each side
+    is never looser than in ``bounds`` and stays as given when its LP is
+    not optimal; a ReLU whose sign the hour settles is fixed by
+    ``prune``'s rule. Every LP runs through ``milp_solve.linprog`` on one
+    warm instance; per hour only the output bounds change, per LP only
+    the cost.
+    """
+    free = [i for i, st in enumerate(bounds.status) if st == FREE]
+    if not free:
+        return [bounds] * inst.horizon
+    lp = _FragmentLP(model, bounds, box)
+    n = inst.pd.shape[0]
+    pmax_at, qmin_at, qmax_at = _bus_output_ranges(inst, n)
+    p, q = lp.frag.y[:n], lp.frag.y[n:2 * n]
+    out = []
+    t0 = time.monotonic()
+    for t in range(inst.horizon):
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        lb[p] = np.maximum(lb[p], -inst.pd[:, t])
+        ub[p] = np.minimum(ub[p], pmax_at - inst.pd[:, t])
+        lb[q] = np.maximum(lb[q], qmin_at - inst.qd[:, t])
+        ub[q] = np.minimum(ub[q], qmax_at - inst.qd[:, t])
+        m_min = bounds.m_min.copy()
+        m_max = bounds.m_max.copy()
+        improved = _tighten(
+            free, m_min, m_max,
+            lambda i, direction: lp.minimize(i, direction, lb, ub), t0)
+        m_min = np.minimum(m_min, m_max)
+        status = tuple(_relu_status(lo, hi) if i in improved else st
+                       for i, (st, lo, hi) in enumerate(
+                           zip(bounds.status, m_min, m_max)))
+        prov = tuple("lp" if i in improved else pv
+                     for i, pv in enumerate(bounds.provenance))
+        out.append(BigMBounds(m_min=m_min, m_max=m_max, status=status,
+                              provenance=prov))
+    return out
+
+
+def _relu_status(lo, hi):
+    """``prune``'s rule: a ReLU is off when its pre-activation cannot be
+    positive, on when it is always positive, and free otherwise."""
+    if hi <= 0.0:
+        return FIXED_OFF
+    if lo > 0.0:
+        return FIXED_ON
+    return FREE
 
 
 def prune(model, bounds):
     """Fix ReLUs whose bounds prove them always or never active."""
-    status = []
-    for lo, hi in zip(bounds.m_min, bounds.m_max):
-        if hi <= 0.0:
-            status.append(FIXED_OFF)
-        elif lo > 0.0:
-            status.append(FIXED_ON)
-        else:
-            status.append(FREE)
+    status = tuple(_relu_status(lo, hi)
+                   for lo, hi in zip(bounds.m_min, bounds.m_max))
     return BigMBounds(m_min=bounds.m_min.copy(), m_max=bounds.m_max.copy(),
-                      status=tuple(status), provenance=bounds.provenance)
+                      status=status, provenance=bounds.provenance)

@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .highs import HighsInstance, linprog, mip
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
 from .tolerances import (CMP_TOL, GAP_FLOOR, INT_TOL, MIP_FEAS_TOL,
-                         OPTIMAL_GAP, PRIMAL_TOL)
+                         OPTIMAL_GAP)
 
 # a limit, a rejected model or numerical trouble give "error": no verdict
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -357,8 +357,8 @@ def parse_mps(text):
 def import_solution(text, model):
     """Read `name value` lines and validate them against the model.
 
-    The point must pass every row and bound by ``PRIMAL_TOL`` and hold each
-    binary within ``MIP_FEAS_TOL`` of 0 or 1. It comes with no bound, so it
+    The point must pass every row and bound, and hold each binary within
+    0 or 1, by ``MIP_FEAS_TOL``: the bar a ``solve_milp`` incumbent meets. It comes with no bound, so it
     is reported "feasible", with bound -inf and gap inf.
     """
     x = np.array([min(max(0.0, v.lb), v.ub) for v in model.variables])
@@ -380,7 +380,7 @@ def import_solution(text, model):
             raise ValidationError(
                 f"solution line {lineno}: {val!r} is not a number") from None
     viol = model.max_violation(x)
-    if viol > PRIMAL_TOL:
+    if viol > MIP_FEAS_TOL:
         raise ValidationError(
             f"imported solution infeasible: max violation {viol:.3e}")
     bins = model.binary_indices()

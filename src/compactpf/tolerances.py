@@ -12,16 +12,15 @@ algorithm.
 
 # HiGHS's default primal_feasibility_tolerance, which every instance keeps:
 # an "optimal" LP point may pass a bound or a row by this much.
-# ``import_solution`` holds an outside MILP point to it too: the bar a HiGHS
-# LP point meets. That is ten times stricter than a ``solve_milp``
-# incumbent's bar, MIP_FEAS_TOL, and no measurement asks for the
-# difference; which of the two an imported point should meet is open.
 PRIMAL_TOL = 1e-7
 # HiGHS's default mip_feasibility_tolerance: its branch-and-cut returns
 # points whose rows, bounds and binaries miss by up to this much. So a
 # ``solve_milp`` incumbent passes ``MILPModel.max_violation`` at it, and
-# ``extract_schedule`` and ``import_solution`` take a binary within it of 0
-# or 1 as integral.
+# ``extract_schedule`` takes a binary within it of 0 or 1 as integral.
+# ``import_solution`` holds an outside MILP point, rows, bounds and
+# binaries, to it too: a point read back from a MIP solver is judged by the
+# bar the program's own incumbents meet, so a HiGHS MIP point that misses
+# a row by up to this much is not refused on import.
 MIP_FEAS_TOL = 1e-6
 # slack on comparisons of bounds, objectives, cost slopes and the reference
 # angle, against rounding in the last digits

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ValidationError
 from .milp_model import MILPModel, BINARY, LE, GE, EQ
 from .milp_encode import (bound_box_from_network, encode_relu_network,
-                          encode_linear_model, add_box_constraints)
+                          encode_linear_model, add_box_constraints,
+                          hourly_bounds)
 from .ac_solver import check_schedule_logic, commitment_cost, production_cost
 from .grid_model import unpack_input
 from .tolerances import CMP_TOL, MIP_FEAS_TOL, OBJ_RTOL
@@ -264,12 +265,16 @@ def _tie_balance(milp, inst, net, ucv, frag, t, gens_at, conds_at):
 
 def build_nn_ac_uc(inst, net, model, bounds, box=None):
     """UC with the exact big-M encoding of the compact PWL surrogate
-    standing in for the AC physics, one fragment per period."""
+    standing in for the AC physics, one fragment per period. Each period's
+    fragment gets ``bounds`` tightened over that hour's load
+    (``hourly_bounds``)."""
     if model.d_in != net.d_in or model.d_out != net.d_out:
         raise ValidationError("surrogate/network dimension mismatch")
+    box = _surrogate_box(inst, net, box)
+    per_hour = hourly_bounds(model, bounds, box, inst)
     return _build_surrogate_uc(
         inst, net, box, "nn_ac_uc", lambda milp, x, t: encode_relu_network(
-            model, bounds, milp, x, prefix=f"nn[{t}]"))
+            model, per_hour[t], milp, x, prefix=f"nn[{t}]"))
 
 
 def build_l_ac_uc(inst, net, lin, box=None):
@@ -277,16 +282,22 @@ def build_l_ac_uc(inst, net, lin, box=None):
     if lin.d_in != net.d_in or lin.d_out != net.d_out:
         raise ValidationError("linear model/network dimension mismatch")
     return _build_surrogate_uc(
-        inst, net, box, "l_ac_uc", lambda milp, x, t: encode_linear_model(
-            lin, milp, x, prefix=f"lin[{t}]"))
+        inst, net, _surrogate_box(inst, net, box), "l_ac_uc",
+        lambda milp, x, t: encode_linear_model(lin, milp, x,
+                                               prefix=f"lin[{t}]"))
+
+
+def _surrogate_box(inst, net, box):
+    """``box``, or the network's box for ``inst``, once the instance is
+    checked to have one load row per bus."""
+    inst.check_load_rows(net.n)
+    return box or bound_box_from_network(net, inst)
 
 
 def _build_surrogate_uc(inst, net, box, name, encode):
     """The core UC plus, per period t, input variables over the box, the
     fragment ``encode(milp, x, t)`` over them, the box's angle and output
     constraints, and the balance and flow-limit rows."""
-    inst.check_load_rows(net.n)
-    box = box or bound_box_from_network(net, inst)
     milp, ucv = build_core_uc(inst)
     milp.name = name
     gens_at = _units_at(inst.gens, net.n)

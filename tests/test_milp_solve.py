@@ -219,6 +219,31 @@ def test_import_solution_rejects_a_fractional_binary():
     assert near.status == "feasible"
 
 
+def _row_model():
+    """x + b <= 1 over a continuous x in [0, 2] and a binary b."""
+    m = MILPModel()
+    x = m.add_var("x", lb=0.0, ub=2.0)
+    b = m.add_var("b", kind=BINARY)
+    m.add_constr({x: 1.0, b: 1.0}, LE, 1.0, name="row")
+    m.add_obj(x, -1.0)
+    return m
+
+
+def test_import_solution_holds_rows_to_the_incumbent_bar():
+    """A point between the LP bar and the MIP bar is one HiGHS's
+    branch-and-cut may return; it is accepted, as an incumbent would be."""
+    m = _row_model()
+    sol = import_solution(f"x {1.0 + 5e-7!r}\nb 0\n", m)
+    assert PRIMAL_TOL < m.max_violation(sol.x) <= MIP_FEAS_TOL
+    assert sol.status == "feasible"
+
+
+def test_import_solution_rejects_a_point_past_the_incumbent_bar():
+    m = _row_model()
+    with pytest.raises(ValidationError, match="infeasible"):
+        import_solution(f"x {1.0 + 2e-6!r}\nb 0\n", m)
+
+
 def test_import_solution_rejects_unparsable_value():
     m, _ = _knapsack([10, 13], [3, 4], 7)
     with pytest.raises(ValidationError, match="line 2"):

@@ -5,9 +5,12 @@ import pytest
 
 from compactpf.case_ingest import UCGen, UCInstance
 from compactpf.jacobian import LinearPFModel
-from compactpf.milp_encode import bound_box_from_network, interval_bounds
+from compactpf import uc_builder
+from compactpf.highs import HighsInstance, linprog
+from compactpf.milp_encode import (bound_box_from_network, hourly_bounds,
+                                   interval_bounds, prune, tighten_bounds)
 from compactpf.milp_model import GE
-from compactpf.milp_solve import solve_milp
+from compactpf.milp_solve import solve_lp, solve_milp
 from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import (build_core_uc, build_nn_ac_uc,
                                   build_l_ac_uc, build_dc_uc,
@@ -191,6 +194,74 @@ def test_builders_reject_other_bus_count(net14, inst4, lin14, box14, build):
     }
     with pytest.raises(ValidationError, match="13 load rows, network has 14"):
         calls[build]()
+
+
+@pytest.fixture(scope="module")
+def lp_bounds8(compact8, box14):
+    start = interval_bounds(compact8, box14)
+    return prune(compact8, tighten_bounds(compact8, box14, mode="lp",
+                                          start=start))
+
+
+@pytest.fixture(scope="module")
+def shared_and_hourly(net14, inst4, compact8, box14, lp_bounds8):
+    """The NN-UC of uc14_t4 with the shared LP bounds in every period, and
+    as built, with each period's bounds tightened over its own hour."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uc_builder, "hourly_bounds",
+                   lambda model, bounds, box, inst: [bounds] * inst.horizon)
+        shared = build_nn_ac_uc(inst4, net14, compact8, lp_bounds8, box=box14)
+    hourly = build_nn_ac_uc(inst4, net14, compact8, lp_bounds8, box=box14)
+    return shared, hourly
+
+
+def test_hourly_bounds_are_valid_and_lose_nothing(inst4, compact8, box14,
+                                                  lp_bounds8,
+                                                  shared_and_hourly):
+    per_hour = hourly_bounds(compact8, lp_bounds8, box14, inst4)
+    assert len(per_hour) == inst4.horizon
+    for b in per_hour:
+        assert np.all(b.m_min >= lp_bounds8.m_min)
+        assert np.all(b.m_max <= lp_bounds8.m_max)
+    # some hour's load tightens some free ReLU, or the test shows nothing
+    assert any(np.any(b.m_min > lp_bounds8.m_min)
+               or np.any(b.m_max < lp_bounds8.m_max) for b in per_hour)
+
+    (shared, ucv), (hourly, _) = shared_and_hourly
+    s = solve_milp(shared, gap_target=0.0)
+    h = solve_milp(hourly, gap_target=0.0)
+    assert s.status == h.status == "optimal"
+    # the shared model's optimum is a UC-feasible point: each hour's
+    # pre-activations there lie within that hour's bounds
+    for t, (frag, b) in enumerate(zip(ucv.frags, per_hour)):
+        zhat = s.x[frag.x] @ compact8.w1 + compact8.b
+        assert np.all(zhat >= b.m_min - 1e-7), t
+        assert np.all(zhat <= b.m_max + 1e-7), t
+    assert h.objective == pytest.approx(s.objective, rel=1e-6)
+
+    # so does every point of the shared model's LP relaxation: its hour-t
+    # slice meets every row of hour t's relaxation, so the LP extremes of
+    # each pre-activation lie within that hour's bounds too
+    A, lo, hi = shared.constraint_matrices()
+    lb, ub = shared.bounds_arrays()
+    inst = HighsInstance()
+    for t, (frag, b) in enumerate(zip(ucv.frags, per_hour)):
+        for i, j in enumerate(frag.zhat):
+            c = np.zeros(shared.nvar)
+            c[j] = 1.0
+            low = linprog(c, A, lo, hi, lb, ub, inst)
+            high = linprog(-c, A, lo, hi, lb, ub, inst)
+            assert low.status == high.status == 0
+            assert low.fun >= b.m_min[i] - 1e-7, (t, i)
+            assert -high.fun <= b.m_max[i] + 1e-7, (t, i)
+
+
+def test_hourly_bounds_only_strengthen_the_root(shared_and_hourly):
+    (shared, _), (hourly, _) = shared_and_hourly
+    rs, rh = solve_lp(shared), solve_lp(hourly)
+    assert rs.status == rh.status == "optimal"
+    assert rh.objective >= rs.objective - 1e-9 * abs(rs.objective)
+    assert len(hourly.binary_indices()) <= len(shared.binary_indices())
 
 
 def test_dc_requires_reactance(net14, inst4):

@@ -14,7 +14,9 @@ derated to 30%) and prints one JSON object of SHA-256 digests (their first
   flow errors, and the 24-hour oracle on the DC-UC schedule: verdict,
   iterations, the objective as a float hex, dispatch and points;
 - per stage, the LPs and MIPs of each layer: their number, and one digest
-  of every call's inputs and solution, in call order per HiGHS instance.
+  of every call's inputs and solution, in call order per HiGHS instance
+  (a 4-hour UC stage holds the model's build, whose NN-UC per-hour bound
+  LPs run there, and its solve).
 
 Equal objects from two checkouts mean these outputs, and the LPs behind
 them, are the same bit for bit; the same checkout run twice must print the
@@ -175,13 +177,13 @@ def fingerprint(src):
             "bounds": bounds["lp"]}
     out["export_mps"], out["oracle_4h"] = {}, {}
     for f in hv.FORMULATIONS:
-        milp, ucv = hv.build_formulation(f, inst4, prep)
+        with lps.stage(f"uc_4h.{f}"):
+            milp, ucv = hv.build_formulation(f, inst4, prep)
+            sol = slv.solve_milp(milp, gap_target=GAP)
+            sched = ucb.extract_schedule(milp, sol, inst4, ucv, net=net)
         text = slv.export_mps(milp)
         out["export_mps"][f] = {"lines": text.count("\n"),
                                 "digest": digest(text)}
-        with lps.stage(f"uc_4h.{f}"):
-            sol = slv.solve_milp(milp, gap_target=GAP)
-            sched = ucb.extract_schedule(milp, sol, inst4, ucv, net=net)
         with lps.stage(f"oracle_4h.{f}"):
             rep = m["ac_solver"].mtp_acopf_check(net, inst4, sched)
         out["oracle_4h"][f] = {"uc_objective": float.hex(sched.objective),
