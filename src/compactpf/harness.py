@@ -32,6 +32,7 @@ from .uc_builder import build_nn_ac_uc, build_l_ac_uc, build_dc_uc, \
     extract_schedule
 
 FORMULATIONS = ("nn", "linear", "dc")
+# in chain order: each mode tightens the bounds of the one before it
 BOUND_MODES = ("interval", "lp", "milp")
 # "error": the cell raised something other than a CompactPFError, i.e. a
 # fault in the program rather than an outcome of the model
@@ -109,11 +110,13 @@ def base_linearization(net, inst):
 
 
 def big_m_bounds(model, box, mode):
-    """Interval bounds over the box, tightened by LP or MILP unless mode is
-    "interval", then pruned."""
+    """Interval bounds over the box, tightened along the chain of
+    ``BOUND_MODES`` up to ``mode`` (interval, then LP, then MILP), then
+    pruned. Each step optimizes only the ReLUs its start leaves free, so
+    the MILP step solves MILPs only for what LP leaves open."""
     bounds = interval_bounds(model, box)
-    if mode in ("lp", "milp"):
-        bounds = tighten_bounds(model, box, mode=mode, start=bounds)
+    for step in BOUND_MODES[1:BOUND_MODES.index(mode) + 1]:
+        bounds = tighten_bounds(model, box, mode=step, start=bounds)
     return prune(model, bounds)
 
 

@@ -8,6 +8,14 @@ bounds come from interval arithmetic over the input box, and can be
 tightened by optimizing zhat_i over the encoded fragment with the LP
 relaxation or the exact MILP. A UC model can then tighten them once more
 per hour, over the fragment with that hour's load balance.
+
+Every tightening pass follows one rule: it optimizes only the ReLUs that
+its starting bounds leave free by ``prune``'s rule, over the fragment
+those bounds prune. This is exact, not a relaxation. With Mmax <= 0 the
+big-M rows force z = 0, and with Mmin > 0 they force z = zhat, in the MILP
+and in its LP relaxation alike; so the pruned fragment has the same
+feasible (x, zhat, z) set, and each open ReLU the same optimum, with fewer
+binaries. A settled ReLU already has its sign, so it is not bounded again.
 """
 
 import heapq
@@ -49,8 +57,12 @@ class BigMBounds:
     def rho(self):
         return self.m_min.size
 
+    def free_relus(self):
+        """Indices of the ReLUs these bounds leave free."""
+        return [i for i, s in enumerate(self.status) if s == FREE]
+
     def free_count(self):
-        return sum(1 for s in self.status if s == FREE)
+        return len(self.free_relus())
 
 
 @dataclass
@@ -351,20 +363,25 @@ def tighten_bounds(model, box, mode="lp", start=None):
     the encoded fragment restricted to the box's constraint sets.
 
     mode "lp" uses the LP relaxation (valid, looser); mode "milp" solves
-    the exact MILP per bound to a zero gap. Resulting bounds are never
-    looser than the starting bounds; entries not improved (or skipped once
-    ``TIGHTEN_BUDGET_S`` is spent) keep their starting value and
-    provenance.
+    the exact MILP per bound to a zero gap. Only the ReLUs that ``start``
+    leaves free by ``prune``'s rule are optimized, over the fragment
+    ``prune(model, start)`` encodes, in which a settled ReLU has no
+    binary; that fragment has the same feasible set, so each open ReLU
+    gets the same optimum. Resulting bounds are never looser than the
+    starting bounds; settled ReLUs, and entries not improved (or skipped
+    once ``TIGHTEN_BUDGET_S`` is spent), keep their starting value and
+    provenance. The status is ``start``'s.
     """
     if mode not in ("lp", "milp"):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
     if start is None:
         start = interval_bounds(model, box)
+    settled = prune(model, start)
     t0 = time.monotonic()
     if mode == "lp":
-        extreme = _FragmentLP(model, start, box).minimize
+        extreme = _FragmentLP(model, settled, box).minimize
     else:
-        milp, frag = standalone_fragment(model, start, box)
+        milp, frag = standalone_fragment(model, settled, box)
 
         def extreme(i, direction):
             milp.obj = {frag.zhat[i]: direction}
@@ -377,7 +394,7 @@ def tighten_bounds(model, box, mode="lp", start=None):
 
     m_min = start.m_min.copy()
     m_max = start.m_max.copy()
-    improved = _tighten(range(model.rho), m_min, m_max, extreme, t0)
+    improved = _tighten(settled.free_relus(), m_min, m_max, extreme, t0)
     m_min = np.minimum(m_min, m_max)  # guard fp jitter on pinned ReLUs
     prov = tuple(mode if i in improved else p
                  for i, p in enumerate(start.provenance))
@@ -387,33 +404,41 @@ def tighten_bounds(model, box, mode="lp", start=None):
 
 def hourly_bounds(model, bounds, box, inst):
     """One ``BigMBounds`` per hour of the UC instance ``inst``: ``bounds``
-    tightened, for every ReLU free under them, over that hour alone.
+    tightened, for every ReLU that ``bounds`` leave free by ``prune``'s
+    rule, over that hour alone.
 
-    Hour t's relaxation is the standalone fragment over ``box`` (beta
-    relaxed) with hour t's active and reactive balance rows, each unit's
-    output within its bounds in the UC model (``_bus_output_ranges``).
-    Those rows say exactly that output y[b] lies in [least injection -
-    load, most injection - load] at bus b, so the relaxation is the
-    fragment with these bounds on its outputs. It drops only the UC's
-    inter-temporal, reserve and commitment rows, so the hour-t slice of
-    every UC-feasible point lies in it, and its LP optima bound the
-    pre-activations there as ``tighten_bounds(mode="lp")``'s do. Each side
-    is never looser than in ``bounds`` and stays as given when its LP is
-    not optimal; a ReLU whose sign the hour settles is fixed by
+    Hour t's relaxation is the fragment ``prune(model, bounds)`` encodes
+    over ``box`` (beta relaxed) with hour t's active and reactive balance
+    rows, each unit's output within its bounds in the UC model
+    (``_bus_output_ranges``). Those rows say exactly that output y[b] lies
+    in [least injection - load, most injection - load] at bus b, so the
+    relaxation is the fragment with these bounds on its outputs. It drops
+    only the UC's inter-temporal, reserve and commitment rows, so the
+    hour-t slice of every UC-feasible point lies in it, and its LP optima
+    bound the pre-activations there as ``tighten_bounds(mode="lp")``'s do.
+    Each side is never looser than in ``bounds`` and stays as given when
+    its LP is not optimal; a ReLU whose sign the hour settles is fixed by
     ``prune``'s rule. Every LP runs through ``milp_solve.linprog`` on one
     warm instance; per hour only the output bounds change, per LP only
-    the cost.
+    the cost. An hour whose load column (``pd[:, t]`` and ``qd[:, t]``)
+    repeats an earlier hour's has the same relaxation, so it gets that
+    hour's bounds without solving again.
     """
-    free = [i for i, st in enumerate(bounds.status) if st == FREE]
+    bounds = prune(model, bounds)
+    free = bounds.free_relus()
     if not free:
         return [bounds] * inst.horizon
     lp = _FragmentLP(model, bounds, box)
     n = inst.pd.shape[0]
     pmax_at, qmin_at, qmax_at = _bus_output_ranges(inst, n)
     p, q = lp.frag.y[:n], lp.frag.y[n:2 * n]
-    out = []
+    keys = [(inst.pd[:, t].tobytes(), inst.qd[:, t].tobytes())
+            for t in range(inst.horizon)]
+    seen = {}       # load column -> the bounds of its first hour
     t0 = time.monotonic()
-    for t in range(inst.horizon):
+    for t, key in enumerate(keys):
+        if key in seen:
+            continue
         lb, ub = lp.lb.copy(), lp.ub.copy()
         lb[p] = np.maximum(lb[p], -inst.pd[:, t])
         ub[p] = np.minimum(ub[p], pmax_at - inst.pd[:, t])
@@ -430,9 +455,9 @@ def hourly_bounds(model, bounds, box, inst):
                            zip(bounds.status, m_min, m_max)))
         prov = tuple("lp" if i in improved else pv
                      for i, pv in enumerate(bounds.provenance))
-        out.append(BigMBounds(m_min=m_min, m_max=m_max, status=status,
-                              provenance=prov))
-    return out
+        seen[key] = BigMBounds(m_min=m_min, m_max=m_max, status=status,
+                               provenance=prov)
+    return [seen[key] for key in keys]
 
 
 def _relu_status(lo, hi):

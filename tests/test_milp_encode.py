@@ -11,8 +11,10 @@ from compactpf.milp_encode import (BigMBounds, BoundBox, FREE, FIXED_OFF,
                                    encode_linear_model, add_box_constraints,
                                    standalone_fragment, tighten_bounds,
                                    prune)
+from compactpf import milp_solve
 from compactpf.milp_solve import solve_milp, solve_lp
 from compactpf.errors import ValidationError
+from compactpf.harness import big_m_bounds
 
 
 def _toy_model(seed=0, d_in=2, d_out=2, rho=2):
@@ -142,6 +144,67 @@ def test_tighten_lp_never_looser():
     assert np.all(milp.m_max <= lp.m_max + 1e-9)
     with pytest.raises(ValidationError):
         tighten_bounds(model, box, mode="heuristic")
+
+
+def _lp_settles_some():
+    """A surrogate and box on which LP tightening from interval bounds
+    settles ReLUs 2 and 3 (Mmax < 0), since the output bounds cut the box,
+    and leaves ReLUs 0 and 1 free; with those LP bounds."""
+    model = _toy_model(seed=20, d_in=3, rho=4)
+    box = BoundBox(x_lo=-np.ones(3), x_hi=np.ones(3),
+                   y_lo=np.full(2, -0.5), y_hi=np.full(2, 0.5))
+    lp = tighten_bounds(model, box, mode="lp",
+                        start=interval_bounds(model, box))
+    return model, box, lp
+
+
+def test_milp_tightening_skips_relus_its_start_settles(monkeypatch):
+    model, box, lp = _lp_settles_some()
+    open_ = prune(model, lp).free_relus()
+    assert 0 < len(open_) < model.rho
+
+    # reference: every ReLU's MILP extremes over the unpruned fragment
+    ref_milp, ref_frag = standalone_fragment(model, lp, box)
+    ref_min, ref_max = lp.m_min.copy(), lp.m_max.copy()
+    for i in range(model.rho):
+        ref_milp.obj = {ref_frag.zhat[i]: 1.0}
+        ref_min[i] = max(ref_min[i],
+                         solve_milp(ref_milp, gap_target=0.0).best_bound)
+        ref_milp.obj = {ref_frag.zhat[i]: -1.0}
+        ref_max[i] = min(ref_max[i],
+                         -solve_milp(ref_milp, gap_target=0.0).best_bound)
+    settled = [i for i in range(model.rho) if i not in open_]
+    # the old loop moved a settled ReLU's bounds, or the test shows nothing
+    assert np.any(ref_min[settled] > lp.m_min[settled] + 1e-6)
+
+    calls = []
+    real = milp_solve.solve_milp
+
+    def counted(milp, **kw):
+        calls.append(len(milp.binary_indices()))
+        return real(milp, **kw)
+
+    monkeypatch.setattr(milp_solve, "solve_milp", counted)
+    mi = tighten_bounds(model, box, mode="milp", start=lp)
+    assert calls == [len(open_)] * (2 * len(open_))
+    for i in settled:
+        assert mi.m_min[i] == lp.m_min[i] and mi.m_max[i] == lp.m_max[i]
+        assert mi.provenance[i] == lp.provenance[i]
+    assert np.allclose(mi.m_min[open_], ref_min[open_], rtol=0, atol=1e-9)
+    assert np.allclose(mi.m_max[open_], ref_max[open_], rtol=0, atol=1e-9)
+    assert mi.status == lp.status
+
+
+def test_milp_bound_mode_tightens_the_lp_bounds():
+    model, box, lp = _lp_settles_some()
+    chained = big_m_bounds(model, box, "milp")
+    want = prune(model, tighten_bounds(model, box, mode="milp", start=lp))
+    assert np.array_equal(chained.m_min, want.m_min)
+    assert np.array_equal(chained.m_max, want.m_max)
+    assert chained.status == want.status
+    # the settled ReLUs keep their LP bounds and say so
+    assert chained.provenance[2:] == ("lp", "lp")
+    assert chained.free_count() == 2
 
 
 def test_tightened_bounds_still_valid():

@@ -5,7 +5,7 @@ import pytest
 
 from compactpf.case_ingest import UCGen, UCInstance
 from compactpf.jacobian import LinearPFModel
-from compactpf import uc_builder
+from compactpf import milp_solve, uc_builder
 from compactpf.highs import HighsInstance, linprog
 from compactpf.milp_encode import (bound_box_from_network, hourly_bounds,
                                    interval_bounds, prune, tighten_bounds)
@@ -254,6 +254,43 @@ def test_hourly_bounds_are_valid_and_lose_nothing(inst4, compact8, box14,
             assert low.status == high.status == 0
             assert low.fun >= b.m_min[i] - 1e-7, (t, i)
             assert -high.fun <= b.m_max[i] + 1e-7, (t, i)
+
+
+def test_repeated_load_columns_are_solved_once(monkeypatch, inst4, compact8,
+                                              box14, lp_bounds8):
+    # hours 1 and 3 of uc14_t4 share a load column; hour 2 now takes hour
+    # 0's, so two columns are left
+    pd, qd = inst4.pd.copy(), inst4.qd.copy()
+    pd[:, 2], qd[:, 2] = pd[:, 0], qd[:, 0]
+    inst = replace(inst4, pd=pd, qd=qd)
+    distinct = np.unique(np.vstack([pd, qd]), axis=1).shape[1]
+    assert distinct == 2
+    free = lp_bounds8.free_count()
+    assert free > 0
+
+    calls = []
+    real = milp_solve.linprog
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(milp_solve, "linprog", counted)
+    per_hour = hourly_bounds(compact8, lp_bounds8, box14, inst)
+    monkeypatch.undo()
+    assert len(calls) == 2 * free * distinct
+
+    for a, b in ((0, 2), (1, 3)):
+        assert np.array_equal(per_hour[a].m_min, per_hour[b].m_min)
+        assert np.array_equal(per_hour[a].m_max, per_hour[b].m_max)
+        assert per_hour[a].status == per_hour[b].status
+    for t, b in enumerate(per_hour):
+        hour = replace(inst, horizon=1, pd=pd[:, t:t + 1], qd=qd[:, t:t + 1],
+                       reserve=inst.reserve[t:t + 1])
+        (alone,) = hourly_bounds(compact8, lp_bounds8, box14, hour)
+        assert np.allclose(b.m_min, alone.m_min, rtol=0, atol=1e-9), t
+        assert np.allclose(b.m_max, alone.m_max, rtol=0, atol=1e-9), t
+        assert b.status == alone.status, t
 
 
 def test_hourly_bounds_only_strengthen_the_root(shared_and_hourly):
