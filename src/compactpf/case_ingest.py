@@ -8,7 +8,7 @@ loads, shunts, line ratings, generator limits, and cost coefficients
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -7,7 +7,6 @@ arguments and moves files; every stage it runs is a function of
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .data_factory import (MAX_ALTERATION, SamplerConfig, LoadScheme,
 from .pwl_learner import (TrainConfig, train_compact, sparsify_retrain,
                           model_to_json, model_from_json)
 from .milp_encode import bound_box_from_network
-from .milp_solve import solve_milp, export_mps
+from .milp_solve import NODE_BUDGET, solve_milp, export_mps
 from .uc_builder import extract_schedule, schedule_to_json, schedule_from_json
 
 
@@ -249,7 +248,7 @@ def main(argv=None):
                            default=ExperimentConfig.gap_target)
             p.add_argument("--time-budget", type=float,
                            default=ExperimentConfig.time_budget)
-            p.add_argument("--node-budget", type=int, default=200000)
+            p.add_argument("--node-budget", type=int, default=NODE_BUDGET)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("verify-schedule",

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import CompactPFError, ValidationError
 from . import case_ingest, grid_model, jacobian
 from .ac_solver import slp_acopf, mtp_acopf_check, make_dispatch_spec
-from .data_factory import SamplerConfig, LoadScheme, collect_dataset, \
-    apply_load_scheme
+from .data_factory import SamplerConfig, collect_dataset, apply_load_scheme
 from .pwl_learner import TrainConfig, train_compact
 from .milp_encode import bound_box_from_network, interval_bounds, \
     tighten_bounds, prune

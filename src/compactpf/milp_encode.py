@@ -9,6 +9,11 @@ tightened by optimizing zhat_i over the encoded fragment with the LP
 relaxation or the exact MILP. A UC model can then tighten them once more
 per hour, over the fragment with that hour's load balance.
 
+Every pass runs the same loop over one fragment, its arrays built once,
+and solves each bound with one HiGHS call on them: an LP, warm from the
+last optimal basis, or one branch-and-cut call whose proven dual bound is
+the bound.
+
 Every tightening pass follows one rule: it optimizes only the ReLUs that
 its starting bounds leave free by ``prune``'s rule, over the fragment
 those bounds prune. This is exact, not a relaxation. With Mmax <= 0 the
@@ -21,7 +26,7 @@ binaries. A settled ReLU already has its sign, so it is not bounded again.
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -312,59 +317,80 @@ def standalone_fragment(model, bounds, box, prefix="nn"):
     return milp, frag
 
 
-class _FragmentLP:
-    """The LP relaxation (beta in [0, 1]) of the standalone fragment over
-    a box, its arrays built once, and the one HiGHS instance that solves
-    every LP over it, each warm from the last optimal basis."""
+class _Fragment:
+    """The standalone fragment over a box as arrays, with its binary
+    columns, built once: every bound over it is one HiGHS call on them.
+    Its LP relaxations (beta in [0, 1]) share one HiGHS instance, each
+    warm from the last optimal basis."""
 
     def __init__(self, model, bounds, box):
         milp, self.frag = standalone_fragment(model, bounds, box)
         self.A, self.lo, self.hi = milp.constraint_matrices()
         self.lb, self.ub = milp.bounds_arrays()
+        self.bins = milp.binary_indices()
         self.inst = HighsInstance()
 
-    def minimize(self, i, direction, lb=None, ub=None):
-        """min direction * zhat_i over the fragment, with the column bounds
-        ``lb``/``ub`` in place of its own when given; None unless the LP
-        is optimal."""
+    def _cost(self, i, direction):
         c = np.zeros(self.lb.size)
         c[self.frag.zhat[i]] = direction
+        return c
+
+    def lp_min(self, i, direction, lb=None, ub=None):
+        """min direction * zhat_i over the LP relaxation, with the column
+        bounds ``lb``/``ub`` in place of its own when given; None unless
+        the LP is optimal."""
         res = milp_solve.linprog(
-            c, self.A, self.lo, self.hi, self.lb if lb is None else lb,
-            self.ub if ub is None else ub, self.inst)
+            self._cost(i, direction), self.A, self.lo, self.hi,
+            self.lb if lb is None else lb, self.ub if ub is None else ub,
+            self.inst)
         return res.fun if res.status == 0 else None
 
+    def mip_min(self, i, direction, t0):
+        """HiGHS's dual bound on min direction * zhat_i over the fragment,
+        from one branch-and-cut call to a zero gap with what is left of
+        ``TIGHTEN_BUDGET_S`` from ``t0`` (at least 1 s); None unless that
+        call proves it optimal with a finite bound."""
+        remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
+        res = milp_solve.mip(self._cost(i, direction), self.A, self.lo,
+                             self.hi, self.lb, self.ub, self.bins, 0.0,
+                             remaining, milp_solve.NODE_BUDGET)
+        ok = res.status == 0 and math.isfinite(res.dual_bound)
+        return res.dual_bound if ok else None
 
-def _tighten(relus, m_min, m_max, extreme, t0):
-    """Raise ``m_min[i]`` to ``extreme(i, +1)`` and lower ``m_max[i]`` to
-    ``-extreme(i, -1)`` in place for each ReLU i of ``relus``, where that
-    is tighter. ``extreme`` gives a valid lower bound on min direction *
+
+def _tighten(start, extreme, source, t0):
+    """``start`` with each ReLU it leaves free by ``prune``'s rule
+    tightened: Mmin raised to ``extreme(i, +1)`` and Mmax lowered to
+    ``-extreme(i, -1)`` where that is tighter, its provenance then
+    ``source``. ``extreme`` gives a valid lower bound on min direction *
     zhat_i, or None, which leaves that side as it is, as does running past
-    ``TIGHTEN_BUDGET_S`` from ``t0``. Returns the ReLUs tightened."""
-    improved = set()
-    for i in relus:
+    ``TIGHTEN_BUDGET_S`` from ``t0``. The status is ``start``'s."""
+    m_min, m_max = start.m_min.copy(), start.m_max.copy()
+    prov = list(start.provenance)
+    for i, (lo, hi) in enumerate(zip(start.m_min, start.m_max)):
+        if _relu_status(lo, hi) != FREE:
+            continue
         if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
             break
-        for direction in (+1.0, -1.0):
-            val = extreme(i, direction)
-            if val is None:
-                continue
-            if direction > 0 and val > m_min[i] + CMP_TOL:
-                m_min[i] = val
-                improved.add(i)
-            elif direction < 0 and -val < m_max[i] - CMP_TOL:
-                m_max[i] = -val
-                improved.add(i)
-    return improved
+        low, neg_high = extreme(i, +1.0), extreme(i, -1.0)
+        if low is not None and low > lo + CMP_TOL:
+            m_min[i], prov[i] = low, source
+        if neg_high is not None and -neg_high < hi - CMP_TOL:
+            m_max[i], prov[i] = -neg_high, source
+    return BigMBounds(m_min=np.minimum(m_min, m_max),  # fp jitter on pins
+                      m_max=m_max, status=start.status,
+                      provenance=tuple(prov))
 
 
-def tighten_bounds(model, box, mode="lp", start=None):
-    """Tighten per-ReLU pre-activation bounds by optimizing zhat_i over
-    the encoded fragment restricted to the box's constraint sets.
+def tighten_bounds(model, box, mode, start):
+    """Tighten the pre-activation bounds ``start`` by optimizing zhat_i
+    over the encoded fragment restricted to the box's constraint sets.
 
-    mode "lp" uses the LP relaxation (valid, looser); mode "milp" solves
-    the exact MILP per bound to a zero gap. Only the ReLUs that ``start``
-    leaves free by ``prune``'s rule are optimized, over the fragment
+    mode "lp" takes the LP relaxation's optimum (valid, looser); mode
+    "milp" takes HiGHS's dual bound from one branch-and-cut call on the
+    exact fragment to a zero gap, and leaves a side as it is unless that
+    call proves it optimal. Only the ReLUs that ``start`` leaves free by
+    ``prune``'s rule are optimized, over the fragment
     ``prune(model, start)`` encodes, in which a settled ReLU has no
     binary; that fragment has the same feasible set, so each open ReLU
     gets the same optimum. Resulting bounds are never looser than the
@@ -374,32 +400,11 @@ def tighten_bounds(model, box, mode="lp", start=None):
     """
     if mode not in ("lp", "milp"):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
-    if start is None:
-        start = interval_bounds(model, box)
-    settled = prune(model, start)
     t0 = time.monotonic()
-    if mode == "lp":
-        extreme = _FragmentLP(model, settled, box).minimize
-    else:
-        milp, frag = standalone_fragment(model, settled, box)
-
-        def extreme(i, direction):
-            milp.obj = {frag.zhat[i]: direction}
-            remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
-            sol = milp_solve.solve_milp(milp, gap_target=0.0,
-                                        time_budget=remaining)
-            # the dual bound is the valid side for bound tightening
-            return (sol.best_bound if sol.status in ("optimal", "gap_reached")
-                    else None)
-
-    m_min = start.m_min.copy()
-    m_max = start.m_max.copy()
-    improved = _tighten(settled.free_relus(), m_min, m_max, extreme, t0)
-    m_min = np.minimum(m_min, m_max)  # guard fp jitter on pinned ReLUs
-    prov = tuple(mode if i in improved else p
-                 for i, p in enumerate(start.provenance))
-    return BigMBounds(m_min=m_min, m_max=m_max,
-                      status=start.status, provenance=prov)
+    frag = _Fragment(model, prune(model, start), box)
+    extreme = (frag.lp_min if mode == "lp"
+               else lambda i, direction: frag.mip_min(i, direction, t0))
+    return _tighten(start, extreme, mode, t0)
 
 
 def hourly_bounds(model, bounds, box, inst):
@@ -425,10 +430,9 @@ def hourly_bounds(model, bounds, box, inst):
     hour's bounds without solving again.
     """
     bounds = prune(model, bounds)
-    free = bounds.free_relus()
-    if not free:
+    if not bounds.free_relus():
         return [bounds] * inst.horizon
-    lp = _FragmentLP(model, bounds, box)
+    lp = _Fragment(model, bounds, box)
     n = inst.pd.shape[0]
     pmax_at, qmin_at, qmax_at = _bus_output_ranges(inst, n)
     p, q = lp.frag.y[:n], lp.frag.y[n:2 * n]
@@ -444,19 +448,11 @@ def hourly_bounds(model, bounds, box, inst):
         ub[p] = np.minimum(ub[p], pmax_at - inst.pd[:, t])
         lb[q] = np.maximum(lb[q], qmin_at - inst.qd[:, t])
         ub[q] = np.minimum(ub[q], qmax_at - inst.qd[:, t])
-        m_min = bounds.m_min.copy()
-        m_max = bounds.m_max.copy()
-        improved = _tighten(
-            free, m_min, m_max,
-            lambda i, direction: lp.minimize(i, direction, lb, ub), t0)
-        m_min = np.minimum(m_min, m_max)
-        status = tuple(_relu_status(lo, hi) if i in improved else st
-                       for i, (st, lo, hi) in enumerate(
-                           zip(bounds.status, m_min, m_max)))
-        prov = tuple("lp" if i in improved else pv
-                     for i, pv in enumerate(bounds.provenance))
-        seen[key] = BigMBounds(m_min=m_min, m_max=m_max, status=status,
-                               provenance=prov)
+        tight = _tighten(
+            bounds, lambda i, direction: lp.lp_min(i, direction, lb, ub),
+            "lp", t0)
+        seen[key] = replace(tight, status=tuple(
+            map(_relu_status, tight.m_min, tight.m_max)))
     return [seen[key] for key in keys]
 
 

@@ -6,7 +6,7 @@ LP/MILP solve path, the MPS writer, and the UC/NN model builders.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse

@@ -25,6 +25,7 @@ from .tolerances import (CMP_TOL, GAP_FLOOR, INT_TOL, MIP_FEAS_TOL,
 
 # a limit, a rejected model or numerical trouble give "error": no verdict
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+NODE_BUDGET = 200000    # branch-and-cut nodes one HiGHS MIP call may take
 
 
 @dataclass
@@ -81,7 +82,8 @@ def solve_lp(model):
     return _LPBackend(model).solve()
 
 
-def solve_milp(model, gap_target=0.0, time_budget=600.0, node_budget=200000):
+def solve_milp(model, gap_target=0.0, time_budget=600.0,
+               node_budget=NODE_BUDGET):
     """Minimize the model over its binaries.
 
     The root LP relaxation is solved first. The root point with its

@@ -12,6 +12,7 @@ from compactpf.milp_encode import (BigMBounds, BoundBox, FREE, FIXED_OFF,
                                    standalone_fragment, tighten_bounds,
                                    prune)
 from compactpf import milp_solve
+from compactpf.highs import MIPResult
 from compactpf.milp_solve import solve_milp, solve_lp
 from compactpf.errors import ValidationError
 from compactpf.harness import big_m_bounds
@@ -143,7 +144,7 @@ def test_tighten_lp_never_looser():
     assert np.all(milp.m_min >= lp.m_min - 1e-9)
     assert np.all(milp.m_max <= lp.m_max + 1e-9)
     with pytest.raises(ValidationError):
-        tighten_bounds(model, box, mode="heuristic")
+        tighten_bounds(model, box, mode="heuristic", start=iv)
 
 
 def _lp_settles_some():
@@ -178,13 +179,13 @@ def test_milp_tightening_skips_relus_its_start_settles(monkeypatch):
     assert np.any(ref_min[settled] > lp.m_min[settled] + 1e-6)
 
     calls = []
-    real = milp_solve.solve_milp
+    real = milp_solve.mip
 
-    def counted(milp, **kw):
-        calls.append(len(milp.binary_indices()))
-        return real(milp, **kw)
+    def counted(c, A, lo, hi, lb, ub, bins, *args):
+        calls.append(len(bins))
+        return real(c, A, lo, hi, lb, ub, bins, *args)
 
-    monkeypatch.setattr(milp_solve, "solve_milp", counted)
+    monkeypatch.setattr(milp_solve, "mip", counted)
     mi = tighten_bounds(model, box, mode="milp", start=lp)
     assert calls == [len(open_)] * (2 * len(open_))
     for i in settled:
@@ -192,6 +193,33 @@ def test_milp_tightening_skips_relus_its_start_settles(monkeypatch):
         assert mi.provenance[i] == lp.provenance[i]
     assert np.allclose(mi.m_min[open_], ref_min[open_], rtol=0, atol=1e-9)
     assert np.allclose(mi.m_max[open_], ref_max[open_], rtol=0, atol=1e-9)
+    assert mi.status == lp.status
+
+
+@pytest.mark.parametrize("status, dual_bound, proven", [
+    (0, 0.0, True),             # the control: a proven bound moves
+    (1, 0.0, False),            # a limit stop with a finite bound
+    (0, -math.inf, False),      # "optimal" with no finite bound
+    (0, math.inf, False),       # or an infinite one
+])
+def test_milp_tightening_takes_only_a_proven_dual_bound(
+        monkeypatch, status, dual_bound, proven):
+    model, box, lp = _lp_settles_some()
+    open_ = prune(model, lp).free_relus()
+    # 0 lies strictly inside every open ReLU's bounds, so a bound of 0
+    # on each side would move both
+    assert np.all(lp.m_min[open_] < -1e-6) and np.all(lp.m_max[open_] > 1e-6)
+    monkeypatch.setattr(milp_solve, "mip", lambda *args: MIPResult(
+        status, None, math.nan, 1, dual_bound))
+    mi = tighten_bounds(model, box, mode="milp", start=lp)
+    if proven:
+        assert np.all(mi.m_min[open_] == 0.0)
+        assert np.all(mi.m_max[open_] == 0.0)
+        assert {mi.provenance[i] for i in open_} == {"milp"}
+    else:
+        assert np.array_equal(mi.m_min, lp.m_min)
+        assert np.array_equal(mi.m_max, lp.m_max)
+        assert mi.provenance == lp.provenance
     assert mi.status == lp.status
 
 
@@ -210,7 +238,8 @@ def test_milp_bound_mode_tightens_the_lp_bounds():
 def test_tightened_bounds_still_valid():
     model = _toy_model(seed=5, rho=3)
     box = _toy_box()
-    tb = tighten_bounds(model, box, mode="milp")
+    tb = tighten_bounds(model, box, mode="milp",
+                        start=interval_bounds(model, box))
     rng = np.random.default_rng(2)
     X = rng.uniform(box.x_lo, box.x_hi, (500, 2))
     Z = X @ model.w1 + model.b

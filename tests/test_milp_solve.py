@@ -6,7 +6,8 @@ import pytest
 from compactpf import milp_solve
 from compactpf.highs import LPResult, MIPResult
 from compactpf.milp_encode import (FIXED_OFF, FREE, BigMBounds,
-                                   standalone_fragment, tighten_bounds)
+                                   interval_bounds, standalone_fragment,
+                                   tighten_bounds)
 from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
 from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import build_dc_uc
@@ -467,5 +468,6 @@ def test_highs_mip_prints_nothing_to_stdout(capfd, net14, lin14, box14):
         w1=rng.standard_normal((net14.d_in, 4)) / np.sqrt(net14.d_in),
         w2=rng.standard_normal((net14.d_out, 4)) * 0.1,
         b=rng.standard_normal(4) * 0.01, linear=lin14)
-    tighten_bounds(model, box14, mode="milp")
+    tighten_bounds(model, box14, mode="milp",
+                   start=interval_bounds(model, box14))
     assert capfd.readouterr().out == ""
