@@ -344,11 +344,6 @@ class _SLPProblem:
         self.seg_start = np.cumsum(self.seg_w, axis=1) - self.seg_w
         self.no_load = sum(units[gi].no_load_cost for gi in g_on)
 
-    def evaluate(self, v, theta):
-        """The exact power flow of every period at (v, theta) (T, n), as
-        one (T, ·) OperatingPoint."""
-        return grid_model.eval_power_flow(self.net, v, theta)
-
     def violation(self, op, pdel, qg, qsc):
         """Largest and summed exact violation of the balance and thermal
         constraints when the periods' evaluated point is ``op`` (T, ·) and
@@ -492,13 +487,13 @@ def _solve_slp(net, specs, ramps=False):
         """Evaluate the step (dv_, dth_): its point, evaluated point,
         violation, cost and merit."""
         v_, th_ = v + dv_, theta + dth_
-        op_ = lp.evaluate(v_, th_)
+        op_ = grid_model.eval_power_flow(net, v_, th_)
         viol_, vsum_ = lp.violation(op_, pdel_, qg_, qsc_)
         cost_ = lp.cost(pdel_)
         return v_, th_, op_, viol_, cost_, cost_ + SLACK_PENALTY * vsum_
 
     radius = INITIAL_RADIUS
-    op = lp.evaluate(v, theta)
+    op = grid_model.eval_power_flow(net, v, theta)
     lin = None          # (A, lo, hi, lin_ctx) at (v, theta)
     state = None        # (pt, pdel, rres, qg, qsc, cost, viol)
     cur_merit = math.inf

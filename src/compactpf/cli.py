@@ -62,38 +62,32 @@ def cmd_train(args):
 
 
 def cmd_compress(args):
-    _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     with open(args.model) as fh:
-        model, _ = model_from_json(fh.read())
-    ds = load_dataset(args.dataset)
-    Xtr, Ytr = ds.train
+        model = model_from_json(fh.read())
+    Xtr, Ytr = load_dataset(args.dataset).train
     cfg = _train_config(args)
     for target in args.target:
         model = sparsify_retrain(model, Xtr, Ytr, target, cfg)
-    bounds = harness.big_m_bounds(model, bound_box_from_network(net, inst),
-                                  args.bound_mode)
     kept = int(model.mask1.sum() + model.mask2.sum())
     total = model.mask1.size + model.mask2.size
     with open(args.out, "w") as fh:
-        fh.write(model_to_json(model, bounds))
-    print(f"compressed model ({kept}/{total} weights kept, "
-          f"{bounds.free_count()}/{model.rho} ReLUs free) -> {args.out}")
+        fh.write(model_to_json(model))
+    print(f"compressed model ({kept}/{total} weights kept) -> {args.out}")
     return 0
 
 
 def _build(args):
     """(net, inst, MILPModel, UCVars) of the formulation the arguments
-    name; an nn model without stored bounds gets them from --bound-mode."""
+    name; an nn model is bounded by --bound-mode over this system's box."""
     _, net, inst = harness.load_system(args.case, args.uc, args.derate)
     prep = {"net": net, "box": bound_box_from_network(net, inst)}
     if args.formulation == "nn":
         if not args.model:
             raise SystemExit("--model is required for the nn formulation")
         with open(args.model) as fh:
-            prep["model"], prep["bounds"] = model_from_json(fh.read())
-        if prep["bounds"] is None:
-            prep["bounds"] = harness.big_m_bounds(prep["model"], prep["box"],
-                                                  args.bound_mode)
+            prep["model"] = model_from_json(fh.read())
+        prep["bounds"] = harness.big_m_bounds(prep["model"], prep["box"],
+                                              args.bound_mode)
     elif args.formulation == "linear":
         prep["lin"] = harness.base_linearization(net, inst)
     milp, ucv = harness.build_formulation(args.formulation, inst, prep)
@@ -220,13 +214,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress", help="sparsify-retrain a trained model")
-    _add_system_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--target", type=float, action="append", required=True,
                    help="sparsity fraction; repeat for a schedule")
-    p.add_argument("--bound-mode", choices=harness.BOUND_MODES,
-                   default=ExperimentConfig.bound_mode)
     _add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)

@@ -117,7 +117,7 @@ def _pushed_network(net, inst, rng):
     return replace(net, vmin=vmin, vmax=vmax)
 
 
-def collect_dataset(net, inst, cfg=None, seed=0):
+def collect_dataset(net, inst, cfg, seed=0):
     """Generate feasible power-flow samples across hours and outage sets.
 
     Per hour: one all-on base solve, then for each generator a number of
@@ -139,7 +139,6 @@ def collect_dataset(net, inst, cfg=None, seed=0):
     on scheduling, and the first candidate in task order that raises raises
     here (those not yet started are cancelled).
     """
-    cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(seed)
     G = inst.ngen
     rows_x, rows_y, meta = [], [], []

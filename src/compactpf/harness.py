@@ -169,8 +169,7 @@ def _flow_errors(formulation, prep, sched):
         else prep["lin"].predict
     op = grid_model.eval_power_flow(net, sched.v, sched.theta)
     eft, etf = [], []
-    for t in range(sched.v.shape[0]):
-        x = np.concatenate([sched.v[t], np.delete(sched.theta[t], net.ref)])
+    for t, x in enumerate(grid_model.pack_input(op, net)):
         y = predictor(x)
         eft.append(float(np.sum(np.abs(y[2 * n:2 * n + m] - op.s_ft[t]))))
         etf.append(float(np.sum(np.abs(y[2 * n + m:] - op.s_tf[t]))))

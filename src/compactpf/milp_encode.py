@@ -32,7 +32,6 @@ import numpy as np
 
 from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
-from .highs import HighsInstance
 from .milp_model import MILPModel, BINARY, LE, EQ, GE
 from . import milp_solve
 from .tolerances import CMP_TOL, PATH_TOL
@@ -307,55 +306,29 @@ def add_box_constraints(milp, frag, box, prefix=""):
             v.ub = min(v.ub, hi)
 
 
-def standalone_fragment(model, bounds, box, prefix="nn"):
+def standalone_fragment(model, bounds, box):
     """Fresh MILPModel holding just the encoded network over the box."""
     milp = MILPModel(name="nn_fragment")
     x = [milp.add_var(f"x[{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
          for j in range(model.d_in)]
-    frag = encode_relu_network(model, bounds, milp, x, prefix=prefix)
+    frag = encode_relu_network(model, bounds, milp, x)
     add_box_constraints(milp, frag, box)
     return milp, frag
 
 
-class _Fragment:
-    """The standalone fragment over a box as arrays, with its binary
-    columns, built once: every bound over it is one HiGHS call on them.
-    Its LP relaxations (beta in [0, 1]) share one HiGHS instance, each
-    warm from the last optimal basis."""
+def _zhat_cost(backend, frag, i, direction):
+    """The cost vector of min direction * zhat_i over the fragment."""
+    c = np.zeros(backend.lb.size)
+    c[frag.zhat[i]] = direction
+    return c
 
-    def __init__(self, model, bounds, box):
-        milp, self.frag = standalone_fragment(model, bounds, box)
-        self.A, self.lo, self.hi = milp.constraint_matrices()
-        self.lb, self.ub = milp.bounds_arrays()
-        self.bins = milp.binary_indices()
-        self.inst = HighsInstance()
 
-    def _cost(self, i, direction):
-        c = np.zeros(self.lb.size)
-        c[self.frag.zhat[i]] = direction
-        return c
-
-    def lp_min(self, i, direction, lb=None, ub=None):
-        """min direction * zhat_i over the LP relaxation, with the column
-        bounds ``lb``/``ub`` in place of its own when given; None unless
-        the LP is optimal."""
-        res = milp_solve.linprog(
-            self._cost(i, direction), self.A, self.lo, self.hi,
-            self.lb if lb is None else lb, self.ub if ub is None else ub,
-            self.inst)
-        return res.fun if res.status == 0 else None
-
-    def mip_min(self, i, direction, t0):
-        """HiGHS's dual bound on min direction * zhat_i over the fragment,
-        from one branch-and-cut call to a zero gap with what is left of
-        ``TIGHTEN_BUDGET_S`` from ``t0`` (at least 1 s); None unless that
-        call proves it optimal with a finite bound."""
-        remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
-        res = milp_solve.mip(self._cost(i, direction), self.A, self.lo,
-                             self.hi, self.lb, self.ub, self.bins, 0.0,
-                             remaining, milp_solve.NODE_BUDGET)
-        ok = res.status == 0 and math.isfinite(res.dual_bound)
-        return res.dual_bound if ok else None
+def _lp_min(backend, frag, i, direction, lb=None, ub=None):
+    """min direction * zhat_i over the fragment's LP relaxation, with the
+    column bounds ``lb``/``ub`` in place of its own when given; None
+    unless the LP is optimal."""
+    sol = backend.solve(lb, ub, _zhat_cost(backend, frag, i, direction))
+    return sol.objective if sol.status == "optimal" else None
 
 
 def _tighten(start, extreme, source, t0):
@@ -401,9 +374,20 @@ def tighten_bounds(model, box, mode, start):
     if mode not in ("lp", "milp"):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
     t0 = time.monotonic()
-    frag = _Fragment(model, prune(model, start), box)
-    extreme = (frag.lp_min if mode == "lp"
-               else lambda i, direction: frag.mip_min(i, direction, t0))
+    milp, frag = standalone_fragment(model, prune(model, start), box)
+    backend = milp_solve.LPBackend(milp)
+
+    def extreme(i, direction):
+        if mode == "lp":
+            return _lp_min(backend, frag, i, direction)
+        # HiGHS's dual bound from one branch-and-cut call to a zero gap with
+        # what is left of TIGHTEN_BUDGET_S (at least 1 s), taken only when
+        # that call proves it optimal with a finite bound
+        remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
+        res = backend.mip(0.0, remaining, milp_solve.NODE_BUDGET,
+                          c=_zhat_cost(backend, frag, i, direction))
+        ok = res.status == 0 and math.isfinite(res.dual_bound)
+        return res.dual_bound if ok else None
     return _tighten(start, extreme, mode, t0)
 
 
@@ -432,10 +416,11 @@ def hourly_bounds(model, bounds, box, inst):
     bounds = prune(model, bounds)
     if not bounds.free_relus():
         return [bounds] * inst.horizon
-    lp = _Fragment(model, bounds, box)
+    milp, frag = standalone_fragment(model, bounds, box)
+    lp = milp_solve.LPBackend(milp)
     n = inst.pd.shape[0]
     pmax_at, qmin_at, qmax_at = _bus_output_ranges(inst, n)
-    p, q = lp.frag.y[:n], lp.frag.y[n:2 * n]
+    p, q = frag.y[:n], frag.y[n:2 * n]
     keys = [(inst.pd[:, t].tobytes(), inst.qd[:, t].tobytes())
             for t in range(inst.horizon)]
     seen = {}       # load column -> the bounds of its first hour
@@ -448,9 +433,8 @@ def hourly_bounds(model, bounds, box, inst):
         ub[p] = np.minimum(ub[p], pmax_at - inst.pd[:, t])
         lb[q] = np.maximum(lb[q], qmin_at - inst.qd[:, t])
         ub[q] = np.minimum(ub[q], qmax_at - inst.qd[:, t])
-        tight = _tighten(
-            bounds, lambda i, direction: lp.lp_min(i, direction, lb, ub),
-            "lp", t0)
+        tight = _tighten(bounds, lambda i, direction: _lp_min(
+            lp, frag, i, direction, lb, ub), "lp", t0)
         seen[key] = replace(tight, status=tuple(
             map(_relu_status, tight.m_min, tight.m_max)))
     return [seen[key] for key in keys]

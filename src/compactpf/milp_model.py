@@ -53,6 +53,8 @@ class MILPModel:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
         if not (math.isfinite(lb) or lb == -math.inf):
             raise ValidationError(f"bad lower bound for {name}")
+        if not (math.isfinite(ub) or ub == math.inf):
+            raise ValidationError(f"bad upper bound for {name}")
         idx = len(self.variables)
         self.variables.append(Variable(name, kind, lb, ub))
         self._names[name] = idx

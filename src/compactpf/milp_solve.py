@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .highs import HighsInstance, linprog, mip
 from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
 from .tolerances import (CMP_TOL, GAP_FLOOR, INT_TOL, MIP_FEAS_TOL,
@@ -47,28 +47,39 @@ class MILPSolution:
     nodes: int = 0         # HiGHS branch-and-cut nodes; 0 when the root closes
 
 
-class _LPBackend:
-    """One model's LP data and the HiGHS instance its LPs run on: after
-    the first LP, each starts warm from the last optimal basis."""
+class LPBackend:
+    """One model's arrays, its binary columns and the HiGHS instance its
+    LPs run on: after the first LP, each starts warm from the last optimal
+    basis. ``solve`` (the LP relaxation, with the column bounds ``lb``/
+    ``ub`` in place of the model's when given) and ``mip`` price the
+    model's objective, or the cost ``c`` in its place when given."""
 
     def __init__(self, model):
         self.model = model
         self.c = model.objective_vector()
         self.A, self.lo, self.hi = model.constraint_matrices()
         self.lb, self.ub = model.bounds_arrays()
+        self.bins = model.binary_indices()
         self.inst = HighsInstance()
 
-    def solve(self, lb=None, ub=None):
+    def solve(self, lb=None, ub=None, c=None):
         lb = self.lb if lb is None else lb
         ub = self.ub if ub is None else ub
         if np.any(lb > ub + CMP_TOL):
             return LPSolution(status="infeasible")
-        res = linprog(self.c, self.A, self.lo, self.hi, lb, ub, self.inst)
+        res = linprog(self.c if c is None else c, self.A, self.lo, self.hi,
+                      lb, ub, self.inst)
         status = _LP_STATUS.get(res.status, "error")
         if status != "optimal":
             return LPSolution(status=status)
         return LPSolution(status=status, x=res.x,
                           objective=res.fun + self.model.obj_constant)
+
+    def mip(self, gap, time_limit, node_limit, c=None):
+        """One HiGHS branch-and-cut call on the model, as ``highs.mip``
+        returns it (objective constant not added)."""
+        return mip(self.c if c is None else c, self.A, self.lo, self.hi,
+                   self.lb, self.ub, self.bins, gap, time_limit, node_limit)
 
     def fixed(self, idx, vals):
         """The model's bounds with the columns ``idx`` fixed at ``vals``."""
@@ -79,7 +90,7 @@ class _LPBackend:
 
 def solve_lp(model):
     """Solve the model with binaries relaxed into their [0, 1] bounds."""
-    return _LPBackend(model).solve()
+    return LPBackend(model).solve()
 
 
 def solve_milp(model, gap_target=0.0, time_budget=600.0,
@@ -100,8 +111,8 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0,
     model and configuration.
     """
     start = time.monotonic()
-    backend = _LPBackend(model)
-    bins = model.binary_indices()
+    backend = LPBackend(model)
+    bins = backend.bins
     failed = []     # errored LPs
 
     def solve(lb=None, ub=None):
@@ -158,9 +169,9 @@ def solve_milp(model, gap_target=0.0, time_budget=600.0,
         return finish(None, 0, bound)
 
     backend.inst = HighsInstance()   # free the root LP's memory first
-    res = mip(backend.c, backend.A, backend.lo, backend.hi, backend.lb,
-              backend.ub, bins, gap_target,
-              max(time_budget - (time.monotonic() - start), 0.0), node_budget)
+    res = backend.mip(gap_target,
+                      max(time_budget - (time.monotonic() - start), 0.0),
+                      node_budget)
     if res.status == 2 and incumbent is None:
         return finish("infeasible", res.nodes)
     if res.status not in (0, 1):
@@ -185,8 +196,8 @@ def _gap(obj, bound):
 def enumerate_binaries(model):
     """Exhaustive oracle: try every binary assignment, solve the LP with
     binaries fixed, return the best solution. Only for tiny models."""
-    backend = _LPBackend(model)
-    bins = model.binary_indices()
+    backend = LPBackend(model)
+    bins = backend.bins
     if len(bins) > 20:
         raise ValidationError("enumeration oracle limited to 20 binaries")
     best = None
@@ -278,81 +289,99 @@ def export_mps(model):
     return "\n".join(lines) + "\n"
 
 
+_ROW_SENSE = {"N": None, "L": LE, "E": EQ, "G": GE}
+_BOUND_FIELDS = {"BV": 3, "MI": 3, "FR": 3, "LO": 4, "UP": 4}
+_SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
+
+
+def _fields(parts, count, lineno, section):
+    if len(parts) != count:
+        raise ParseError(f"{section} record has {len(parts)} fields, "
+                         f"expected {count}", line=lineno)
+    return parts
+
+
+def _number(text, lineno):
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{text!r} is not a number", line=lineno) from None
+
+
 def parse_mps(text):
-    """Reparse MPS text produced by export_mps into a MILPModel."""
+    """Reparse MPS text produced by export_mps into a MILPModel. An
+    unknown section, a record with the wrong field count, a non-number, an
+    unknown row or bound type, a duplicate row or a reference to an
+    undeclared row raises ``ParseError``."""
     model = None
     section = None
-    rows = {}        # name -> ("N"|sense, constraint index or None)
-    row_order = []
-    col_entries = {}  # varname -> list of (rowname, coef)
-    rhs = {}
-    bounds = {}      # varname -> dict of bound records
-    for raw in text.splitlines():
+    rows = {}        # name -> ["N" or a sense code, rhs], in ROWS order
+    cols = {}        # varname -> [kind, lb, ub, [(rowname, coef), ...]]
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         if not raw.startswith(" "):
             parts = raw.split()
             section = parts[0]
+            if section not in _SECTIONS:
+                raise ParseError(f"unknown section {section!r}", line=lineno)
             if section == "NAME":
                 model = MILPModel(parts[1] if len(parts) > 1 else "model")
             continue
         parts = raw.split()
         if section == "ROWS":
-            code, rn = parts
-            rows[rn] = code
-            row_order.append(rn)
-        elif section == "COLUMNS":
-            vn, rn, coef = parts
-            col_entries.setdefault(vn, []).append((rn, float(coef)))
-        elif section == "RHS":
-            _, rn, val = parts
-            rhs[rn] = float(val)
+            code, rn = _fields(parts, 2, lineno, section)
+            if code not in _ROW_SENSE:
+                raise ParseError(f"unknown row type {code!r}", line=lineno)
+            if rn in rows:
+                raise ParseError(f"duplicate row {rn!r}", line=lineno)
+            rows[rn] = [code, 0.0]
+        elif section in ("COLUMNS", "RHS"):
+            name, rn, val = _fields(parts, 3, lineno, section)
+            if rn not in rows:
+                raise ParseError(f"undeclared row {rn!r}", line=lineno)
+            if section == "RHS":
+                rows[rn][1] = _number(val, lineno)
+            else:
+                col = cols.setdefault(name, [CONTINUOUS, 0.0, math.inf, []])
+                col[3].append((rn, _number(val, lineno)))
         elif section == "RANGES":
             raise ValidationError("RANGES records are not supported")
         elif section == "BOUNDS":
-            code = parts[0]
-            vn = parts[2]
-            val = float(parts[3]) if len(parts) > 3 else None
-            bounds.setdefault(vn, []).append((code, val))
+            count = _BOUND_FIELDS.get(parts[0])
+            if count is None:
+                raise ParseError(f"unknown bound type {parts[0]!r}",
+                                 line=lineno)
+            code, _, vn, *val = _fields(parts, count, lineno, section)
+            if vn not in cols:
+                raise ValidationError(
+                    f"BOUNDS record for undeclared column {vn!r}")
+            col = cols[vn]
+            if code == "BV":
+                col[:3] = BINARY, 0.0, 1.0
+            elif code == "MI":
+                col[1] = -math.inf
+            elif code == "FR":
+                col[1:3] = -math.inf, math.inf
+            else:
+                col[1 if code == "LO" else 2] = _number(val[0], lineno)
 
     if model is None:
         raise ValidationError("MPS text missing NAME record")
-    undeclared = sorted(set(bounds) - set(col_entries))
-    if undeclared:
-        raise ValidationError(
-            f"BOUNDS record for undeclared column {undeclared[0]!r}")
-
-    for vn in col_entries:
-        lb, ub, kind = 0.0, math.inf, CONTINUOUS
-        for code, val in bounds.get(vn, []):
-            if code == "BV":
-                kind, lb, ub = BINARY, 0.0, 1.0
-            elif code == "LO":
-                lb = val
-            elif code == "UP":
-                ub = val
-            elif code == "MI":
-                lb = -math.inf
-            elif code == "FR":
-                lb, ub = -math.inf, math.inf
-        model.add_var(vn, kind=kind, lb=lb, ub=ub)
-
-    code_sense = {"L": LE, "E": EQ, "G": GE}
-    con_coeffs = {rn: {} for rn in row_order if rows[rn] != "N"}
-    for vn, entries in col_entries.items():
-        i = model.var_index(vn)
+    con_coeffs = {rn: {} for rn, (code, _) in rows.items() if code != "N"}
+    for vn, (kind, lb, ub, entries) in cols.items():
+        i = model.add_var(vn, kind=kind, lb=lb, ub=ub)
         for rn, coef in entries:
-            if rows[rn] == "N":
+            if rows[rn][0] == "N":
                 if coef != 0.0:     # zero only declares an empty column
                     model.add_obj(i, coef)
             else:
                 con_coeffs[rn][i] = coef
-    for rn in row_order:
-        if rows[rn] == "N":
-            model.obj_constant = -rhs.get(rn, 0.0)
+    for rn, (code, rhs) in rows.items():
+        if code == "N":
+            model.obj_constant = -rhs
             continue
-        model.add_constr(con_coeffs[rn], code_sense[rows[rn]],
-                         rhs.get(rn, 0.0), name=rn)
+        model.add_constr(con_coeffs[rn], _ROW_SENSE[code], rhs, name=rn)
     return model
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .jacobian import LinearPFModel
-from .milp_encode import BigMBounds
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # ADAM moment decays and damping
 LOG_EVERY = 500                        # training-curve record interval
@@ -313,8 +312,15 @@ def enumerate_activation_patterns(model, sample_inputs):
 # Serialization (JSON round-trips float64 exactly via repr)
 # ---------------------------------------------------------------------------
 
-def model_to_json(model, bounds=None):
-    doc = {
+_MODEL_KEYS = frozenset({"kind", "rho", "d_in", "d_out", "w1", "w2", "b",
+                         "mask1", "mask2", "Jstar", "rstar", "x0"})
+
+
+def model_to_json(model):
+    """The model's weights, masks and linearization as JSON. It carries
+    no big-M bounds: those hold only over one system's box, so whoever
+    encodes the model computes them for the system it encodes."""
+    return json.dumps({
         "kind": "compact_pwl",
         "rho": model.rho,
         "d_in": model.d_in,
@@ -327,21 +333,17 @@ def model_to_json(model, bounds=None):
         "Jstar": model.linear.Jstar.tolist(),
         "rstar": model.linear.rstar.tolist(),
         "x0": model.linear.x0.tolist(),
-    }
-    if bounds is not None:
-        doc["bounds"] = {
-            "m_min": bounds.m_min.tolist(),
-            "m_max": bounds.m_max.tolist(),
-            "status": list(bounds.status),
-            "provenance": bounds.provenance,
-        }
-    return json.dumps(doc)
+    })
 
 
 def model_from_json(text):
+    """Inverse of ``model_to_json``, refusing unknown or missing keys."""
     doc = json.loads(text)
     if doc.get("kind") != "compact_pwl":
         raise ValidationError("not a compact PWL model document")
+    odd = sorted(set(doc) ^ _MODEL_KEYS)
+    if odd:
+        raise ValidationError(f"model document: unknown or missing keys {odd}")
     lin = LinearPFModel(
         Jstar=np.array(doc["Jstar"]), rstar=np.array(doc["rstar"]),
         x0=np.array(doc["x0"]))
@@ -350,11 +352,8 @@ def model_from_json(text):
         linear=lin,
         mask1=np.array(doc["mask1"], dtype=bool),
         mask2=np.array(doc["mask2"], dtype=bool))
-    bounds = None
-    if "bounds" in doc:
-        bd = doc["bounds"]
-        bounds = BigMBounds(m_min=np.array(bd["m_min"]),
-                            m_max=np.array(bd["m_max"]),
-                            status=tuple(bd["status"]),
-                            provenance=bd["provenance"])
-    return model, bounds
+    if [doc["rho"], doc["d_in"], doc["d_out"]] != [model.rho, model.d_in,
+                                                   model.d_out]:
+        raise ValidationError("model document: rho/d_in/d_out do not match "
+                              "its weights")
+    return model

@@ -18,7 +18,7 @@ from compactpf.milp_encode import (BigMBounds, FREE, interval_bounds,
                                    tighten_bounds, prune,
                                    standalone_fragment)
 from compactpf.milp_solve import (solve_milp, solve_lp, enumerate_binaries,
-                                  export_mps, parse_mps, _LPBackend)
+                                  export_mps, parse_mps, LPBackend)
 from compactpf.uc_builder import (build_nn_ac_uc, build_l_ac_uc,
                                   build_core_uc, extract_schedule)
 from compactpf.ac_solver import mtp_acopf_check
@@ -89,7 +89,7 @@ def test_acceptance_2_exact_encoding(compact3, box14):
     bounds = interval_bounds(model, box)
     milp, frag = standalone_fragment(model, bounds, box)
     milp.obj = {frag.y[0]: 1.0}
-    backend = _LPBackend(milp)
+    backend = LPBackend(milp)
     rng = np.random.default_rng(200)
     X = sample_box_inputs(box14, 1400, rng)[:1000]
     assert X.shape[0] == 1000

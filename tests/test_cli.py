@@ -8,7 +8,8 @@ from compactpf.cli import main, _generate_schemes
 from compactpf.errors import ValidationError
 from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
                                report_to_json)
-from compactpf.pwl_learner import TrainConfig
+from compactpf.data_factory import dump_dataset
+from compactpf.pwl_learner import TrainConfig, model_to_json
 from compactpf.milp_solve import parse_mps
 
 DATA = ir.files("compactpf.data")
@@ -116,13 +117,12 @@ def test_cli_sample_train_compress(tmp_path, capsys):
     assert jac_path.read_text().startswith("# Jstar")
 
     comp_path = tmp_path / "compressed.json"
-    rc = main(["compress", *SYSTEM, "--model", str(model_path),
+    rc = main(["compress", "--model", str(model_path),
                "--dataset", str(ds_path), "--target", "0.5",
-               "--steps", "200", "--bound-mode", "interval",
-               "--out", str(comp_path)])
+               "--steps", "200", "--out", str(comp_path)])
     assert rc == 0
     doc = json.loads(comp_path.read_text())
-    assert "bounds" in doc
+    assert "bounds" not in doc
     kept = sum(sum(row) for row in doc["mask1"]) \
         + sum(sum(row) for row in doc["mask2"])
     total = len(doc["mask1"]) * len(doc["mask1"][0]) \
@@ -139,6 +139,25 @@ def test_cli_sample_train_compress(tmp_path, capsys):
         model = parse_mps(mps_path.read_text())
         assert any(v.name.startswith(frag) for v in model.variables)
         assert model.binary_indices()
+
+
+def test_cli_build_bounds_a_compressed_model_by_its_bound_mode(
+        tmp_path, capsys, compact8, dataset14):
+    model_path, ds_path = tmp_path / "model.json", tmp_path / "ds.txt"
+    model_path.write_text(model_to_json(compact8))
+    dump_dataset(dataset14, ds_path)
+    comp_path = tmp_path / "compressed.json"
+    assert main(["compress", "--model", str(model_path),
+                 "--dataset", str(ds_path), "--target", "0.5",
+                 "--steps", "50", "--out", str(comp_path)]) == 0
+    texts = {}
+    for mode in ("interval", "lp"):
+        mps_path = tmp_path / f"{mode}.mps"
+        assert main(["build", *SYSTEM, "--formulation", "nn",
+                     "--model", str(comp_path), "--bound-mode", mode,
+                     "--out", str(mps_path)]) == 0
+        texts[mode] = mps_path.read_text()
+    assert texts["interval"] != texts["lp"]
 
 
 def test_cli_report_round_trip(tmp_path, capsys):

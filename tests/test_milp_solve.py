@@ -13,7 +13,7 @@ from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
                                   export_mps, parse_mps, import_solution)
-from compactpf.errors import ValidationError
+from compactpf.errors import ParseError, ValidationError
 from compactpf.tolerances import MIP_FEAS_TOL, PRIMAL_TOL
 
 
@@ -174,6 +174,33 @@ def test_parse_mps_rejects_bounds_of_an_undeclared_column():
             "BOUNDS\n UP BND  a  1\n UP BND  b  2\nENDATA\n")
     with pytest.raises(ValidationError, match="undeclared column 'b'"):
         parse_mps(text)
+
+
+_MPS_LINES = ["NAME          m", "ROWS", " N  OBJ", " L  c1", "COLUMNS",
+              "    a  OBJ  1", "    a  c1  2", "RHS", "    RHS  c1  3",
+              "BOUNDS", " UP BND  a  1", "ENDATA"]
+
+
+@pytest.mark.parametrize("lineno, record, error, match", [
+    (7, "    a  c1  two", ParseError, "line 7: 'two' is not a number"),
+    (11, " UP BND  a  one", ParseError, "line 11: 'one' is not a number"),
+    (4, " L  c1  c2", ParseError, "line 4: ROWS record has 3 fields"),
+    (9, "    RHS  c1", ParseError, "line 9: RHS record has 2 fields"),
+    (7, "    a  c2  2", ParseError, "line 7: undeclared row 'c2'"),
+    (4, " X  c1", ParseError, "line 4: unknown row type 'X'"),
+    (4, " L  OBJ", ParseError, "line 4: duplicate row 'OBJ'"),
+    (2, "OBJSENSE", ParseError, "line 2: unknown section 'OBJSENSE'"),
+    (11, " UP BND", ParseError, "line 11: BOUNDS record has 2 fields"),
+    (11, " UP BND  a  nan", ValidationError, "bad upper bound for a"),
+    (11, " UP BND  a  -inf", ValidationError, "bad upper bound for a"),
+])
+def test_parse_mps_refuses_malformed_records(lineno, record, error, match):
+    model = parse_mps("\n".join(_MPS_LINES) + "\n")    # the well-formed text
+    assert model.variables[0].ub == 1.0 and model.constraints[0].rhs == 3.0
+    lines = list(_MPS_LINES)
+    lines[lineno - 1] = record
+    with pytest.raises(error, match=match):
+        parse_mps("\n".join(lines) + "\n")
 
 
 def test_mps_rejects_duplicate_rows():

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,6 @@ from compactpf.pwl_learner import (TrainConfig, CompactPWLModel, DirectNNModel,
                                    sparsify_retrain, evaluate_model,
                                    enumerate_activation_patterns,
                                    model_to_json, model_from_json)
-from compactpf.milp_encode import interval_bounds
 from compactpf.errors import ValidationError
 
 
@@ -132,18 +132,28 @@ def test_model_predict_definition():
     assert np.allclose(model.predict(X)[0], model.predict(X[0]))
 
 
-def test_json_round_trip(compact8, box14):
-    bounds = interval_bounds(compact8, box14)
-    text = model_to_json(compact8, bounds)
-    again, bnd = model_from_json(text)
+def test_json_round_trip(compact8):
+    text = model_to_json(compact8)
+    again = model_from_json(text)
     assert np.array_equal(again.w1, compact8.w1)
     assert np.array_equal(again.w2, compact8.w2)
     assert np.array_equal(again.b, compact8.b)
     assert np.array_equal(again.linear.Jstar, compact8.linear.Jstar)
     assert np.array_equal(again.linear.rstar, compact8.linear.rstar)
-    assert np.array_equal(bnd.m_min, bounds.m_min)
-    assert np.array_equal(bnd.m_max, bounds.m_max)
-    assert bnd.status == bounds.status
+    # big-M bounds hold over one system's box only: a model file that
+    # carries them is refused, naming the key
+    doc = json.loads(text)
+    doc["bounds"] = {"m_min": [0.0] * compact8.rho}
+    with pytest.raises(ValidationError, match="'bounds'"):
+        model_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    del doc["x0"]
+    with pytest.raises(ValidationError, match="'x0'"):
+        model_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["rho"] += 1
+    with pytest.raises(ValidationError, match="do not match"):
+        model_from_json(json.dumps(doc))
     with pytest.raises(ValidationError):
         model_from_json('{"kind": "other"}')
 
