@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages: sample, train, compress, build,
 solve, verify-schedule, experiment, report. This file only parses
 arguments and moves files; every stage it runs is a function of
-``harness`` or of the library modules.
+``harness`` or of the library modules. An input the package refuses (a
+``CompactPFError``) ends the command with ``error: <message>`` on stderr
+and exit code 4.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import numpy as np
 from . import harness, jacobian
 from .harness import ExperimentConfig
 from .ac_solver import mtp_acopf_check
+from .errors import CompactPFError
 from .data_factory import (MAX_ALTERATION, SamplerConfig, LoadScheme,
                            collect_dataset, dump_dataset, load_dataset)
 from .pwl_learner import (TrainConfig, train_compact, sparsify_retrain,
@@ -273,7 +276,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CompactPFError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ MAX_EXTRA_OFF = 3      # additional units turned off per outage draw
 V_PUSH_MAX = 0.03      # p.u. tightening of generator voltage bounds
 TEST_FRACTION = 0.2    # share of the samples held out as the test split
 MAX_ALTERATION = 0.15  # load schemes scale loads within 1 +/- this
-# candidates solved at once: HiGHS's run releases the GIL, the rest of a
-# candidate holds it, so threads beyond two gain nothing
+# HiGHS calls run at once (sampling candidates, MILP-mode tightening's
+# MIPs): HiGHS's run releases the GIL, the rest of a task holds it, so
+# threads beyond two gain nothing
 THREADS = min(2, len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 

@@ -16,6 +16,7 @@ including a rejected model, a failed ``run()`` and a non-finite
 import math
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -105,21 +106,50 @@ def linprog(c, A, lo, hi, lb, ub, inst):
     return LPResult(0, _solution(h, A.shape[1]), fun)
 
 
+class _NullStdout:
+    """While any caller is inside, file descriptor 1 points at the null
+    device. A process has one fd 1, so concurrent callers share one
+    redirect: the first to enter makes it and the last to leave undoes
+    it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = None      # the real fd 1, while redirected
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                sys.stdout.flush()
+                null = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    saved = os.dup(1)
+                    os.dup2(null, 1)
+                finally:
+                    os.close(null)
+                self._saved = saved
+            self._users += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                os.dup2(self._saved, 1)
+                os.close(self._saved)
+                self._saved = None
+
+
+_NULL_STDOUT = _NullStdout()
+
+
 def _run_off_stdout(h):
     """``h.run()`` with file descriptor 1 on the null device. HiGHS 1.12's
     MIP prints ``transformNewIntegerFeasibleSolution`` lines straight to
     stdout whatever its log options say, and a caller's stdout may be data
-    (a JSON result, a schedule)."""
-    sys.stdout.flush()
-    saved = os.dup(1)
-    null = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(null, 1)
+    (a JSON result, a schedule). Safe to call from several threads at
+    once."""
+    with _NULL_STDOUT:
         return h.run()
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
-        os.close(null)
 
 
 def mip(c, A, lo, hi, lb, ub, bins, gap, time_limit, node_limit):

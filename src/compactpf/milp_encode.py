@@ -12,7 +12,8 @@ per hour, over the fragment with that hour's load balance.
 Every pass runs the same loop over one fragment, its arrays built once,
 and solves each bound with one HiGHS call on them: an LP, warm from the
 last optimal basis, or one branch-and-cut call whose proven dual bound is
-the bound.
+the bound. The branch-and-cut calls are independent, so they run on
+``data_factory.THREADS`` workers.
 
 Every tightening pass follows one rule: it optimizes only the ReLUs that
 its starting bounds leave free by ``prune``'s rule, over the fragment
@@ -26,14 +27,16 @@ binaries. A settled ReLU already has its sign, so it is not bounded again.
 import heapq
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
-from .milp_model import MILPModel, BINARY, LE, EQ, GE
-from . import milp_solve
+from .milp_model import (MILPModel, BINARY, LE, EQ, GE,
+                         stack_entries)
+from . import data_factory, milp_solve
 from .tolerances import CMP_TOL, PATH_TOL
 
 FREE, FIXED_OFF, FIXED_ON = "free", "fixed_off", "fixed_on"
@@ -230,39 +233,55 @@ def encode_relu_network(model, bounds, milp, x_vars, prefix="nn"):
             z.append(milp.add_var(f"{prefix}.z[{i}]", lb=0.0, ub=0.0))
             beta.append(None)
         elif st == FIXED_ON:
-            zi = milp.add_var(f"{prefix}.z[{i}]",
-                              lb=bounds.m_min[i], ub=bounds.m_max[i])
-            z.append(zi)
+            z.append(milp.add_var(f"{prefix}.z[{i}]",
+                                  lb=bounds.m_min[i], ub=bounds.m_max[i]))
             beta.append(None)
-            milp.add_constr({zi: 1.0, zhat[i]: -1.0}, EQ, 0.0,
-                            name=f"{prefix}.on[{i}]")
         elif st == FREE:
-            zi = milp.add_var(f"{prefix}.z[{i}]",
-                              lb=0.0, ub=max(bounds.m_max[i], 0.0))
-            bi = milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY)
-            z.append(zi)
-            beta.append(bi)
-            mmin, mmax = bounds.m_min[i], bounds.m_max[i]
-            # z <= zhat - Mmin (1 - beta)
-            milp.add_constr({zi: 1.0, zhat[i]: -1.0, bi: -mmin}, LE, -mmin,
-                            name=f"{prefix}.bm1[{i}]")
-            # z >= zhat
-            milp.add_constr({zi: 1.0, zhat[i]: -1.0}, GE, 0.0,
-                            name=f"{prefix}.bm2[{i}]")
-            # z <= Mmax beta
-            milp.add_constr({zi: 1.0, bi: -mmax}, LE, 0.0,
-                            name=f"{prefix}.bm3[{i}]")
+            z.append(milp.add_var(f"{prefix}.z[{i}]",
+                                  lb=0.0, ub=max(bounds.m_max[i], 0.0)))
+            beta.append(milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY))
         else:
             raise ValidationError(f"unknown ReLU status {st!r}")
+    _add_relu_rows(milp, bounds, zhat, z, beta, prefix)
 
     # zhat = w1' x + b
-    for i in range(rho):
-        coeffs = {x_vars[j]: -model.w1[j, i] for j in range(model.d_in)}
-        coeffs[zhat[i]] = 1.0
-        milp.add_constr(coeffs, EQ, model.b[i], name=f"{prefix}.pre[{i}]")
+    milp.add_rows(np.arange(rho)[:, None],
+                  np.column_stack([np.tile(x_vars, (rho, 1)), zhat]),
+                  np.column_stack([-model.w1.T, np.ones(rho)]), EQ, model.b,
+                  [f"{prefix}.pre[{i}]" for i in range(rho)])
 
     _add_output_rows(milp, model.linear, x_vars, y, prefix, z, model.w2)
     return ReluFragment(x=list(x_vars), y=y, z=z, zhat=zhat, beta=beta)
+
+
+def _add_relu_rows(milp, bounds, zhat, z, beta, prefix):
+    """Per ReLU, in order: a fixed_on ReLU's row z = zhat, or a free
+    ReLU's three big-M rows; a fixed_off ReLU has none."""
+    first, sense, names = [], [], []
+    for i, st in enumerate(bounds.status):
+        first.append(len(names))
+        if st == FIXED_ON:
+            sense.append(EQ)
+            names.append(f"{prefix}.on[{i}]")
+        elif st == FREE:
+            sense += [LE, GE, LE]
+            names += [f"{prefix}.bm{k}[{i}]" for k in (1, 2, 3)]
+    status = np.array(bounds.status)
+    on, free = status == FIXED_ON, status == FREE
+    r, f = np.array(first, np.intp)[on], np.array(first, np.intp)[free]
+    z, zhat = np.asarray(z), np.asarray(zhat)
+    beta = np.array([beta[i] for i in np.flatnonzero(free)], np.intp)
+    mmin, mmax = bounds.m_min[free], bounds.m_max[free]
+    rhs = np.zeros(len(names))
+    rhs[f] = -mmin
+    milp.add_rows(*stack_entries(
+        (r, z[on], 1.0), (r, zhat[on], -1.0),
+        # z <= zhat - Mmin (1 - beta)
+        (f, z[free], 1.0), (f, zhat[free], -1.0), (f, beta, -mmin),
+        # z >= zhat
+        (f + 1, z[free], 1.0), (f + 1, zhat[free], -1.0),
+        # z <= Mmax beta
+        (f + 2, z[free], 1.0), (f + 2, beta, -mmax)), sense, rhs, names)
 
 
 def encode_linear_model(lin, milp, x_vars, prefix="lin"):
@@ -274,31 +293,33 @@ def encode_linear_model(lin, milp, x_vars, prefix="lin"):
 
 def _add_output_rows(milp, lin, x_vars, y, prefix, z=(), w2=None):
     """The rows y = Jstar x + rstar (+ w2 z), one per output."""
-    J = lin.Jstar
-    for r in range(lin.d_out):
-        coeffs = {y[r]: 1.0}
-        for j in range(lin.d_in):
-            if J[r, j] != 0.0:
-                coeffs[x_vars[j]] = coeffs.get(x_vars[j], 0.0) - J[r, j]
-        for i, zi in enumerate(z):
-            if w2[r, i] != 0.0:
-                coeffs[zi] = -w2[r, i]
-        milp.add_constr(coeffs, EQ, lin.rstar[r], name=f"{prefix}.out[{r}]")
+    r = np.arange(lin.d_out)[:, None]
+    terms = [(r, np.asarray(y)[:, None], 1.0), (r, x_vars, -lin.Jstar)]
+    if len(z):
+        terms.append((r, z, -w2))
+    milp.add_rows(*stack_entries(*terms), EQ, lin.rstar,
+                  [f"{prefix}.out[{k}]" for k in range(lin.d_out)])
 
 
 def add_box_constraints(milp, frag, box, prefix=""):
     """Apply angle-pair and output constraints of a BoundBox to a fragment
     (x bounds are assumed to be set on the variables already)."""
-    for k, (i, j, lo, hi) in enumerate(box.angle_pairs):
-        if i is None and j is None:
-            continue
-        coeffs = {}
-        if i is not None:
-            coeffs[frag.x[i]] = 1.0
-        if j is not None:
-            coeffs[frag.x[j]] = coeffs.get(frag.x[j], 0.0) - 1.0
-        milp.add_constr(coeffs, LE, hi, name=f"{prefix}ang_hi[{k}]")
-        milp.add_constr(coeffs, GE, lo, name=f"{prefix}ang_lo[{k}]")
+    ks = [k for k, (i, j, _, _) in enumerate(box.angle_pairs)
+          if i is not None or j is not None]
+    pairs = [box.angle_pairs[k] for k in ks]
+    # each pair's ends as x indices, -1 for the reference bus; its rows
+    # read x_i - x_j <= hi, then >= lo
+    ends = np.array([[-1 if e is None else e for e in p[:2]] for p in pairs],
+                    np.intp).reshape(-1, 2)
+    cols = np.asarray(frag.x, np.intp)[ends]
+    vals = np.where(ends >= 0, [1.0, -1.0], 0.0)
+    hi_row = 2 * np.arange(len(ks))[:, None]
+    milp.add_rows(*stack_entries((hi_row, cols, vals),
+                                 (hi_row + 1, cols, vals)),
+                  [LE, GE] * len(ks),
+                  np.array([(p[3], p[2]) for p in pairs]).reshape(-1),
+                  [f"{prefix}ang_{side}[{k}]" for k in ks
+                   for side in ("hi", "lo")])
     if box.y_lo is not None:
         for r, (lo, hi) in enumerate(zip(box.y_lo, box.y_hi)):
             v = milp.variables[frag.y[r]]
@@ -323,28 +344,29 @@ def _zhat_cost(backend, frag, i, direction):
     return c
 
 
-def _lp_min(backend, frag, i, direction, lb=None, ub=None):
+def _lp_min(backend, frag, i, direction, t0, lb=None, ub=None):
     """min direction * zhat_i over the fragment's LP relaxation, with the
     column bounds ``lb``/``ub`` in place of its own when given; None
-    unless the LP is optimal."""
+    unless the LP is optimal, and None without solving once
+    ``TIGHTEN_BUDGET_S`` from ``t0`` is spent."""
+    if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
+        return None
     sol = backend.solve(lb, ub, _zhat_cost(backend, frag, i, direction))
     return sol.objective if sol.status == "optimal" else None
 
 
-def _tighten(start, extreme, source, t0):
+def _tighten(start, extreme, source):
     """``start`` with each ReLU it leaves free by ``prune``'s rule
     tightened: Mmin raised to ``extreme(i, +1)`` and Mmax lowered to
     ``-extreme(i, -1)`` where that is tighter, its provenance then
     ``source``. ``extreme`` gives a valid lower bound on min direction *
-    zhat_i, or None, which leaves that side as it is, as does running past
-    ``TIGHTEN_BUDGET_S`` from ``t0``. The status is ``start``'s."""
+    zhat_i, or None, which leaves that side as it is. The status is
+    ``start``'s."""
     m_min, m_max = start.m_min.copy(), start.m_max.copy()
     prov = list(start.provenance)
     for i, (lo, hi) in enumerate(zip(start.m_min, start.m_max)):
         if _relu_status(lo, hi) != FREE:
             continue
-        if time.monotonic() - t0 > TIGHTEN_BUDGET_S:
-            break
         low, neg_high = extreme(i, +1.0), extreme(i, -1.0)
         if low is not None and low > lo + CMP_TOL:
             m_min[i], prov[i] = low, source
@@ -369,26 +391,41 @@ def tighten_bounds(model, box, mode, start):
     gets the same optimum. Resulting bounds are never looser than the
     starting bounds; settled ReLUs, and entries not improved (or skipped
     once ``TIGHTEN_BUDGET_S`` is spent), keep their starting value and
-    provenance. The status is ``start``'s.
+    provenance. The status is ``start``'s. The branch-and-cut calls are
+    independent and run on ``data_factory.THREADS`` workers; each checks
+    the budget as it starts.
     """
     if mode not in ("lp", "milp"):
         raise ValidationError(f"mode must be 'lp' or 'milp', got {mode!r}")
     t0 = time.monotonic()
-    milp, frag = standalone_fragment(model, prune(model, start), box)
+    pruned = prune(model, start)
+    milp, frag = standalone_fragment(model, pruned, box)
     backend = milp_solve.LPBackend(milp)
+    if mode == "lp":
+        return _tighten(start, lambda i, direction: _lp_min(
+            backend, frag, i, direction, t0), "lp")
 
-    def extreme(i, direction):
-        if mode == "lp":
-            return _lp_min(backend, frag, i, direction)
+    def proven(task):
         # HiGHS's dual bound from one branch-and-cut call to a zero gap with
         # what is left of TIGHTEN_BUDGET_S (at least 1 s), taken only when
-        # that call proves it optimal with a finite bound
-        remaining = max(TIGHTEN_BUDGET_S - (time.monotonic() - t0), 1.0)
-        res = backend.mip(0.0, remaining, milp_solve.NODE_BUDGET,
-                          c=_zhat_cost(backend, frag, i, direction))
+        # that call proves it optimal with a finite bound; no call starts
+        # once the budget is spent
+        elapsed = time.monotonic() - t0
+        if elapsed > TIGHTEN_BUDGET_S:
+            return None
+        res = backend.mip(0.0, max(TIGHTEN_BUDGET_S - elapsed, 1.0),
+                          milp_solve.NODE_BUDGET,
+                          c=_zhat_cost(backend, frag, *task))
         ok = res.status == 0 and math.isfinite(res.dual_bound)
         return res.dual_bound if ok else None
-    return _tighten(start, extreme, mode, t0)
+
+    # each MIP gets its own HiGHS instance and HiGHS's run releases the
+    # GIL, so they run on THREADS workers; map keeps the task order
+    tasks = [(i, direction) for i in pruned.free_relus()
+             for direction in (+1.0, -1.0)]
+    with ThreadPoolExecutor(data_factory.THREADS) as pool:
+        found = dict(zip(tasks, pool.map(proven, tasks)))
+    return _tighten(start, lambda i, direction: found[i, direction], "milp")
 
 
 def hourly_bounds(model, bounds, box, inst):
@@ -434,7 +471,7 @@ def hourly_bounds(model, bounds, box, inst):
         lb[q] = np.maximum(lb[q], qmin_at - inst.qd[:, t])
         ub[q] = np.minimum(ub[q], qmax_at - inst.qd[:, t])
         tight = _tighten(bounds, lambda i, direction: _lp_min(
-            lp, frag, i, direction, lb, ub), "lp", t0)
+            lp, frag, i, direction, t0, lb, ub), "lp")
         seen[key] = replace(tight, status=tuple(
             map(_relu_status, tight.m_min, tight.m_max)))
     return [seen[key] for key in keys]

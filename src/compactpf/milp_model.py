@@ -3,6 +3,14 @@
 Holds variables (continuous/binary with bounds), sparse linear
 constraints, and a linear objective (minimization). Consumers are the
 LP/MILP solve path, the MPS writer, and the UC/NN model builders.
+
+The rows are stored once, as arrays: COO triplets (row, column, value)
+plus one sense, right-hand side and name per row. Builders add them a
+block at a time (``add_rows``), or one irregular row at a time
+(``add_constr``), under the same rules. ``constraint_matrices`` builds the
+solver's CSC matrix from the triplets, and ``max_violation`` its own CSR
+matrix; ``constraints`` is a read-only view of the rows as ``Constraint``
+objects, built from the arrays each time it is read.
 """
 
 import math
@@ -14,6 +22,8 @@ from scipy import sparse
 from .errors import ValidationError
 
 LE, EQ, GE = "<=", "==", ">="
+SENSES = (LE, EQ, GE)
+_LE, _EQ, _GE = range(3)   # a row's stored sense: its index in SENSES
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -27,7 +37,7 @@ class Variable:
     ub: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
     coeffs: dict  # var index -> coefficient
     sense: str
@@ -35,14 +45,33 @@ class Constraint:
     name: str = ""
 
 
+def stack_entries(*terms):
+    """``add_rows``' (rows, cols, vals) from terms (rows, cols, vals), each
+    three arrays that broadcast against each other, in term order."""
+    shapes = [np.broadcast(*term).shape for term in terms]
+    sizes = [math.prod(shape) for shape in shapes]
+    out = (np.empty(sum(sizes), np.intp), np.empty(sum(sizes), np.intp),
+           np.empty(sum(sizes)))
+    start = 0
+    for term, shape, size in zip(terms, shapes, sizes):
+        for dst, src in zip(out, term):
+            dst[start:start + size].reshape(shape)[...] = src
+        start += size
+    return out
+
+
 class MILPModel:
     def __init__(self, name="model"):
         self.name = name
         self.variables = []
-        self.constraints = []
         self.obj = {}          # var index -> coefficient
         self.obj_constant = 0.0
         self._names = {}
+        # blocks of (row, col, val) triplets and per-row (sense, rhs)
+        # arrays, merged into one block when read
+        self._blocks = [(np.empty(0, np.intp), np.empty(0, np.intp),
+                         np.empty(0), np.empty(0, np.int8), np.empty(0))]
+        self._row_names = []
 
     # -- construction -------------------------------------------------
 
@@ -63,14 +92,50 @@ class MILPModel:
     def add_vars(self, prefix, count, **kw):
         return [self.add_var(f"{prefix}[{i}]", **kw) for i in range(count)]
 
+    def add_rows(self, rows, cols, vals, sense, rhs, names):
+        """Append a block of ``len(names)`` rows: block row k reads
+        sum of vals[e] x[cols[e]] over the entries e with rows[e] == k,
+        then ``sense`` (one for the block, or one per row), then rhs[k]
+        (a scalar serves every row), and is named names[k].
+
+        ``rows``, ``cols`` and ``vals`` broadcast against each other.
+        Entries with a zero value are dropped; the entries of one row and
+        column add up, as in a COO matrix. An entry outside the block's
+        rows, a kept entry on an unknown column, a non-finite value or an
+        unknown sense raises ``ValidationError`` and adds nothing.
+        """
+        k = len(names)
+        rows, cols, vals = stack_entries((rows, cols, vals))
+        if rows.size and (rows.min() < 0 or rows.max() >= k):
+            raise ValidationError(f"row entry outside a block of {k} rows")
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        unknown = (cols < 0) | (cols >= self.nvar)
+        if unknown.any():
+            raise ValidationError(
+                f"constraint references unknown var {cols[unknown][0]}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ValidationError("non-finite coefficient in constraint "
+                                  f"{names[rows[bad][0]]}")
+        senses = [sense] if isinstance(sense, str) else sense
+        try:
+            code = [SENSES.index(s) for s in senses]
+        except ValueError:
+            bad = next(s for s in senses if s not in SENSES)
+            raise ValidationError(f"unknown sense {bad!r}") from None
+        row_sense, row_rhs = np.empty(k, np.int8), np.empty(k)
+        row_sense[...], row_rhs[...] = code, rhs
+        self._blocks.append((rows + self.nrows, cols, vals, row_sense,
+                             row_rhs))
+        self._row_names.extend(names)
+
     def add_constr(self, coeffs, sense, rhs, name=""):
-        coeffs = {int(i): float(c) for i, c in coeffs.items() if c != 0.0}
-        for i in coeffs:
-            if not 0 <= i < len(self.variables):
-                raise ValidationError(f"constraint references unknown var {i}")
-        if not all(math.isfinite(c) for c in coeffs.values()):
-            raise ValidationError(f"non-finite coefficient in constraint {name}")
-        self.constraints.append(Constraint(coeffs, sense, float(rhs), name))
+        """Append one row, sum of c x[i] over ``coeffs``' (i, c) items,
+        ``sense``, ``rhs``: ``add_rows`` with a block of one row."""
+        self.add_rows(0, [int(i) for i in coeffs],
+                      [float(c) for c in coeffs.values()], sense, rhs,
+                      [name])
 
     def add_obj(self, var, coef):
         self.obj[var] = self.obj.get(var, 0.0) + coef
@@ -83,6 +148,29 @@ class MILPModel:
     @property
     def nvar(self):
         return len(self.variables)
+
+    @property
+    def nrows(self):
+        return len(self._row_names)
+
+    def _rows(self):
+        """(row, col, val, sense, rhs) arrays of every row, the blocks
+        merged into one."""
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
+        return self._blocks[0]
+
+    @property
+    def constraints(self):
+        """The rows as a tuple of ``Constraint`` objects, in row order; a
+        view built from the row arrays, so editing it changes nothing."""
+        row, col, val, sense, rhs = self._rows()
+        coeffs = [{} for _ in range(self.nrows)]
+        for r, c, v in zip(row.tolist(), col.tolist(), val.tolist()):
+            coeffs[r][c] = coeffs[r].get(c, 0.0) + v
+        return tuple(
+            Constraint(d, SENSES[s], b, name) for d, s, b, name in zip(
+                coeffs, sense.tolist(), rhs.tolist(), self._row_names))
 
     def binary_indices(self):
         return [i for i, v in enumerate(self.variables) if v.kind == BINARY]
@@ -102,20 +190,10 @@ class MILPModel:
         """(A, lo, hi): the rows as lo <= A x <= hi in the model's order,
         A a CSC matrix. An == row has lo == hi; a <= row has lo = -inf
         and a >= row hi = +inf."""
-        m = len(self.constraints)
-        lo, hi = np.full(m, -np.inf), np.full(m, np.inf)
-        ri, ci, data = [], [], []
-        for r, con in enumerate(self.constraints):
-            if con.sense not in (LE, EQ, GE):
-                raise ValidationError(f"unknown sense {con.sense!r}")
-            if con.sense != LE:
-                lo[r] = con.rhs
-            if con.sense != GE:
-                hi[r] = con.rhs
-            ri.extend([r] * len(con.coeffs))
-            ci.extend(con.coeffs)
-            data.extend(con.coeffs.values())
-        A = sparse.csc_array((data, (ri, ci)), shape=(m, self.nvar))
+        row, col, val, sense, rhs = self._rows()
+        A = sparse.csc_array((val, (row, col)), shape=(self.nrows, self.nvar))
+        lo = np.where(sense != _LE, rhs, -np.inf)
+        hi = np.where(sense != _GE, rhs, np.inf)
         return A, lo, hi
 
     def objective_value(self, x):
@@ -128,23 +206,21 @@ class MILPModel:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             return math.inf
-        worst = 0.0
-        for v, xi in zip(self.variables, x):
-            worst = max(worst, v.lb - xi, xi - v.ub)
-        for con in self.constraints:
-            lhs = sum(c * x[i] for i, c in con.coeffs.items())
-            if con.sense == EQ:
-                worst = max(worst, abs(lhs - con.rhs))
-            elif con.sense == LE:
-                worst = max(worst, lhs - con.rhs)
-            else:
-                worst = max(worst, con.rhs - lhs)
-        return worst
+        lb = np.array([v.lb for v in self.variables])
+        ub = np.array([v.ub for v in self.variables])
+        row, col, val, sense, rhs = self._rows()
+        lhs = sparse.csr_array((val, (row, col)),
+                               shape=(self.nrows, self.nvar)) @ x
+        over = np.select([sense == _EQ, sense == _LE],
+                         [np.abs(lhs - rhs), lhs - rhs], rhs - lhs)
+        return float(max(np.max(lb - x, initial=0.0),
+                         np.max(x - ub, initial=0.0),
+                         np.max(over, initial=0.0)))
 
     def stats(self):
         nbin = len(self.binary_indices())
         return {
             "variables": self.nvar,
             "binaries": nbin,
-            "constraints": len(self.constraints),
+            "constraints": self.nrows,
         }

@@ -240,8 +240,9 @@ def export_mps(model):
 
     lines = [f"NAME          {_mps_name(model.name)}", "ROWS", " N  OBJ"]
     sense_code = {LE: "L", EQ: "E", GE: "G"}
+    rows = model.constraints
     rownames = []
-    for k, con in enumerate(model.constraints):
+    for k, con in enumerate(rows):
         rn = _mps_name(con.name) if con.name else f"R{k}"
         rownames.append(rn)
         lines.append(f" {sense_code[con.sense]}  {rn}")
@@ -252,7 +253,7 @@ def export_mps(model):
     cols = [[] for _ in range(model.nvar)]
     for i, coef in model.obj.items():
         cols[i].append(("OBJ", coef))
-    for rn, con in zip(rownames, model.constraints):
+    for rn, con in zip(rownames, rows):
         for i, coef in con.coeffs.items():
             cols[i].append((rn, coef))
 
@@ -264,7 +265,7 @@ def export_mps(model):
     lines.append("RHS")
     if model.obj_constant != 0.0:
         lines.append(f"    RHS  OBJ  {_fmt(-model.obj_constant)}")
-    for rn, con in zip(rownames, model.constraints):
+    for rn, con in zip(rownames, rows):
         if con.rhs != 0.0:
             lines.append(f"    RHS  {rn}  {_fmt(con.rhs)}")
 

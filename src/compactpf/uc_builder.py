@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .milp_model import MILPModel, BINARY, LE, GE, EQ
+from .milp_model import MILPModel, BINARY, LE, GE, EQ, stack_entries
 from .milp_encode import (bound_box_from_network, encode_relu_network,
                           encode_linear_model, add_box_constraints,
                           hourly_bounds)
@@ -96,171 +96,162 @@ def build_core_uc(inst, reactive=True):
             q_sc.append([milp.add_var(f"qsc[{ci}][{t}]", lb=c.qmin, ub=c.qmax)
                          for t in range(T)])
 
+    periods = np.arange(T)
     for gi, gen in enumerate(inst.gens):
         span = gen.pmax - gen.pmin
-        y_init = 1 if gen.init_on else 0
+        Y, U, W, PD, R = (np.array(v[gi]) for v in (y, u, w, p_delta, r))
 
         if gen.p_init > gen.sd:
             milp.variables[w[gi][0]].ub = 0.0
 
-        for t in range(1, T + 1):
-            yt = y[gi][t - 1]
-            ut = u[gi][t - 1]
-            wt = w[gi][t - 1]
-            # status transition y_t - y_{t-1} = u_t - w_t
-            coeffs = {yt: 1.0, ut: -1.0, wt: 1.0}
-            rhs = y_init
-            if t > 1:
-                coeffs[y[gi][t - 2]] = -1.0
-                rhs = 0.0
-            milp.add_constr(coeffs, EQ, rhs, name=f"link[{gi}][{t}]")
+        def named(kind):
+            return [f"{kind}[{gi}][{t}]" for t in range(1, T + 1)]
 
-            # minimum uptime window
-            coeffs = {yt: -1.0}
-            rhs = 0.0
-            for tp in range(t - gen.tu + 1, t + 1):
-                if tp >= 1:
-                    coeffs[u[gi][tp - 1]] = coeffs.get(u[gi][tp - 1], 0.0) + 1.0
-                else:
-                    rhs -= _pre_u(gen, tp)
-            milp.add_constr(coeffs, LE, rhs, name=f"minup[{gi}][{t}]")
-
-            # minimum downtime window
-            coeffs = {yt: 1.0}
-            rhs = 1.0
-            for tp in range(t - gen.td + 1, t + 1):
-                if tp >= 1:
-                    coeffs[w[gi][tp - 1]] = coeffs.get(w[gi][tp - 1], 0.0) + 1.0
-                else:
-                    rhs -= _pre_w(gen, tp)
-            milp.add_constr(coeffs, LE, rhs, name=f"mindown[{gi}][{t}]")
-
-            # startup/shutdown generation caps
-            pdv, rv = p_delta[gi][t - 1], r[gi][t - 1]
-            wnext = w[gi][t] if t < T else None
-            if gen.tu >= 2:
-                coeffs = {pdv: 1.0, rv: 1.0, yt: -span,
-                          ut: gen.pmax - gen.su}
-                if wnext is not None:
-                    coeffs[wnext] = gen.pmax - gen.sd
-                milp.add_constr(coeffs, LE, 0.0, name=f"cap[{gi}][{t}]")
-            else:
-                milp.add_constr({pdv: 1.0, rv: 1.0, yt: -span,
-                                 ut: gen.pmax - gen.su},
-                                LE, 0.0, name=f"capsu[{gi}][{t}]")
-                coeffs = {pdv: 1.0, yt: -span}
-                if wnext is not None:
-                    coeffs[wnext] = gen.pmax - gen.sd
-                milp.add_constr(coeffs, LE, 0.0, name=f"capsd[{gi}][{t}]")
-
-            # ramping
-            coeffs = {pdv: 1.0, rv: 1.0}
-            rhs = gen.ru
-            if t > 1:
-                coeffs[p_delta[gi][t - 2]] = -1.0
-            else:
-                rhs += gen.p_delta_init
-            milp.add_constr(coeffs, LE, rhs, name=f"rampup[{gi}][{t}]")
-            coeffs = {pdv: -1.0}
-            rhs = gen.rd
-            if t > 1:
-                coeffs[p_delta[gi][t - 2]] = 1.0
-            else:
-                rhs -= gen.p_delta_init
-            milp.add_constr(coeffs, LE, rhs, name=f"rampdown[{gi}][{t}]")
-
-            # reactive limits tied to commitment
-            if reactive:
-                qv = q[gi][t - 1]
-                milp.add_constr({qv: 1.0, yt: -gen.qmax}, LE, 0.0,
-                                name=f"qhi[{gi}][{t}]")
-                milp.add_constr({qv: 1.0, yt: -gen.qmin}, GE, 0.0,
-                                name=f"qlo[{gi}][{t}]")
+        # per period t = 1..T: status transition y_t - y_{t-1} = u_t - w_t,
+        # minimum up- and downtime windows, generation caps, ramps, and
+        # reactive limits tied to commitment
+        rows = [
+            (named("link"), EQ, np.r_[float(gen.init_on), np.zeros(T - 1)],
+             [(periods, Y, 1.0), (periods, U, -1.0), (periods, W, 1.0),
+              (periods[1:], Y[:-1], -1.0)]),
+            (named("minup"), LE,
+             [0.0 - sum(_pre_u(gen, tp) for tp in range(t - gen.tu + 1, 1))
+              for t in range(1, T + 1)],
+             [(periods, Y, -1.0), (*_lagged(U, range(gen.tu)), 1.0)]),
+            (named("mindown"), LE,
+             [1.0 - sum(_pre_w(gen, tp) for tp in range(t - gen.td + 1, 1))
+              for t in range(1, T + 1)],
+             [(periods, Y, 1.0), (*_lagged(W, range(gen.td)), 1.0)]),
+        ]
+        startup = [(periods, PD, 1.0), (periods, R, 1.0),
+                   (periods, Y, -span), (periods, U, gen.pmax - gen.su)]
+        shutdown = (periods[:-1], W[1:], gen.pmax - gen.sd)
+        if gen.tu >= 2:
+            rows.append((named("cap"), LE, 0.0, [*startup, shutdown]))
+        else:
+            rows += [(named("capsu"), LE, 0.0, startup),
+                     (named("capsd"), LE, 0.0, [(periods, PD, 1.0),
+                                                (periods, Y, -span),
+                                                shutdown])]
+        rows += [
+            (named("rampup"), LE, np.r_[gen.ru + gen.p_delta_init,
+                                        np.full(T - 1, gen.ru)],
+             [(periods, PD, 1.0), (periods, R, 1.0),
+              (periods[1:], PD[:-1], -1.0)]),
+            (named("rampdown"), LE, np.r_[gen.rd - gen.p_delta_init,
+                                          np.full(T - 1, gen.rd)],
+             [(periods, PD, -1.0), (periods[1:], PD[:-1], 1.0)]),
+        ]
+        if reactive:
+            Q = np.array(q[gi])
+            rows += [(named("qhi"), LE, 0.0,
+                      [(periods, Q, 1.0), (periods, Y, -gen.qmax)]),
+                     (named("qlo"), GE, 0.0,
+                      [(periods, Q, 1.0), (periods, Y, -gen.qmin)])]
+        _add_by_period(milp, T, rows)
 
         # production cost: convex PWL via per-segment fill variables
+        seg = np.empty((T, len(gen.cost_segments)), np.intp)
         for t in range(T):
-            coeffs = {p_delta[gi][t]: 1.0}
             for k, (width, slope) in enumerate(gen.cost_segments):
-                sv = milp.add_var(f"pseg[{gi}][{t}][{k}]", lb=0.0, ub=width)
-                coeffs[sv] = -1.0
-                milp.add_obj(sv, slope)
-            milp.add_constr(coeffs, EQ, 0.0, name=f"pwl[{gi}][{t}]")
+                seg[t, k] = milp.add_var(f"pseg[{gi}][{t}][{k}]",
+                                         lb=0.0, ub=width)
+                milp.add_obj(seg[t, k], slope)
             if gen.no_load_cost:
                 milp.add_obj(y[gi][t], gen.no_load_cost)
+        _add_by_period(milp, T, [
+            ([f"pwl[{gi}][{t}]" for t in range(T)], EQ, 0.0,
+             [(periods, PD, 1.0), (periods[:, None], seg, -1.0)])])
 
-        # startup cost tiers: continuous selectors over shutdown-lag windows
+        # startup cost tiers: continuous selectors over shutdown-lag
+        # windows; the coldest recorded tier is unconstrained
         tiers = gen.startup_tiers
-        for t in range(1, T + 1):
-            deltas = []
+        delta = np.empty((T, len(tiers)), np.intp)
+        for t in range(T):
             for k, (hours, cost) in enumerate(tiers):
-                dv = milp.add_var(f"sut[{gi}][{t - 1}][{k}]", lb=0.0, ub=1.0)
-                deltas.append(dv)
+                delta[t, k] = milp.add_var(f"sut[{gi}][{t}][{k}]",
+                                           lb=0.0, ub=1.0)
                 if cost:
-                    milp.add_obj(dv, cost)
-                if k == len(tiers) - 1:
-                    continue  # coldest recorded tier: unconstrained
-                lag_lo = 1 if k == 0 else tiers[k][0]
-                lag_hi = tiers[k + 1][0] - 1
-                coeffs = {dv: 1.0}
-                rhs = 0.0
-                for lag in range(lag_lo, lag_hi + 1):
-                    tp = t - lag
-                    if tp >= 1:
-                        coeffs[w[gi][tp - 1]] = coeffs.get(w[gi][tp - 1], 0.0) - 1.0
-                    else:
-                        rhs += _pre_w(gen, tp)
-                milp.add_constr(coeffs, LE, rhs, name=f"tier[{gi}][{t}][{k}]")
-            coeffs = {dv: 1.0 for dv in deltas}
-            coeffs[u[gi][t - 1]] = -1.0
-            milp.add_constr(coeffs, EQ, 0.0, name=f"tiersum[{gi}][{t}]")
+                    milp.add_obj(delta[t, k], cost)
+        rows = []
+        for k in range(len(tiers) - 1):
+            lags = range(1 if k == 0 else tiers[k][0], tiers[k + 1][0])
+            rows.append((
+                [f"tier[{gi}][{t}][{k}]" for t in range(1, T + 1)], LE,
+                [0.0 + sum(_pre_w(gen, t - lag) for lag in lags if t <= lag)
+                 for t in range(1, T + 1)],
+                [(periods, delta[:, k], 1.0), (*_lagged(W, lags), -1.0)]))
+        rows.append((named("tiersum"), EQ, 0.0,
+                     [(periods[:, None], delta, 1.0), (periods, U, -1.0)]))
+        _add_by_period(milp, T, rows)
 
-        # reserve requirement
-    for t in range(T):
-        if inst.reserve[t] > 0.0:
-            milp.add_constr({r[gi][t]: 1.0 for gi in range(G)}, GE,
-                            float(inst.reserve[t]), name=f"reserve[{t}]")
+    # reserve requirement
+    need = np.flatnonzero(inst.reserve > 0.0)
+    milp.add_rows(np.arange(need.size)[:, None], np.array(r).T[need], 1.0, GE,
+                  inst.reserve[need], [f"reserve[{t}]" for t in need])
 
     return milp, UCVars(y=y, u=u, w=w, p_delta=p_delta, r=r, q=q,
                         q_sc=q_sc, frags=[], theta=[])
 
 
-def _units_at(units, n):
-    """Instance-order indices of the units at each of the n bus positions."""
-    at = [[] for _ in range(n)]
-    for i, unit in enumerate(units):
-        at[unit.bus].append(i)
-    return at
+def _lagged(cols, lags):
+    """(periods, columns) pairing each period p with cols[p - lag] for
+    every lag in ``lags`` that stays inside the horizon."""
+    lags = np.asarray(lags, np.intp)
+    p, j = np.nonzero(np.arange(len(cols))[:, None] >= lags[None, :])
+    return p, np.asarray(cols)[p - lags[j]]
 
 
-def _add_generation(coeffs, inst, ucv, gens, t):
-    """Write the active output pmin y + p_delta of the units ``gens`` in
-    period t into a balance row's coefficients, with sign -1."""
-    for gi in gens:
-        coeffs[ucv.p_delta[gi][t]] = -1.0
-        coeffs[ucv.y[gi][t]] = -inst.gens[gi].pmin
+def _add_by_period(milp, T, families):
+    """One row of each family per period, period by period and in family
+    order within a period: family f's row of period t is row
+    t * len(families) + f of the block. A family is (names, sense, rhs,
+    terms): T names, one sense, T right-hand sides or one for all, and
+    terms (periods, cols, vals) putting vals at cols in those periods'
+    rows."""
+    F = len(families)
+    rhs = np.empty((T, F))
+    for f, (_, _, family_rhs, _) in enumerate(families):
+        rhs[:, f] = family_rhs
+    milp.add_rows(
+        *stack_entries(*((np.asarray(t) * F + f, c, v)
+                         for f, (_, _, _, terms) in enumerate(families)
+                         for t, c, v in terms)),
+        [sense for _, sense, _, _ in families] * T, rhs.ravel(),
+        [names[t] for t in range(T) for names, _, _, _ in families])
 
 
-def _tie_balance(milp, inst, net, ucv, frag, t, gens_at, conds_at):
-    """Link a period's network fragment outputs to generation and load;
-    ``gens_at``/``conds_at`` list the units at each bus position."""
-    n = net.n
-    for b in range(n):
-        coeffs = {frag.y[b]: 1.0}
-        _add_generation(coeffs, inst, ucv, gens_at[b], t)
-        milp.add_constr(coeffs, EQ, -float(inst.pd[b, t]),
-                        name=f"pbal[{b}][{t}]")
-        coeffs = {frag.y[n + b]: 1.0}
-        for gi in gens_at[b]:
-            coeffs[ucv.q[gi][t]] = -1.0
-        for ci in conds_at[b]:
-            coeffs[ucv.q_sc[ci][t]] = -1.0
-        milp.add_constr(coeffs, EQ, -float(inst.qd[b, t]),
-                        name=f"qbal[{b}][{t}]")
-    for k in range(net.m):
-        milp.add_constr({frag.y[2 * n + k]: 1.0}, LE, float(net.smax[k]),
-                        name=f"sft[{k}][{t}]")
-        milp.add_constr({frag.y[2 * n + net.m + k]: 1.0}, LE,
-                        float(net.smax[k]), name=f"stf[{k}][{t}]")
+def _generation(inst, ucv, t, row_at):
+    """Balance-row terms of the active output pmin y + p_delta of every
+    unit in period t, with sign -1: a unit's go to the row ``row_at[b]``
+    of its bus position b."""
+    rows = row_at[[g.bus for g in inst.gens]]
+    return [(rows, [pd[t] for pd in ucv.p_delta], -1.0),
+            (rows, [y[t] for y in ucv.y], [-g.pmin for g in inst.gens])]
+
+
+def _tie_balance(milp, inst, net, ucv, frag, t):
+    """Link a period's network fragment outputs to generation and load:
+    per bus position the active then the reactive balance row, then per
+    branch its two flow limits."""
+    n, m = net.n, net.m
+    # P and Q of bus b in rows 2b and 2b + 1, the two flows of branch k in
+    # rows 2n + 2k and 2n + 2k + 1
+    p_row, flow_row = 2 * np.arange(n), 2 * n + 2 * np.arange(m)
+    q_row = p_row + 1
+    milp.add_rows(
+        *stack_entries((np.concatenate([p_row, q_row, flow_row,
+                                        flow_row + 1]), frag.y, 1.0),
+                       *_generation(inst, ucv, t, p_row),
+                       (q_row[[g.bus for g in inst.gens]],
+                        [q[t] for q in ucv.q], -1.0),
+                       (q_row[[c.bus for c in inst.condensers]],
+                        [q[t] for q in ucv.q_sc], -1.0)),
+        [EQ, EQ] * n + [LE, LE] * m,
+        np.concatenate([-np.column_stack([inst.pd[:, t], inst.qd[:, t]]),
+                        np.column_stack([net.smax, net.smax])], axis=None),
+        [f"{kind}[{b}][{t}]" for b in range(n) for kind in ("pbal", "qbal")]
+        + [f"{kind}[{k}][{t}]" for k in range(m) for kind in ("sft", "stf")])
 
 
 def build_nn_ac_uc(inst, net, model, bounds, box=None):
@@ -300,14 +291,12 @@ def _build_surrogate_uc(inst, net, box, name, encode):
     constraints, and the balance and flow-limit rows."""
     milp, ucv = build_core_uc(inst)
     milp.name = name
-    gens_at = _units_at(inst.gens, net.n)
-    conds_at = _units_at(inst.condensers, net.n)
     for t in range(inst.horizon):
         x = [milp.add_var(f"x[{t}][{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
              for j in range(net.d_in)]
         frag = encode(milp, x, t)
         add_box_constraints(milp, frag, box, prefix=f"t{t}.")
-        _tie_balance(milp, inst, net, ucv, frag, t, gens_at, conds_at)
+        _tie_balance(milp, inst, net, ucv, frag, t)
         ucv.frags.append(frag)
     return milp, ucv
 
@@ -320,9 +309,8 @@ def build_dc_uc(inst, net):
     milp, ucv = build_core_uc(inst, reactive=False)
     milp.name = "dc_uc"
     n, m = net.n, net.m
-    f_bus, t_bus = net.f_bus.tolist(), net.t_bus.tolist()
-    gens_at = _units_at(inst.gens, n)
-
+    flow, bal = 3 * np.arange(m), 3 * m + np.arange(n)
+    inv_x = 1.0 / net.branch_x
     for t in range(inst.horizon):
         th = []
         for b in range(n):
@@ -332,24 +320,24 @@ def build_dc_uc(inst, net):
         pft = [milp.add_var(f"pft[{t}][{k}]",
                             lb=-float(net.smax[k]), ub=float(net.smax[k]))
                for k in range(m)]
-        for k, (i, j) in enumerate(zip(f_bus, t_bus)):
-            inv_x = 1.0 / float(net.branch_x[k])
-            milp.add_constr({pft[k]: 1.0, th[i]: -inv_x, th[j]: inv_x},
-                            EQ, 0.0, name=f"dcflow[{k}][{t}]")
-            milp.add_constr({th[i]: 1.0, th[j]: -1.0}, LE,
-                            float(net.theta_max[k]), name=f"anghi[{k}][{t}]")
-            milp.add_constr({th[i]: 1.0, th[j]: -1.0}, GE,
-                            float(net.theta_min[k]), name=f"anglo[{k}][{t}]")
-        for b in range(n):
-            coeffs = {}
-            for k, (i, j) in enumerate(zip(f_bus, t_bus)):
-                if i == b:
-                    coeffs[pft[k]] = coeffs.get(pft[k], 0.0) + 1.0
-                if j == b:
-                    coeffs[pft[k]] = coeffs.get(pft[k], 0.0) - 1.0
-            _add_generation(coeffs, inst, ucv, gens_at[b], t)
-            milp.add_constr(coeffs, EQ, -float(inst.pd[b, t]),
-                            name=f"pbal[{b}][{t}]")
+        th_f, th_t = np.asarray(th)[net.f_bus], np.asarray(th)[net.t_bus]
+        # per branch k: rows 3k (flow law), 3k + 1 and 3k + 2 (angle
+        # difference limits); then per bus position its active balance
+        milp.add_rows(
+            *stack_entries((flow, pft, 1.0), (flow, th_f, -inv_x),
+                           (flow, th_t, inv_x),
+                           (flow + 1, th_f, 1.0), (flow + 1, th_t, -1.0),
+                           (flow + 2, th_f, 1.0), (flow + 2, th_t, -1.0),
+                           (bal[net.f_bus], pft, 1.0),
+                           (bal[net.t_bus], pft, -1.0),
+                           *_generation(inst, ucv, t, bal)),
+            [EQ, LE, GE] * m + [EQ] * n,
+            np.concatenate([np.column_stack([np.zeros(m), net.theta_max,
+                                             net.theta_min]),
+                            -inst.pd[:, t]], axis=None),
+            [f"{kind}[{k}][{t}]" for k in range(m)
+             for kind in ("dcflow", "anghi", "anglo")]
+            + [f"pbal[{b}][{t}]" for b in range(n)])
     return milp, ucv
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from compactpf import harness
 from compactpf.cli import main, _generate_schemes
-from compactpf.errors import ValidationError
 from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
                                report_to_json)
 from compactpf.data_factory import dump_dataset
@@ -69,15 +68,33 @@ def test_cli_verify_names_a_short_hour(tmp_path, capsys):
     assert "detail: period 2: " in capsys.readouterr().out
 
 
-def test_cli_verify_rejects_schedule_of_other_horizon(tmp_path):
-    """A 4-h schedule audited against the 24-h instance is refused, not
-    reported feasible after 4 of 24 hours."""
+def test_cli_verify_rejects_schedule_of_other_horizon(tmp_path, capsys):
+    """A 4-h schedule audited against the 24-h instance is refused (exit
+    4), not reported feasible after 4 of 24 hours."""
     sched_path = tmp_path / "dc_sched.json"
     assert main(["solve", *SYSTEM, "--formulation", "dc",
                  "--out", str(sched_path)]) == 0
-    with pytest.raises(ValidationError, match="shape"):
-        main(["verify-schedule", "--case", CASE, "--uc", UC24,
-              "--schedule", str(sched_path)])
+    capsys.readouterr()
+    assert main(["verify-schedule", "--case", CASE, "--uc", UC24,
+                 "--schedule", str(sched_path)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "shape" in line
+
+
+def test_cli_refused_input_is_one_error_line_and_exit_4(tmp_path, capsys):
+    """An instance the package refuses ends the command with exit code 4
+    (not 1, which means "no schedule") and one line on stderr, not a
+    traceback."""
+    doc = json.loads((DATA / "uc14_t4.json").read_text())
+    doc["horizon"] = 0
+    uc_path = tmp_path / "uc_h0.json"
+    uc_path.write_text(json.dumps(doc))
+    assert main(["build", "--case", CASE, "--uc", str(uc_path),
+                 "--formulation", "dc", "--out",
+                 str(tmp_path / "dc.mps")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: horizon must be >= 1\n"
+    assert captured.out == ""
 
 
 def test_cli_experiment_defaults_are_the_config_defaults(tmp_path,

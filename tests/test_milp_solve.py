@@ -1,9 +1,12 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from compactpf import milp_solve
+from compactpf import data_factory, highs, milp_solve
 from compactpf.highs import LPResult, MIPResult
 from compactpf.milp_encode import (FIXED_OFF, FREE, BigMBounds,
                                    interval_bounds, standalone_fragment,
@@ -486,15 +489,74 @@ def test_rejected_model_is_error_not_infeasible():
     assert enumerate_binaries(m).status == "error"
 
 
-def test_highs_mip_prints_nothing_to_stdout(capfd, net14, lin14, box14):
-    # one of these fragment MILPs makes HiGHS 1.12 print
-    # "transformNewIntegerFeasibleSolution tmpSolver.run();" to stdout,
-    # whatever its log options say
+def _printing_model(net14, lin14):
+    """A surrogate one of whose MILP-mode tightening MIPs makes HiGHS 1.12
+    print "transformNewIntegerFeasibleSolution tmpSolver.run();" to
+    stdout, whatever its log options say."""
     rng = np.random.default_rng(9)
-    model = CompactPWLModel(
+    return CompactPWLModel(
         w1=rng.standard_normal((net14.d_in, 4)) / np.sqrt(net14.d_in),
         w2=rng.standard_normal((net14.d_out, 4)) * 0.1,
         b=rng.standard_normal(4) * 0.01, linear=lin14)
+
+
+def test_highs_mip_prints_nothing_to_stdout(capfd, net14, lin14, box14):
+    model = _printing_model(net14, lin14)
     tighten_bounds(model, box14, mode="milp",
                    start=interval_bounds(model, box14))
     assert capfd.readouterr().out == ""
+
+
+def _file(fd):
+    st = os.fstat(fd)
+    return st.st_dev, st.st_ino
+
+
+def test_milp_tightening_on_threads_matches_one_thread(monkeypatch, net14,
+                                                       lin14, box14):
+    """MILP-mode bounds do not depend on how many workers run the MIPs,
+    and fd 1 is the same file after the concurrent MIPs as before."""
+    model = _printing_model(net14, lin14)
+    start = interval_bounds(model, box14)
+    stdout = _file(1)
+    got = []
+    for threads in (1, 2):
+        monkeypatch.setattr(data_factory, "THREADS", threads)
+        got.append(tighten_bounds(model, box14, mode="milp", start=start))
+        assert _file(1) == stdout
+    one, two = got
+    assert one.m_min.tobytes() == two.m_min.tobytes()
+    assert one.m_max.tobytes() == two.m_max.tobytes()
+    assert one.provenance == two.provenance and one.status == two.status
+    assert "milp" in one.provenance
+
+
+def test_stdout_redirect_is_shared_by_concurrent_runs():
+    """Eight threads each running 200 calls off stdout at once, switching
+    often: every call runs with fd 1 on the null device, and fd 1 is the
+    original file once all are done."""
+    null, stdout = os.stat(os.devnull), _file(1)
+    seen = []
+
+    class Probe:
+        def run(self):
+            seen.append(_file(1) == (null.st_dev, null.st_ino))
+            return 0
+
+    def work():
+        for _ in range(200):
+            highs._run_off_stdout(Probe())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8 * 200 and all(seen)
+    assert _file(1) == stdout
