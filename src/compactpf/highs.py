@@ -11,6 +11,9 @@ branch-and-cut call. Both map HiGHS's model status to 0 optimal; 1 time,
 iteration or node limit; 2 infeasible; 3 unbounded; 4 anything else,
 including a rejected model, a failed ``run()`` and a non-finite
 "optimal".
+
+Every instance keeps HiGHS's default options but one: the SLP's instance
+(``HighsInstance.devex``) prices its dual simplex with Devex.
 """
 
 import math
@@ -25,6 +28,9 @@ from scipy.optimize._highspy import _core as _highs
 _ERROR = _highs.HighsStatus.kError
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
+# ``simplex_dual_edge_weight_strategy``: HiGHS's default (-1) chooses dual
+# steepest edge; 1 is Devex
+_DEVEX = 1
 
 
 class LPResult(NamedTuple):
@@ -61,6 +67,19 @@ class HighsInstance:
         self.highs.setOptionValue("log_to_console", False)
         self.basis = None
 
+    @classmethod
+    def devex(cls):
+        """An instance whose dual simplex prices with Devex (Forrest &
+        Goldfarb, Math. Prog. 1992) instead of the default dual steepest
+        edge. For a sequence of warm LPs that each take a few iterations
+        on a large matrix, as the SLP's are, an iteration then costs less
+        than steepest edge saves: the 24-hour oracle's warm LPs take about
+        18% more iterations and about 20% less time inside HiGHS."""
+        inst = cls()
+        inst.highs.setOptionValue("simplex_dual_edge_weight_strategy",
+                                  _DEVEX)
+        return inst
+
 
 def _pass_model(h, c, A, lo, hi, lb, ub, integrality=None):
     """Pass min c.x s.t. lo <= A x <= hi, lb <= x <= ub (A CSC) to ``h`` as
@@ -85,8 +104,10 @@ def linprog(c, A, lo, hi, lb, ub, inst):
 
     Every call passes the whole model as arrays and starts from the basis
     of the instance's last optimal solve. The instance's first LP has none
-    and is solved cold, with scipy ``milp``'s options, so it gives the
-    result ``milp`` gives.
+    and is solved cold. On an instance with HiGHS's default options, that
+    is with scipy ``milp``'s options, so it gives the result ``milp``
+    gives; a ``HighsInstance.devex`` instance prices otherwise, so its
+    LPs may end at another optimal vertex of equal objective.
     """
     h = inst.highs
     ok = _pass_model(h, c, A, lo, hi, lb, ub) != _ERROR

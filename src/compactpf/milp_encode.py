@@ -37,7 +37,7 @@ from .errors import ValidationError
 from .milp_model import (MILPModel, BINARY, LE, EQ, GE,
                          stack_entries)
 from . import data_factory, milp_solve
-from .tolerances import CMP_TOL, PATH_TOL
+from .tolerances import CMP_TOL, PATH_TOL, SMALL_MATRIX_VALUE
 
 FREE, FIXED_OFF, FIXED_ON = "free", "fixed_off", "fixed_on"
 TIGHTEN_BUDGET_S = 120.0   # wall-clock budget of one tighten_bounds or
@@ -292,13 +292,23 @@ def encode_linear_model(lin, milp, x_vars, prefix="lin"):
 
 
 def _add_output_rows(milp, lin, x_vars, y, prefix, z=(), w2=None):
-    """The rows y = Jstar x + rstar (+ w2 z), one per output."""
+    """The rows y = Jstar x + rstar (+ w2 z), one per output. A Jstar or
+    w2 coefficient of magnitude at most ``SMALL_MATRIX_VALUE`` (rounding
+    noise of the Jacobian and the weights) is left out: HiGHS would drop
+    it from every LP and MIP the model is passed to."""
     r = np.arange(lin.d_out)[:, None]
-    terms = [(r, np.asarray(y)[:, None], 1.0), (r, x_vars, -lin.Jstar)]
+    terms = [(r, np.asarray(y)[:, None], 1.0),
+             (r, x_vars, -_significant(lin.Jstar))]
     if len(z):
-        terms.append((r, z, -w2))
+        terms.append((r, z, -_significant(w2)))
     milp.add_rows(*stack_entries(*terms), EQ, lin.rstar,
                   [f"{prefix}.out[{k}]" for k in range(lin.d_out)])
+
+
+def _significant(a):
+    """``a`` with its entries of magnitude at most ``SMALL_MATRIX_VALUE``
+    set to zero, which ``add_rows`` drops."""
+    return np.where(np.abs(a) > SMALL_MATRIX_VALUE, a, 0.0)
 
 
 def add_box_constraints(milp, frag, box, prefix=""):

@@ -25,6 +25,12 @@ MIP_FEAS_TOL = 1e-6
 # slack on comparisons of bounds, objectives, cost slopes and the reference
 # angle, against rounding in the last digits
 CMP_TOL = 1e-12
+# HiGHS's default small_matrix_value: it drops every constraint coefficient
+# of at most this magnitude from a model it is passed. The NN and affine
+# encoders leave such coefficients (rounding noise of the Jacobian and the
+# weights, 1e-16 to 1e-13) out of their rows, so a model holds the matrix
+# HiGHS solves, and its exported MPS and ``max_violation`` read it too.
+SMALL_MATRIX_VALUE = 1e-9
 
 # -- MILP solve -------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
 
 from compactpf import ac_solver, grid_model, jacobian
 from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
@@ -14,7 +15,10 @@ from compactpf.ac_solver import (HighsInstance, InfeasibleError, linprog,
                                  mtp_acopf_check, specs_from_schedule)
 from compactpf.case_ingest import UCGen
 from compactpf.errors import ValidationError
+from compactpf.harness import FORMULATIONS, big_m_bounds, build_formulation
+from compactpf.milp_solve import solve_milp
 from compactpf.tolerances import PRIMAL_TOL
+from compactpf.uc_builder import extract_schedule
 
 
 def test_slp_acopf_hour1(net14, inst24):
@@ -658,3 +662,54 @@ def test_mtp_evaluates_each_iterate_once(monkeypatch, net14, inst4):
     final = [np.array([getattr(pt, f) for pt in report.points])
              for f in ("v", "theta")]
     assert _point_key(*final) in evals
+
+
+PRICING = "simplex_dual_edge_weight_strategy"
+DEVEX = 1
+
+
+def test_slp_instance_prices_with_devex(monkeypatch, net14, inst24):
+    """Every LP of an SLP call runs on an instance whose dual simplex
+    prices with Devex; a default instance keeps HiGHS's choice."""
+    seen = []
+
+    def recorded(c, A, lo, hi, lb, ub, inst):
+        seen.append(inst.highs.getOptionValue(PRICING)[1])
+        return linprog(c, A, lo, hi, lb, ub, inst)
+
+    monkeypatch.setattr(ac_solver, "linprog", recorded)
+    slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
+    assert len(seen) > 1 and set(seen) == {DEVEX}
+    default = _core._Highs().getOptionValue(PRICING)[1]
+    assert default != DEVEX
+    assert HighsInstance().highs.getOptionValue(PRICING)[1] == default
+
+
+@pytest.fixture(scope="module")
+def schedules4(net14, inst4, lin14, compact8, box14):
+    """The NN-, L- and DC-UC schedules of uc14_t4, NN with LP bounds."""
+    prep = {"net": net14, "lin": lin14, "model": compact8, "box": box14,
+            "bounds": big_m_bounds(compact8, box14, "lp")}
+    out = {}
+    for f in FORMULATIONS:
+        milp_, ucv = build_formulation(f, inst4, prep)
+        sol = solve_milp(milp_, gap_target=0.01)
+        out[f] = extract_schedule(milp_, sol, inst4, ucv, net=net14)
+    return out
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_oracle_does_not_depend_on_the_pricing(monkeypatch, net14, inst4,
+                                               schedules4, formulation):
+    """The 4-h oracle gives the same verdict and iterations with the SLP
+    priced by Devex and by HiGHS's default, and the same objective to
+    rounding: the pricing picks the path to an optimal vertex, not the
+    optimum."""
+    sched = schedules4[formulation]
+    devex = mtp_acopf_check(net14, inst4, sched)
+    monkeypatch.setattr(HighsInstance, "devex",
+                        classmethod(lambda cls: cls()))
+    default = mtp_acopf_check(net14, inst4, sched)
+    assert devex.verdict == default.verdict == "feasible"
+    assert devex.iterations == default.iterations
+    assert devex.objective == pytest.approx(default.objective, rel=1e-9)

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
 from compactpf import data_factory, highs, milp_solve
 from compactpf.highs import LPResult, MIPResult
@@ -560,3 +561,25 @@ def test_stdout_redirect_is_shared_by_concurrent_runs():
     assert not any(w.is_alive() for w in workers)
     assert len(seen) == 8 * 200 and all(seen)
     assert _file(1) == stdout
+
+
+PRICING = "simplex_dual_edge_weight_strategy"
+
+
+def test_milp_instances_keep_highs_default_pricing(monkeypatch):
+    """Only the SLP prices with Devex: a model's LP instance and its MIP
+    call read HiGHS's default dual pricing."""
+    default = _core._Highs().getOptionValue(PRICING)[1]
+    m, _ = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
+    backend = milp_solve.LPBackend(m)
+    assert backend.inst.highs.getOptionValue(PRICING)[1] == default
+    seen = []
+    run = highs._run_off_stdout
+
+    def recorded(h):
+        seen.append(h.getOptionValue(PRICING)[1])
+        return run(h)
+
+    monkeypatch.setattr(highs, "_run_off_stdout", recorded)
+    assert backend.mip(0.0, 60.0, 1000).status == 0
+    assert seen == [default]

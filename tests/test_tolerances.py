@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 from compactpf.highs import HighsInstance
-from compactpf.tolerances import MIP_FEAS_TOL
+from compactpf.tolerances import MIP_FEAS_TOL, SMALL_MATRIX_VALUE
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compactpf"
 # small constants that are algorithm parameters, not bars on a result
@@ -62,3 +62,10 @@ def test_mip_bar_is_highs_default():
     branch-and-cut keeps by default."""
     assert HighsInstance().highs.getOptionValue(
         "mip_feasibility_tolerance")[1] == MIP_FEAS_TOL
+
+
+def test_small_matrix_value_is_highs_default():
+    """The encoders leave out exactly the coefficients HiGHS drops from a
+    model it is passed."""
+    assert HighsInstance().highs.getOptionValue(
+        "small_matrix_value")[1] == SMALL_MATRIX_VALUE

@@ -5,7 +5,7 @@ import pytest
 
 from compactpf.case_ingest import UCGen, UCInstance
 from compactpf.jacobian import LinearPFModel
-from compactpf import milp_solve, uc_builder
+from compactpf import milp_encode, milp_solve, uc_builder
 from compactpf.highs import HighsInstance, linprog
 from compactpf.milp_encode import (bound_box_from_network, hourly_bounds,
                                    interval_bounds, prune, tighten_bounds)
@@ -18,6 +18,8 @@ from compactpf.uc_builder import (build_core_uc, build_nn_ac_uc,
                                   schedule_from_json)
 from compactpf.ac_solver import check_schedule_logic
 from compactpf.errors import ValidationError
+from compactpf.harness import big_m_bounds
+from compactpf.tolerances import SMALL_MATRIX_VALUE
 
 
 def _unit(name, bus, pmin, pmax, slope, **kw):
@@ -322,3 +324,29 @@ def test_schedule_json_round_trip():
     assert again.v is None and sched.v is None
     with pytest.raises(ValidationError):
         schedule_from_json('{"kind": "other"}')
+
+
+@pytest.mark.parametrize("formulation", ["nn", "linear"])
+def test_noise_coefficients_left_out_keep_the_lp_point(
+        monkeypatch, net14, inst4, lin14, compact8, box14, formulation):
+    """The NN- and L-UC leave out the Jacobian and weight coefficients
+    HiGHS drops, and their LP relaxations give the same point, bit for bit,
+    as the models that keep them."""
+    bounds = big_m_bounds(compact8, box14, "lp")
+
+    def build():
+        if formulation == "nn":
+            return build_nn_ac_uc(inst4, net14, compact8, bounds,
+                                  box=box14)[0]
+        return build_l_ac_uc(inst4, net14, lin14, box=box14)[0]
+
+    model = build()
+    monkeypatch.setattr(milp_encode, "SMALL_MATRIX_VALUE", 0.0)
+    noisy = build()
+    A, B = model.constraint_matrices()[0], noisy.constraint_matrices()[0]
+    noise = np.abs(B.data) <= SMALL_MATRIX_VALUE
+    assert noise.any() and np.all(np.abs(A.data) > SMALL_MATRIX_VALUE)
+    assert A.nnz == B.nnz - noise.sum()
+    got, want = solve_lp(model), solve_lp(noisy)
+    assert got.status == want.status == "optimal"
+    assert got.x.tobytes() == want.x.tobytes()
