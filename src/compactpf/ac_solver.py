@@ -468,13 +468,13 @@ def _solve_slp(net, specs, ramps=False):
     optimal LP, whose evaluation serves its merit, its second-order
     correction and, once accepted, the next linearization, which
     differentiates all periods in one stacked call too. The call owns
-    one HiGHS instance, priced with Devex. Each major iteration at a new point passes it the
-    step LP, warm from the basis of the last optimal solve (the first LP
-    is solved cold). The two second-order-correction LPs keep that matrix
-    with other row and column bounds, and are passed whole with the last
-    optimal basis too. After a rejected step the point has not moved, so
-    the next step LP keeps the matrix and row bounds and only its trust
-    bounds change.
+    one HiGHS instance, priced with Devex. Each major iteration at a new
+    point passes it the step LP, warm from the basis of the last optimal
+    solve (the first LP is solved cold). The two second-order-correction
+    LPs keep that matrix with other row and column bounds, and are passed
+    whole with the last optimal basis too. After a rejected step the point
+    has not moved, so the next step LP keeps the matrix and row bounds and
+    only its trust bounds change.
 
     Returns (verdict, points, p_delta, r, q, q_sc, cost, iterations,
     max_violation), with one OperatingPoint per period in ``points``.

@@ -12,8 +12,8 @@ iteration or node limit; 2 infeasible; 3 unbounded; 4 anything else,
 including a rejected model, a failed ``run()`` and a non-finite
 "optimal".
 
-Every instance keeps HiGHS's default options but one: the SLP's instance
-(``HighsInstance.devex``) prices its dual simplex with Devex.
+Every instance keeps HiGHS's default simplex pricing but the SLP's
+(``HighsInstance.devex``), whose dual simplex prices with Devex.
 """
 
 import math

@@ -30,6 +30,12 @@ from dataclasses import replace
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from compactpf import (ac_solver, harness, highs,  # noqa: E402
+                       milp_solve, uc_builder)
+from compactpf.highs import HighsInstance  # noqa: E402
+
 DERATE = 0.30
 GAP = 0.01
 # two pricings solve the same LP to the same optimum; their objectives may
@@ -41,8 +47,8 @@ class _TimedHighs:
     """A HiGHS object whose ``run`` calls are timed; every other attribute
     is the wrapped object's."""
 
-    def __init__(self, highs):
-        self._highs = highs
+    def __init__(self, h):
+        self._highs = h
         self.run_s = 0.0
 
     def __getattr__(self, name):
@@ -60,7 +66,6 @@ def record_oracle_lps(hours):
     """The LPs of one oracle call on the DC-UC schedule of the first
     ``hours`` hours of uc14.json: a list of per-instance LP lists, each LP
     the (c, A, lo, hi, lb, ub) passed to ``ac_solver.linprog``."""
-    from compactpf import ac_solver, harness, milp_solve, uc_builder
     data = SRC / "compactpf" / "data"
     _, net, inst = harness.load_system(data / "case14.m", data / "uc14.json",
                                        DERATE)
@@ -75,10 +80,10 @@ def record_oracle_lps(hours):
     per_instance = {}
     original = ac_solver.linprog
 
-    def recorded(c, A, lo, hi, lb, ub, highs):
-        per_instance.setdefault(id(highs), (highs, []))[1].append(
+    def recorded(c, A, lo, hi, lb, ub, inst):
+        per_instance.setdefault(id(inst), (inst, []))[1].append(
             (c, A, lo, hi, lb, ub))
-        return original(c, A, lo, hi, lb, ub, highs)
+        return original(c, A, lo, hi, lb, ub, inst)
 
     ac_solver.linprog = recorded
     try:
@@ -91,7 +96,6 @@ def record_oracle_lps(hours):
 def replay(sequences, make_instance):
     """Solve every sequence on a fresh instance from ``make_instance``.
     Returns one (cold, status, objective, iterations, run seconds) per LP."""
-    from compactpf import highs
     out = []
     for lps in sequences:
         inst = make_instance()
@@ -114,8 +118,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    sys.path.insert(0, str(SRC))
-    from compactpf.highs import HighsInstance
 
     sequences, rep = record_oracle_lps(args.hours)
     pricings = {"default": HighsInstance, "devex": HighsInstance.devex}
