@@ -104,9 +104,7 @@ def _sample_in_box(rng):
 worst = 0.0
 for _ in range(5):
     x = _sample_in_box(rng)
-    for j, xi in enumerate(x):
-        milp.variables[frag.x[j]].lb = xi
-        milp.variables[frag.x[j]].ub = xi
+    milp.lb[frag.x] = milp.ub[frag.x] = x
     sol = solve_milp(milp)
     y_milp = np.array([sol.x[r] for r in frag.y])
     worst = max(worst, np.abs(y_milp - model.predict(x)).max())

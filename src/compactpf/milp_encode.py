@@ -34,7 +34,7 @@ import numpy as np
 
 from .data_factory import MAX_ALTERATION
 from .errors import ValidationError
-from .milp_model import (MILPModel, BINARY, LE, EQ, GE,
+from .milp_model import (MILPModel, BINARY, CONTINUOUS, LE, EQ, GE,
                          stack_entries)
 from . import data_factory, milp_solve
 from .tolerances import CMP_TOL, PATH_TOL, SMALL_MATRIX_VALUE
@@ -55,6 +55,8 @@ class BigMBounds:
         if np.any(self.m_min > self.m_max + CMP_TOL):
             raise ValidationError("Mmin > Mmax")
         for st, lo, hi in zip(self.status, self.m_min, self.m_max):
+            if st not in (FREE, FIXED_OFF, FIXED_ON):
+                raise ValidationError(f"unknown ReLU status {st!r}")
             if st == FIXED_OFF and hi > 0:
                 raise ValidationError("fixed_off requires Mmax <= 0")
             if st == FIXED_ON and lo <= 0:
@@ -221,27 +223,24 @@ def encode_relu_network(model, bounds, milp, x_vars, prefix="nn"):
     if len(x_vars) != model.d_in:
         raise ValidationError("x variable count != model input dimension")
 
-    y = milp.add_vars(f"{prefix}.y", model.d_out, lb=-math.inf, ub=math.inf)
-    zhat = [milp.add_var(f"{prefix}.zh[{i}]",
-                         lb=bounds.m_min[i], ub=bounds.m_max[i])
-            for i in range(rho)]
-    z = []
-    beta = []
-    for i in range(rho):
-        st = bounds.status[i]
-        if st == FIXED_OFF:
-            z.append(milp.add_var(f"{prefix}.z[{i}]", lb=0.0, ub=0.0))
-            beta.append(None)
-        elif st == FIXED_ON:
-            z.append(milp.add_var(f"{prefix}.z[{i}]",
-                                  lb=bounds.m_min[i], ub=bounds.m_max[i]))
-            beta.append(None)
-        elif st == FREE:
-            z.append(milp.add_var(f"{prefix}.z[{i}]",
-                                  lb=0.0, ub=max(bounds.m_max[i], 0.0)))
-            beta.append(milp.add_var(f"{prefix}.beta[{i}]", kind=BINARY))
-        else:
-            raise ValidationError(f"unknown ReLU status {st!r}")
+    y = milp.add_vars([f"{prefix}.y[{k}]" for k in range(model.d_out)],
+                      lb=-math.inf)
+    zhat = milp.add_vars([f"{prefix}.zh[{i}]" for i in range(rho)],
+                         lb=bounds.m_min, ub=bounds.m_max)
+    # (name, kind, lb, ub) per ReLU of its output z, then a free one's beta
+    cols = []
+    for i, (st, lo, hi) in enumerate(zip(bounds.status, bounds.m_min,
+                                         bounds.m_max)):
+        cols.append((f"{prefix}.z[{i}]", CONTINUOUS,
+                     lo if st == FIXED_ON else 0.0,
+                     {FIXED_OFF: 0.0, FIXED_ON: hi, FREE: max(hi, 0.0)}[st]))
+        if st == FREE:
+            cols.append((f"{prefix}.beta[{i}]", BINARY, 0.0, 1.0))
+    cols = iter(milp.add_vars(*map(list, zip(*cols))))
+    z, beta = [], []
+    for st in bounds.status:
+        z.append(next(cols))
+        beta.append(next(cols) if st == FREE else None)
     _add_relu_rows(milp, bounds, zhat, z, beta, prefix)
 
     # zhat = w1' x + b
@@ -286,7 +285,8 @@ def _add_relu_rows(milp, bounds, zhat, z, beta, prefix):
 
 def encode_linear_model(lin, milp, x_vars, prefix="lin"):
     """Affine-only counterpart: y = Jstar x + rstar (no ReLU variables)."""
-    y = milp.add_vars(f"{prefix}.y", lin.d_out, lb=-math.inf, ub=math.inf)
+    y = milp.add_vars([f"{prefix}.y[{k}]" for k in range(lin.d_out)],
+                      lb=-math.inf)
     _add_output_rows(milp, lin, x_vars, y, prefix)
     return ReluFragment(x=list(x_vars), y=y, z=[], zhat=[], beta=[])
 
@@ -331,17 +331,15 @@ def add_box_constraints(milp, frag, box, prefix=""):
                   [f"{prefix}ang_{side}[{k}]" for k in ks
                    for side in ("hi", "lo")])
     if box.y_lo is not None:
-        for r, (lo, hi) in enumerate(zip(box.y_lo, box.y_hi)):
-            v = milp.variables[frag.y[r]]
-            v.lb = max(v.lb, lo)
-            v.ub = min(v.ub, hi)
+        milp.lb[frag.y] = np.maximum(milp.lb[frag.y], box.y_lo)
+        milp.ub[frag.y] = np.minimum(milp.ub[frag.y], box.y_hi)
 
 
 def standalone_fragment(model, bounds, box):
     """Fresh MILPModel holding just the encoded network over the box."""
     milp = MILPModel(name="nn_fragment")
-    x = [milp.add_var(f"x[{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
-         for j in range(model.d_in)]
+    x = milp.add_vars([f"x[{j}]" for j in range(model.d_in)],
+                      lb=box.x_lo, ub=box.x_hi)
     frag = encode_relu_network(model, bounds, milp, x)
     add_box_constraints(milp, frag, box)
     return milp, frag

@@ -1,16 +1,16 @@
 """Solver-agnostic MILP model container.
 
-Holds variables (continuous/binary with bounds), sparse linear
+Holds columns (continuous/binary with bounds), sparse linear
 constraints, and a linear objective (minimization). Consumers are the
 LP/MILP solve path, the MPS writer, and the UC/NN model builders.
 
-The rows are stored once, as arrays: COO triplets (row, column, value)
-plus one sense, right-hand side and name per row. Builders add them a
-block at a time (``add_rows``), or one irregular row at a time
-(``add_constr``), under the same rules. ``constraint_matrices`` builds the
-solver's CSC matrix from the triplets, and ``max_violation`` its own CSR
-matrix; ``constraints`` is a read-only view of the rows as ``Constraint``
-objects, built from the arrays each time it is read.
+Columns and rows are each stored once, as arrays: a column's bounds
+(``lb``, ``ub``, edited in place), binary flag and name; a row's COO
+triplets, sense, right-hand side and name. Builders add them a block at a
+time (``add_vars``, ``add_rows``) or one at a time (``add_var``,
+``add_constr``) under the same rules. ``constraint_matrices`` and
+``max_violation`` build their sparse matrices from the triplets;
+``variables`` and ``constraints`` are read-only views built on each read.
 """
 
 import math
@@ -29,7 +29,7 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
     name: str
     kind: str
@@ -63,10 +63,12 @@ def stack_entries(*terms):
 class MILPModel:
     def __init__(self, name="model"):
         self.name = name
-        self.variables = []
+        self.lb, self.ub = np.empty(0), np.empty(0)
+        self.binary = np.empty(0, bool)
+        self.names = []
         self.obj = {}          # var index -> coefficient
         self.obj_constant = 0.0
-        self._names = {}
+        self._index = {}       # column name -> index
         # blocks of (row, col, val) triplets and per-row (sense, rhs)
         # arrays, merged into one block when read
         self._blocks = [(np.empty(0, np.intp), np.empty(0, np.intp),
@@ -75,22 +77,43 @@ class MILPModel:
 
     # -- construction -------------------------------------------------
 
-    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=math.inf):
-        if name in self._names:
-            raise ValidationError(f"duplicate variable name {name!r}")
-        if kind == BINARY:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        if not (math.isfinite(lb) or lb == -math.inf):
-            raise ValidationError(f"bad lower bound for {name}")
-        if not (math.isfinite(ub) or ub == math.inf):
-            raise ValidationError(f"bad upper bound for {name}")
-        idx = len(self.variables)
-        self.variables.append(Variable(name, kind, lb, ub))
-        self._names[name] = idx
-        return idx
+    def add_vars(self, names, kind=CONTINUOUS, lb=0.0, ub=math.inf):
+        """Append columns named ``names``, of kind ``kind`` (one for all or
+        one per column) and with bounds ``lb`` and ``ub`` (scalars or one per
+        column); their indices. A binary's bounds are clamped into [0, 1].
+        A name in the model or twice in ``names``, an unknown kind, kinds or
+        bounds that do not fit ``names``, a NaN or +inf lower bound or a NaN
+        or -inf upper bound raises ``ValidationError`` and adds nothing."""
+        start, k = self.nvar, len(names)
+        index = dict(zip(names, range(start, start + k)))
+        if len(index) < k or not self._index.keys().isdisjoint(index):
+            dup = next(n for i, n in enumerate(names, start)
+                       if self._index.get(n, index[n]) != i)
+            raise ValidationError(f"duplicate variable name {dup!r}")
+        lo, hi, kinds = np.empty(k), np.empty(k), np.empty(k, object)
+        try:
+            lo[...], hi[...], kinds[...] = lb, ub, kind
+        except ValueError:
+            raise ValidationError(f"kind or bound count is not {k}") from None
+        binary = kinds == BINARY
+        np.maximum(lo, 0.0, out=lo, where=binary)
+        np.minimum(hi, 1.0, out=hi, where=binary)
+        # NaN compares false, so these hold for every bad bound
+        for what, bad in (("kind", ~binary & (kinds != CONTINUOUS)),
+                          ("lower bound", ~(lo < math.inf)),
+                          ("upper bound", ~(hi > -math.inf))):
+            if bad.any():
+                raise ValidationError(
+                    f"bad {what} for {names[int(np.argmax(bad))]}")
+        self.lb, self.ub, self.binary = map(np.concatenate, zip(
+            (self.lb, self.ub, self.binary), (lo, hi, binary)))
+        self.names += names
+        self._index.update(index)
+        return list(range(start, start + k))
 
-    def add_vars(self, prefix, count, **kw):
-        return [self.add_var(f"{prefix}[{i}]", **kw) for i in range(count)]
+    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=math.inf):
+        """``add_vars`` with a block of one column; its index."""
+        return self.add_vars([name], kind, lb, ub)[0]
 
     def add_rows(self, rows, cols, vals, sense, rhs, names):
         """Append a block of ``len(names)`` rows: block row k reads
@@ -141,13 +164,13 @@ class MILPModel:
         self.obj[var] = self.obj.get(var, 0.0) + coef
 
     def var_index(self, name):
-        return self._names[name]
+        return self._index[name]
 
     # -- queries ------------------------------------------------------
 
     @property
     def nvar(self):
-        return len(self.variables)
+        return len(self.names)
 
     @property
     def nrows(self):
@@ -159,6 +182,14 @@ class MILPModel:
         if len(self._blocks) > 1:
             self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
         return self._blocks[0]
+
+    @property
+    def variables(self):
+        """The columns as a tuple of frozen ``Variable`` objects, in column
+        order; a view built from the column arrays, which it cannot edit."""
+        kinds = np.where(self.binary, BINARY, CONTINUOUS).tolist()
+        return tuple(map(Variable, self.names, kinds, self.lb.tolist(),
+                         self.ub.tolist()))
 
     @property
     def constraints(self):
@@ -173,17 +204,11 @@ class MILPModel:
                 coeffs, sense.tolist(), rhs.tolist(), self._row_names))
 
     def binary_indices(self):
-        return [i for i, v in enumerate(self.variables) if v.kind == BINARY]
-
-    def bounds_arrays(self):
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        return lb, ub
+        return np.flatnonzero(self.binary).tolist()
 
     def objective_vector(self):
         c = np.zeros(self.nvar)
-        for i, coef in self.obj.items():
-            c[i] = coef
+        c[list(self.obj)] = list(self.obj.values())
         return c
 
     def constraint_matrices(self):
@@ -206,21 +231,15 @@ class MILPModel:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             return math.inf
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
         row, col, val, sense, rhs = self._rows()
         lhs = sparse.csr_array((val, (row, col)),
                                shape=(self.nrows, self.nvar)) @ x
         over = np.select([sense == _EQ, sense == _LE],
                          [np.abs(lhs - rhs), lhs - rhs], rhs - lhs)
-        return float(max(np.max(lb - x, initial=0.0),
-                         np.max(x - ub, initial=0.0),
+        return float(max(np.max(self.lb - x, initial=0.0),
+                         np.max(x - self.ub, initial=0.0),
                          np.max(over, initial=0.0)))
 
     def stats(self):
-        nbin = len(self.binary_indices())
-        return {
-            "variables": self.nvar,
-            "binaries": nbin,
-            "constraints": self.nrows,
-        }
+        return {"variables": self.nvar, "binaries": int(self.binary.sum()),
+                "constraints": self.nrows}

@@ -58,7 +58,7 @@ class LPBackend:
         self.model = model
         self.c = model.objective_vector()
         self.A, self.lo, self.hi = model.constraint_matrices()
-        self.lb, self.ub = model.bounds_arrays()
+        self.lb, self.ub = model.lb, model.ub
         self.bins = model.binary_indices()
         self.inst = HighsInstance()
 
@@ -234,7 +234,7 @@ def export_mps(model):
     objective or row coefficient is declared with a zero objective entry,
     so that every variable has a COLUMNS record.
     """
-    names = [_mps_name(v.name) for v in model.variables]
+    names = [_mps_name(name) for name in model.names]
     if len(set(names)) != len(names):
         raise ValidationError("variable name collision after MPS mangling")
 
@@ -270,21 +270,17 @@ def export_mps(model):
             lines.append(f"    RHS  {rn}  {_fmt(con.rhs)}")
 
     lines.append("BOUNDS")
-    for i, v in enumerate(model.variables):
-        if v.kind == BINARY:
-            lines.append(f" BV BND  {names[i]}")
+    for name, binary, lb, ub in zip(names, model.binary.tolist(),
+                                    model.lb.tolist(), model.ub.tolist()):
+        if binary:
+            lines.append(f" BV BND  {name}")
             continue
-        lo_fin = math.isfinite(v.lb)
-        hi_fin = math.isfinite(v.ub)
-        if not lo_fin and not hi_fin:
-            lines.append(f" FR BND  {names[i]}")
-            continue
-        if not lo_fin:
-            lines.append(f" MI BND  {names[i]}")
-        elif v.lb != 0.0:
-            lines.append(f" LO BND  {names[i]}  {_fmt(v.lb)}")
-        if hi_fin:
-            lines.append(f" UP BND  {names[i]}  {_fmt(v.ub)}")
+        if lb == -math.inf:
+            lines.append(f" {'FR' if ub == math.inf else 'MI'} BND  {name}")
+        elif lb != 0.0:
+            lines.append(f" LO BND  {name}  {_fmt(lb)}")
+        if ub != math.inf:
+            lines.append(f" UP BND  {name}  {_fmt(ub)}")
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
@@ -369,9 +365,10 @@ def parse_mps(text):
 
     if model is None:
         raise ValidationError("MPS text missing NAME record")
+    model.add_vars(list(cols), *([col[f] for col in cols.values()]
+                                 for f in range(3)))
     con_coeffs = {rn: {} for rn, (code, _) in rows.items() if code != "N"}
-    for vn, (kind, lb, ub, entries) in cols.items():
-        i = model.add_var(vn, kind=kind, lb=lb, ub=ub)
+    for i, (*_, entries) in enumerate(cols.values()):
         for rn, coef in entries:
             if rows[rn][0] == "N":
                 if coef != 0.0:     # zero only declares an empty column
@@ -393,7 +390,7 @@ def import_solution(text, model):
     0 or 1, by ``MIP_FEAS_TOL``: the bar a ``solve_milp`` incumbent meets. It comes with no bound, so it
     is reported "feasible", with bound -inf and gap inf.
     """
-    x = np.array([min(max(0.0, v.lb), v.ub) for v in model.variables])
+    x = np.minimum(np.maximum(0.0, model.lb), model.ub)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -421,6 +418,6 @@ def import_solution(text, model):
         k = bins[int(np.argmax(frac))]
         raise ValidationError(
             f"imported solution not integral: binary "
-            f"{model.variables[k].name!r} = {x[k]!r}")
+            f"{model.names[k]!r} = {x[k]!r}")
     return MILPSolution(status="feasible", x=x,
                         objective=model.objective_value(x))

@@ -76,25 +76,22 @@ def build_core_uc(inst, reactive=True):
                 f"reserve requirement at t={t + 1} exceeds total "
                 f"dispatchable range; instance is statically infeasible")
 
-    y, u, w = ([[milp.add_var(f"{s}[{g}][{t}]", kind=BINARY)
-                 for t in range(T)] for g in range(G)] for s in "yuw")
+    def columns(stem, **bounds):
+        """T columns stem[0] ... stem[T - 1]; their indices."""
+        return milp.add_vars([f"{stem}[{t}]" for t in range(T)], **bounds)
+
+    y, u, w = ([columns(f"{s}[{g}]", kind=BINARY) for g in range(G)]
+               for s in "yuw")
     p_delta, r, q = [], [], []
     for gi, gen in enumerate(inst.gens):
         span = gen.pmax - gen.pmin
-        p_delta.append([milp.add_var(f"pd[{gi}][{t}]", lb=0.0, ub=span)
-                        for t in range(T)])
-        r.append([milp.add_var(f"r[{gi}][{t}]", lb=0.0, ub=span)
-                  for t in range(T)])
+        p_delta.append(columns(f"pd[{gi}]", ub=span))
+        r.append(columns(f"r[{gi}]", ub=span))
         if reactive:
-            q.append([milp.add_var(f"q[{gi}][{t}]",
-                                   lb=min(gen.qmin, 0.0),
-                                   ub=max(gen.qmax, 0.0))
-                      for t in range(T)])
-    q_sc = []
-    if reactive:
-        for ci, c in enumerate(inst.condensers):
-            q_sc.append([milp.add_var(f"qsc[{ci}][{t}]", lb=c.qmin, ub=c.qmax)
-                         for t in range(T)])
+            q.append(columns(f"q[{gi}]", lb=min(gen.qmin, 0.0),
+                             ub=max(gen.qmax, 0.0)))
+    q_sc = [columns(f"qsc[{ci}]", lb=c.qmin, ub=c.qmax)
+            for ci, c in enumerate(inst.condensers) if reactive]
 
     periods = np.arange(T)
     for gi, gen in enumerate(inst.gens):
@@ -102,7 +99,7 @@ def build_core_uc(inst, reactive=True):
         Y, U, W, PD, R = (np.array(v[gi]) for v in (y, u, w, p_delta, r))
 
         if gen.p_init > gen.sd:
-            milp.variables[w[gi][0]].ub = 0.0
+            milp.ub[w[gi][0]] = 0.0
 
         def named(kind):
             return [f"{kind}[{gi}][{t}]" for t in range(1, T + 1)]
@@ -151,11 +148,12 @@ def build_core_uc(inst, reactive=True):
         _add_by_period(milp, T, rows)
 
         # production cost: convex PWL via per-segment fill variables
-        seg = np.empty((T, len(gen.cost_segments)), np.intp)
+        K = len(gen.cost_segments)
+        seg = np.reshape(milp.add_vars(
+            [f"pseg[{gi}][{t}][{k}]" for t in range(T) for k in range(K)],
+            ub=np.tile([width for width, _ in gen.cost_segments], T)), (T, K))
         for t in range(T):
-            for k, (width, slope) in enumerate(gen.cost_segments):
-                seg[t, k] = milp.add_var(f"pseg[{gi}][{t}][{k}]",
-                                         lb=0.0, ub=width)
+            for k, (_, slope) in enumerate(gen.cost_segments):
                 milp.add_obj(seg[t, k], slope)
             if gen.no_load_cost:
                 milp.add_obj(y[gi][t], gen.no_load_cost)
@@ -166,11 +164,11 @@ def build_core_uc(inst, reactive=True):
         # startup cost tiers: continuous selectors over shutdown-lag
         # windows; the coldest recorded tier is unconstrained
         tiers = gen.startup_tiers
-        delta = np.empty((T, len(tiers)), np.intp)
+        delta = np.reshape(milp.add_vars(
+            [f"sut[{gi}][{t}][{k}]" for t in range(T)
+             for k in range(len(tiers))], ub=1.0), (T, len(tiers)))
         for t in range(T):
-            for k, (hours, cost) in enumerate(tiers):
-                delta[t, k] = milp.add_var(f"sut[{gi}][{t}][{k}]",
-                                           lb=0.0, ub=1.0)
+            for k, (_, cost) in enumerate(tiers):
                 if cost:
                     milp.add_obj(delta[t, k], cost)
         rows = []
@@ -292,8 +290,8 @@ def _build_surrogate_uc(inst, net, box, name, encode):
     milp, ucv = build_core_uc(inst)
     milp.name = name
     for t in range(inst.horizon):
-        x = [milp.add_var(f"x[{t}][{j}]", lb=box.x_lo[j], ub=box.x_hi[j])
-             for j in range(net.d_in)]
+        x = milp.add_vars([f"x[{t}][{j}]" for j in range(net.d_in)],
+                          lb=box.x_lo, ub=box.x_hi)
         frag = encode(milp, x, t)
         add_box_constraints(milp, frag, box, prefix=f"t{t}.")
         _tie_balance(milp, inst, net, ucv, frag, t)
@@ -311,15 +309,15 @@ def build_dc_uc(inst, net):
     n, m = net.n, net.m
     flow, bal = 3 * np.arange(m), 3 * m + np.arange(n)
     inv_x = 1.0 / net.branch_x
+    # every angle in [-pi, pi] but the reference bus's, which is 0
+    th_lo, th_hi = np.full(n, -math.pi), np.full(n, math.pi)
+    th_lo[net.ref] = th_hi[net.ref] = 0.0
     for t in range(inst.horizon):
-        th = []
-        for b in range(n):
-            lo, hi = (-math.pi, math.pi) if b != net.ref else (0.0, 0.0)
-            th.append(milp.add_var(f"th[{t}][{b}]", lb=lo, ub=hi))
+        th = milp.add_vars([f"th[{t}][{b}]" for b in range(n)],
+                           lb=th_lo, ub=th_hi)
         ucv.theta.append(th)
-        pft = [milp.add_var(f"pft[{t}][{k}]",
-                            lb=-float(net.smax[k]), ub=float(net.smax[k]))
-               for k in range(m)]
+        pft = milp.add_vars([f"pft[{t}][{k}]" for k in range(m)],
+                            lb=-net.smax, ub=net.smax)
         th_f, th_t = np.asarray(th)[net.f_bus], np.asarray(th)[net.t_bus]
         # per branch k: rows 3k (flow law), 3k + 1 and 3k + 2 (angle
         # difference limits); then per bus position its active balance
@@ -346,23 +344,16 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
     dispatch, and recompute the objective against the solver's value."""
     x = solution.x
     T = inst.horizon
-    G = inst.ngen
 
     def grab(idx_grid):
-        return np.array([[x[idx_grid[a][t]] for t in range(T)]
-                         for a in range(len(idx_grid))]) \
-            if idx_grid else None
+        return x[np.array(idx_grid)] if idx_grid else None
 
-    ybin = grab(ucv.y)
-    ubin = grab(ucv.u)
-    wbin = grab(ucv.w)
+    ybin, ubin, wbin = map(grab, (ucv.y, ucv.u, ucv.w))
     for name, arr in (("y", ybin), ("u", ubin), ("w", wbin)):
         if np.max(np.abs(arr - np.round(arr))) > MIP_FEAS_TOL:
             raise ValidationError(
                 f"{name} binaries not integral within {MIP_FEAS_TOL:g}")
-    ybin = np.round(ybin).astype(int)
-    ubin = np.round(ubin).astype(int)
-    wbin = np.round(wbin).astype(int)
+    ybin, ubin, wbin = (np.round(a).astype(int) for a in (ybin, ubin, wbin))
 
     problems = check_schedule_logic(inst, ybin, ubin, wbin)
     if problems:
@@ -370,10 +361,7 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
             "extracted schedule fails commitment logic: "
             + "; ".join(problems[:5]))
 
-    p_delta = grab(ucv.p_delta)
-    r = grab(ucv.r)
-    q = grab(ucv.q)
-    q_sc = grab(ucv.q_sc)
+    p_delta, r, q, q_sc = map(grab, (ucv.p_delta, ucv.r, ucv.q, ucv.q_sc))
 
     obj = milp.objective_value(x)
     recomputed = (production_cost(inst, p_delta)
@@ -389,11 +377,9 @@ def extract_schedule(milp, solution, inst, ucv, net=None):
         v = np.zeros((T, n))
         theta = np.zeros((T, n))
         for t, frag in enumerate(ucv.frags):
-            xin = np.array([x[j] for j in frag.x])
-            v[t], theta[t] = unpack_input(xin, net)
+            v[t], theta[t] = unpack_input(x[frag.x], net)
     elif ucv.theta and net is not None:
-        theta = np.array([[x[ucv.theta[t][b]] for b in range(net.n)]
-                          for t in range(T)])
+        theta = grab(ucv.theta)
 
     return UCSchedule(y=ybin, u=ubin, w=wbin, p_delta=p_delta, r=r,
                       q=q, q_sc=q_sc, objective=obj, v=v, theta=theta)

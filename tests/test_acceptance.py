@@ -312,8 +312,8 @@ def test_acceptance_7_solver_vs_oracle(compact3, box14):
     identical = True
     for m in models:
         again = parse_mps(export_mps(m))
-        lb0, ub0 = m.bounds_arrays()
-        lb1, ub1 = again.bounds_arrays()
+        lb0, ub0 = m.lb, m.ub
+        lb1, ub1 = again.lb, again.ub
         identical &= (
             [v.name for v in again.variables]
             == [v.name for v in m.variables]

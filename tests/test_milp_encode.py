@@ -94,7 +94,7 @@ def test_encoding_exact_on_box_inputs():
     for _ in range(20):
         x = rng.uniform(box.x_lo, box.x_hi)
         for j, xi in zip(frag.x, x):
-            milp.variables[j].lb = milp.variables[j].ub = xi
+            milp.lb[j] = milp.ub[j] = xi
         milp.obj = {frag.y[0]: 1.0}
         sol = solve_milp(milp)
         assert sol.status == "optimal"
@@ -126,7 +126,7 @@ def test_fixed_relus_encode_without_binaries():
     for _ in range(5):
         x = rng.uniform(box.x_lo, box.x_hi)
         for j, xi in zip(frag.x, x):
-            milp.variables[j].lb = milp.variables[j].ub = xi
+            milp.lb[j] = milp.ub[j] = xi
         milp.obj = {frag.y[0]: 1.0}
         sol = solve_lp(milp)
         assert sol.status == "optimal"
@@ -282,7 +282,7 @@ def test_encode_linear_model_affine():
     add_box_constraints(milp, frag, box)
     xval = np.array([0.3, -0.7])
     for j, xi in zip(frag.x, xval):
-        milp.variables[j].lb = milp.variables[j].ub = xi
+        milp.lb[j] = milp.ub[j] = xi
     milp.obj = {frag.y[0]: 1.0}
     sol = solve_lp(milp)
     assert sol.status == "optimal"

@@ -1,5 +1,6 @@
-"""The row arrays of MILPModel: the solver's CSC matrix, the independent
-checker and the block builder agree with row-by-row references."""
+"""The column and row arrays of MILPModel: the solver's CSC matrix, the
+independent checker and the block builders agree with row-by-row and
+column-by-column references."""
 
 import math
 
@@ -11,7 +12,8 @@ from compactpf.errors import ValidationError
 from compactpf.harness import big_m_bounds
 from compactpf.milp_encode import (FIXED_OFF, FIXED_ON, FREE,
                                    standalone_fragment)
-from compactpf.milp_model import MILPModel, LE, EQ, GE
+from compactpf.milp_model import (MILPModel, Variable, BINARY, CONTINUOUS,
+                                  LE, EQ, GE)
 from compactpf.uc_builder import build_dc_uc, build_l_ac_uc, build_nn_ac_uc
 
 
@@ -78,7 +80,7 @@ def test_constraint_matrices_equal_the_row_by_row_csc(models, name):
 @pytest.mark.parametrize("name", ["nn", "linear", "dc", "fragment"])
 def test_max_violation_matches_the_row_by_row_checker(models, name):
     model = models[name]
-    lb, ub = model.bounds_arrays()
+    lb, ub = model.lb, model.ub
     rng = np.random.default_rng(5)
     # points inside the finite bounds, and points past them by up to 1
     inside = np.clip(rng.uniform(-2.0, 2.0, (3, model.nvar)),
@@ -147,6 +149,46 @@ def test_add_rows_refuses_a_bad_block_and_adds_nothing(rows, cols, vals,
     assert m.constraint_matrices()[0].shape == (0, 2)
 
 
+@pytest.mark.parametrize("names, kind, lb, ub, match", [
+    (["a"], CONTINUOUS, 0.0, 1.0, "duplicate variable name 'a'"),
+    (["c", "d", "c"], CONTINUOUS, 0.0, 1.0, "duplicate variable name 'c'"),
+    (["c", "d"], [CONTINUOUS, "integer"], 0.0, 1.0, "bad kind for d"),
+    (["c", "d"], [BINARY] * 3, 0.0, 1.0, "kind or bound count is not 2"),
+    (["c", "d"], CONTINUOUS, [0.0, 0.5, 1.0], 1.0,
+     "kind or bound count is not 2"),
+    (["c", "d"], CONTINUOUS, [0.0, math.nan], 1.0, "bad lower bound for d"),
+    (["c"], CONTINUOUS, math.inf, math.inf, "bad lower bound for c"),
+    (["c"], BINARY, math.inf, 1.0, "bad lower bound for c"),
+    (["c"], CONTINUOUS, 0.0, math.nan, "bad upper bound for c"),
+    (["c", "d"], CONTINUOUS, 0.0, [1.0, -math.inf], "bad upper bound for d"),
+])
+def test_add_vars_refuses_a_bad_block_and_adds_nothing(names, kind, lb, ub,
+                                                       match):
+    m = _two_vars()
+    before = m.variables
+    with pytest.raises(ValidationError, match=match):
+        m.add_vars(names, kind, lb, ub)
+    assert m.nvar == 2 and m.variables == before
+    assert m.lb.size == m.ub.size == m.binary.size == 2
+    m.add_var("c")      # no name of the refused block was kept
+
+
+def test_add_var_is_add_vars_of_one_column():
+    one_by_one, block = MILPModel(), MILPModel()
+    cols = [("x", CONTINUOUS, -math.inf, 2.5), ("b", BINARY, -1.0, 3.0),
+            ("f", BINARY, 0.0, 0.0), ("y", CONTINUOUS, 0.0, math.inf)]
+    for name, kind, lb, ub in cols:
+        one_by_one.add_var(name, kind, lb, ub)
+    idx = block.add_vars(*(list(field) for field in zip(*cols)))
+    assert idx == [0, 1, 2, 3]
+    assert one_by_one.variables == block.variables
+    # a binary's bounds are clamped into [0, 1]
+    assert block.variables[1] == Variable("b", BINARY, 0.0, 1.0)
+    assert block.binary_indices() == [1, 2]
+    assert block.var_index("y") == 3 and block.names == ["x", "b", "f", "y"]
+    assert block.stats() == {"variables": 4, "binaries": 2, "constraints": 0}
+
+
 def test_add_rows_drops_zeros_as_add_constr_does():
     by_row, block = _two_vars(), _two_vars()
     rows = [{0: 1.0, 1: 0.0}, {0: -0.0, 1: 0.0}, {1: -2.5}]
@@ -174,6 +216,20 @@ def test_entries_of_one_row_and_column_add_up():
     A, _, _ = m.constraint_matrices()
     assert np.array_equal(A.toarray(), [[3.0, 4.0], [0.0, 0.0]])
     assert m.max_violation(np.array([1.0, -0.5])) == pytest.approx(2.0)
+
+
+def test_variables_is_a_view():
+    m = _three_senses()
+    view = m.variables
+    assert isinstance(view, tuple) and len(view) == m.nvar == 7
+    with pytest.raises(AttributeError):
+        view[0].ub = 5.0
+    assert m.ub[0] == 1.0
+    # a bound is edited through the arrays, and the next view shows it
+    m.lb[6] = m.ub[6] = 0.25
+    assert m.variables[6] == Variable("g", CONTINUOUS, 0.25, 0.25)
+    assert view[6].lb == 0.0
+    assert [v.name for v in m.variables] == list("abcdefg")
 
 
 def test_constraints_is_a_view():

@@ -130,8 +130,8 @@ def test_mps_round_trip_coefficients():
     assert again.nvar == m.nvar
     assert [v.name for v in again.variables] == [v.name for v in m.variables]
     assert [v.kind for v in again.variables] == [v.kind for v in m.variables]
-    lb0, ub0 = m.bounds_arrays()
-    lb1, ub1 = again.bounds_arrays()
+    lb0, ub0 = m.lb, m.ub
+    lb1, ub1 = again.lb, again.ub
     assert np.array_equal(lb0, lb1)
     assert np.array_equal(ub0, ub1)
     assert len(again.constraints) == len(m.constraints)
@@ -166,8 +166,8 @@ def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14):
     m, _ = standalone_fragment(model, bounds, box14)
     again = parse_mps(export_mps(m))
     assert [v.name for v in again.variables] == [v.name for v in m.variables]
-    lb0, ub0 = m.bounds_arrays()
-    lb1, ub1 = again.bounds_arrays()
+    lb0, ub0 = m.lb, m.ub
+    lb1, ub1 = again.lb, again.ub
     assert np.array_equal(lb0, lb1) and np.array_equal(ub0, ub1)
     assert ({again.variables[i].name: c for i, c in again.obj.items()}
             == {m.variables[i].name: c for i, c in m.obj.items()})

@@ -245,7 +245,7 @@ def test_hourly_bounds_are_valid_and_lose_nothing(inst4, compact8, box14,
     # slice meets every row of hour t's relaxation, so the LP extremes of
     # each pre-activation lie within that hour's bounds too
     A, lo, hi = shared.constraint_matrices()
-    lb, ub = shared.bounds_arrays()
+    lb, ub = shared.lb, shared.ub
     inst = HighsInstance()
     for t, (frag, b) in enumerate(zip(ucv.frags, per_hour)):
         for i, j in enumerate(frag.zhat):
