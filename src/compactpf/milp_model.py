@@ -124,8 +124,9 @@ class MILPModel:
         ``rows``, ``cols`` and ``vals`` broadcast against each other.
         Entries with a zero value are dropped; the entries of one row and
         column add up, as in a COO matrix. An entry outside the block's
-        rows, a kept entry on an unknown column, a non-finite value or an
-        unknown sense raises ``ValidationError`` and adds nothing.
+        rows, a kept entry on an unknown column, a non-finite value or
+        right-hand side, or an unknown sense raises ``ValidationError``
+        and adds nothing.
         """
         k = len(names)
         rows, cols, vals = stack_entries((rows, cols, vals))
@@ -149,6 +150,10 @@ class MILPModel:
             raise ValidationError(f"unknown sense {bad!r}") from None
         row_sense, row_rhs = np.empty(k, np.int8), np.empty(k)
         row_sense[...], row_rhs[...] = code, rhs
+        bad = ~np.isfinite(row_rhs)
+        if bad.any():
+            raise ValidationError("non-finite right-hand side in constraint "
+                                  f"{names[int(np.argmax(bad))]}")
         self._blocks.append((rows + self.nrows, cols, vals, row_sense,
                              row_rhs))
         self._row_names.extend(names)
@@ -161,6 +166,10 @@ class MILPModel:
                       [name])
 
     def add_obj(self, var, coef):
+        """Add ``coef`` to column ``var``'s objective coefficient; a
+        non-finite ``coef`` raises ``ValidationError``."""
+        if not math.isfinite(coef):
+            raise ValidationError(f"non-finite objective coefficient {coef!r}")
         self.obj[var] = self.obj.get(var, 0.0) + coef
 
     def var_index(self, name):

@@ -230,7 +230,8 @@ def export_mps(model):
     """Serialize to MPS text (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA).
 
     Coefficients are written with 17 significant digits so a reparse is
-    bit-exact. Binaries are marked with BV bound records. A column with no
+    bit-exact. Binaries are marked with BV bound records, followed by the
+    bound that fixes one when its bounds are not [0, 1]. A column with no
     objective or row coefficient is declared with a zero objective entry,
     so that every variable has a COLUMNS record.
     """
@@ -272,14 +273,14 @@ def export_mps(model):
     lines.append("BOUNDS")
     for name, binary, lb, ub in zip(names, model.binary.tolist(),
                                     model.lb.tolist(), model.ub.tolist()):
+        # BV reads as [0, 1] and a column with no record as [0, inf)
         if binary:
             lines.append(f" BV BND  {name}")
-            continue
-        if lb == -math.inf:
+        elif lb == -math.inf:
             lines.append(f" {'FR' if ub == math.inf else 'MI'} BND  {name}")
-        elif lb != 0.0:
+        if -math.inf < lb != 0.0:
             lines.append(f" LO BND  {name}  {_fmt(lb)}")
-        if ub != math.inf:
+        if ub != (1.0 if binary else math.inf):
             lines.append(f" UP BND  {name}  {_fmt(ub)}")
 
     lines.append("ENDATA")
@@ -377,6 +378,8 @@ def parse_mps(text):
                 con_coeffs[rn][i] = coef
     for rn, (code, rhs) in rows.items():
         if code == "N":
+            if not math.isfinite(rhs):
+                raise ValidationError(f"non-finite objective constant {rhs!r}")
             model.obj_constant = -rhs
             continue
         model.add_constr(con_coeffs[rn], _ROW_SENSE[code], rhs, name=rn)

@@ -150,7 +150,8 @@ def test_mps_round_trip_coefficients():
         solve_milp(m).objective, abs=1e-9)
 
 
-def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14):
+def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14,
+                                                 inst4):
     # a ReLU that never activates keeps a zero w2 column, so its fixed-off
     # z has no objective or row coefficient and only a BOUNDS record
     rng = np.random.default_rng(3)
@@ -163,14 +164,17 @@ def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14):
                         m_max=np.array([-0.5, 1.0, 1.0, 1.0]),
                         status=(FIXED_OFF, FREE, FREE, FREE),
                         provenance=("interval",) * 4)
-    m, _ = standalone_fragment(model, bounds, box14)
-    again = parse_mps(export_mps(m))
-    assert [v.name for v in again.variables] == [v.name for v in m.variables]
-    lb0, ub0 = m.lb, m.ub
-    lb1, ub1 = again.lb, again.ub
-    assert np.array_equal(lb0, lb1) and np.array_equal(ub0, ub1)
-    assert ({again.variables[i].name: c for i, c in again.obj.items()}
-            == {m.variables[i].name: c for i, c in m.obj.items()})
+    fragment, _ = standalone_fragment(model, bounds, box14)
+    # uc14_t4's unit 1 starts above its shutdown ramp, so the DC-UC fixes
+    # its binary w[0][0] at 0
+    dc_uc, _ = build_dc_uc(inst4, net14)
+    w00 = dc_uc.var_index("w[0][0]")
+    assert (dc_uc.binary[w00], dc_uc.lb[w00], dc_uc.ub[w00]) == (True, 0, 0)
+    for m in (fragment, dc_uc):
+        again = parse_mps(export_mps(m))
+        assert again.variables == m.variables
+        assert ({again.names[i]: c for i, c in again.obj.items()}
+                == {m.names[i]: c for i, c in m.obj.items()})
 
 
 def test_parse_mps_rejects_bounds_of_an_undeclared_column():
@@ -197,6 +201,13 @@ _MPS_LINES = ["NAME          m", "ROWS", " N  OBJ", " L  c1", "COLUMNS",
     (11, " UP BND", ParseError, "line 11: BOUNDS record has 2 fields"),
     (11, " UP BND  a  nan", ValidationError, "bad upper bound for a"),
     (11, " UP BND  a  -inf", ValidationError, "bad upper bound for a"),
+    (6, "    a  OBJ  nan", ValidationError, "non-finite objective coeff"),
+    (6, "    a  OBJ  inf", ValidationError, "non-finite objective coeff"),
+    (9, "    RHS  c1  nan", ValidationError,
+     "non-finite right-hand side in constraint c1"),
+    (9, "    RHS  c1  -inf", ValidationError,
+     "non-finite right-hand side in constraint c1"),
+    (9, "    RHS  OBJ  nan", ValidationError, "non-finite objective constant"),
 ])
 def test_parse_mps_refuses_malformed_records(lineno, record, error, match):
     model = parse_mps("\n".join(_MPS_LINES) + "\n")    # the well-formed text

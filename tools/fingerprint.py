@@ -86,7 +86,10 @@ class LPLog:
         def recorded(c, A, lo, hi, lb, ub, *rest):
             res = original(c, A, lo, hi, lb, ub, *rest)
             if layer == "milp_solve.mip":
-                owner, key = object(), rest[:2]
+                # the binaries as HiGHS reads them, whatever their Python
+                # form (a list of ints or of numpy ints, or an array)
+                owner = object()
+                key = (np.asarray(rest[0], np.int64), rest[1])
             else:
                 owner, key = rest[-1], ()
             call = digest(c, A.data, A.indices, A.indptr, A.shape, lo, hi,
