@@ -8,11 +8,13 @@ exact-penalty merit function. Each point is evaluated once, and a point
 is linearized only when the iteration moves to it: after a rejected step
 the next LP keeps the matrix and row bounds. Every LP goes through
 ``highs.linprog``, warm on the one HiGHS instance each SLP call owns,
-whose dual simplex prices with Devex (``HighsInstance.devex``): each LP
-after the first takes a few iterations on a large matrix, where a Devex
-iteration costs less than steepest edge saves. A fixed point of the
-iteration satisfies the nonlinear constraints exactly, which is
-re-verified independently before any point is reported feasible.
+whose dual simplex prices with Devex on the unscaled model
+(``HighsInstance.slp``): each LP after the first takes a few iterations
+on a large matrix, where a Devex iteration costs less than steepest edge
+saves and scaling the matrix anew costs more than it helps. A fixed
+point of the iteration satisfies the nonlinear constraints exactly,
+which is re-verified independently before any point is reported
+feasible.
 """
 
 import logging
@@ -468,9 +470,10 @@ def _solve_slp(net, specs, ramps=False):
     optimal LP, whose evaluation serves its merit, its second-order
     correction and, once accepted, the next linearization, which
     differentiates all periods in one stacked call too. The call owns
-    one HiGHS instance, priced with Devex. Each major iteration at a new
-    point passes it the step LP, warm from the basis of the last optimal
-    solve (the first LP is solved cold). The two second-order-correction
+    one HiGHS instance, ``HighsInstance.slp()``: Devex pricing on the
+    unscaled model. Each major iteration at a new point passes it the
+    step LP, warm from the basis of the last optimal solve (the first LP
+    is solved cold). The two second-order-correction
     LPs keep that matrix with other row and column bounds, and are passed
     whole with the last optimal basis too. After a rejected step the point
     has not moved, so the next step LP keeps the matrix and row bounds and
@@ -484,7 +487,7 @@ def _solve_slp(net, specs, ramps=False):
     v = np.tile(np.clip(1.0, net.vmin, net.vmax), (T, 1))
     theta = np.zeros((T, net.n))
     lp = _SLPProblem(net, specs, ramps)
-    highs = HighsInstance.devex()
+    highs = HighsInstance.slp()
 
     def trial(dv_, dth_, pdel_, qg_, qsc_):
         """Evaluate the step (dv_, dth_): its point, evaluated point,

@@ -12,8 +12,9 @@ iteration or node limit; 2 infeasible; 3 unbounded; 4 anything else,
 including a rejected model, a failed ``run()`` and a non-finite
 "optimal".
 
-Every instance keeps HiGHS's default simplex pricing but the SLP's
-(``HighsInstance.devex``), whose dual simplex prices with Devex.
+Every instance keeps HiGHS's default simplex options but the SLP's
+(``HighsInstance.slp``), whose dual simplex prices with Devex and leaves
+the model unscaled.
 """
 
 import math
@@ -31,6 +32,9 @@ _MINIMIZE = int(_highs.ObjSense.kMinimize)
 # ``simplex_dual_edge_weight_strategy``: HiGHS's default (-1) chooses dual
 # steepest edge; 1 is Devex
 _DEVEX = 1
+# ``simplex_scale_strategy``: HiGHS's default (2) scales the model before
+# the simplex runs; 0 leaves it as passed
+_UNSCALED = 0
 
 
 class LPResult(NamedTuple):
@@ -68,16 +72,23 @@ class HighsInstance:
         self.basis = None
 
     @classmethod
-    def devex(cls):
-        """An instance whose dual simplex prices with Devex (Forrest &
-        Goldfarb, Math. Prog. 1992) instead of the default dual steepest
-        edge. For a sequence of warm LPs that each take a few iterations
-        on a large matrix, as the SLP's are, an iteration then costs less
-        than steepest edge saves: the 24-hour oracle's warm LPs take about
-        18% more iterations and about 20% less time inside HiGHS."""
+    def slp(cls):
+        """The SLP's instance: its dual simplex prices with Devex (Forrest
+        & Goldfarb, Math. Prog. 1992) instead of the default dual steepest
+        edge, and runs on the model as passed, without HiGHS's scaling.
+        An SLP solves a sequence of warm LPs that each take a few
+        iterations on one large matrix. There a Devex iteration costs less
+        than steepest edge saves, and HiGHS's scaling of the whole matrix
+        costs more than it helps. Replayed by ``tools/lp_replay.py``
+        (2-core x86-64 Linux, medians of 9 replays), the 24-hour oracle's
+        111 LPs take 0.41 s inside HiGHS with the defaults, 0.33 s with
+        Devex alone and 0.25 s with both options, for 2797, 3119 and 3219
+        simplex iterations; every LP ends in the status the defaults give
+        it, and its objective agrees to 7e-15 relative."""
         inst = cls()
         inst.highs.setOptionValue("simplex_dual_edge_weight_strategy",
                                   _DEVEX)
+        inst.highs.setOptionValue("simplex_scale_strategy", _UNSCALED)
         return inst
 
 
@@ -106,8 +117,9 @@ def linprog(c, A, lo, hi, lb, ub, inst):
     of the instance's last optimal solve. The instance's first LP has none
     and is solved cold. On an instance with HiGHS's default options, that
     is with scipy ``milp``'s options, so it gives the result ``milp``
-    gives; a ``HighsInstance.devex`` instance prices otherwise, so its
-    LPs may end at another optimal vertex of equal objective.
+    gives. A ``HighsInstance.slp`` instance prices with Devex on the
+    unscaled model, so its LPs may end at another optimal vertex of equal
+    objective.
     """
     h = inst.highs
     ok = _pass_model(h, c, A, lo, hi, lb, ub) != _ERROR

@@ -666,23 +666,31 @@ def test_mtp_evaluates_each_iterate_once(monkeypatch, net14, inst4):
 
 PRICING = "simplex_dual_edge_weight_strategy"
 DEVEX = 1
+SCALING = "simplex_scale_strategy"
+UNSCALED = 0
 
 
 def test_slp_instance_prices_with_devex(monkeypatch, net14, inst24):
     """Every LP of an SLP call runs on an instance whose dual simplex
-    prices with Devex; a default instance keeps HiGHS's choice."""
+    prices with Devex on the unscaled model; a default instance keeps
+    HiGHS's choices."""
     seen = []
 
     def recorded(c, A, lo, hi, lb, ub, inst):
-        seen.append(inst.highs.getOptionValue(PRICING)[1])
+        seen.append((inst.highs.getOptionValue(PRICING)[1],
+                     inst.highs.getOptionValue(SCALING)[1]))
         return linprog(c, A, lo, hi, lb, ub, inst)
 
     monkeypatch.setattr(ac_solver, "linprog", recorded)
     slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
-    assert len(seen) > 1 and set(seen) == {DEVEX}
-    default = _core._Highs().getOptionValue(PRICING)[1]
-    assert default != DEVEX
-    assert HighsInstance().highs.getOptionValue(PRICING)[1] == default
+    assert len(seen) > 1 and set(seen) == {(DEVEX, UNSCALED)}
+    default = _core._Highs()
+    default = (default.getOptionValue(PRICING)[1],
+               default.getOptionValue(SCALING)[1])
+    assert default[0] != DEVEX and default[1] != UNSCALED
+    inst = HighsInstance().highs
+    assert (inst.getOptionValue(PRICING)[1],
+            inst.getOptionValue(SCALING)[1]) == default
 
 
 @pytest.fixture(scope="module")
@@ -701,15 +709,14 @@ def schedules4(net14, inst4, lin14, compact8, box14):
 @pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_oracle_does_not_depend_on_the_pricing(monkeypatch, net14, inst4,
                                                schedules4, formulation):
-    """The 4-h oracle gives the same verdict and iterations with the SLP
-    priced by Devex and by HiGHS's default, and the same objective to
-    rounding: the pricing picks the path to an optimal vertex, not the
-    optimum."""
+    """The 4-h oracle gives the same verdict and iterations with the SLP's
+    options (Devex pricing, unscaled model) and with HiGHS's defaults, and
+    the same objective to rounding: the options pick the path to an
+    optimal vertex, not the optimum."""
     sched = schedules4[formulation]
-    devex = mtp_acopf_check(net14, inst4, sched)
-    monkeypatch.setattr(HighsInstance, "devex",
-                        classmethod(lambda cls: cls()))
+    slp = mtp_acopf_check(net14, inst4, sched)
+    monkeypatch.setattr(HighsInstance, "slp", classmethod(lambda cls: cls()))
     default = mtp_acopf_check(net14, inst4, sched)
-    assert devex.verdict == default.verdict == "feasible"
-    assert devex.iterations == default.iterations
-    assert devex.objective == pytest.approx(default.objective, rel=1e-9)
+    assert slp.verdict == default.verdict == "feasible"
+    assert slp.iterations == default.iterations
+    assert slp.objective == pytest.approx(default.objective, rel=1e-9)

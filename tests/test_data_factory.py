@@ -12,6 +12,7 @@ from compactpf.data_factory import (SamplerConfig, LoadScheme,
                                     verify_dataset, dump_dataset,
                                     load_dataset)
 from compactpf.errors import ConvergenceError, ValidationError
+from compactpf.highs import HighsInstance
 from compactpf.tolerances import DATASET_TOL
 
 
@@ -61,6 +62,26 @@ def test_threaded_dataset_equals_serial(net14, inst24, monkeypatch, seed):
     assert threaded.meta == serial.meta
     assert np.array_equal(threaded.split, serial.split)
     assert threaded.rejected == serial.rejected
+
+
+def test_sampling_outcome_does_not_depend_on_the_slp_options(
+        net14, inst4, monkeypatch):
+    """On the 4-h instance, sampling keeps the same candidates and rejects
+    the same ones for the same reasons whether the SLP prices with Devex
+    on the unscaled model or with HiGHS's defaults: the options pick the
+    path to an optimal vertex, not which candidates are feasible. The
+    accepted points may differ in their last digits; every row of both
+    datasets re-evaluates through the exact power flow map."""
+    cfg = SamplerConfig(combos_per_gen=1)
+    slp = collect_dataset(net14, inst4, cfg, seed=1)
+    monkeypatch.setattr(HighsInstance, "slp", classmethod(lambda cls: cls()))
+    default = collect_dataset(net14, inst4, cfg, seed=1)
+    assert slp.size == default.size > 0
+    assert slp.rejected == default.rejected
+    assert slp.meta == default.meta
+    assert np.array_equal(slp.split, default.split)
+    for ds in (slp, default):
+        assert verify_dataset(net14, ds) < DATASET_TOL
 
 
 def test_failing_candidate_raises_and_stops_the_pool(net14, inst24,

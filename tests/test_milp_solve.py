@@ -575,20 +575,28 @@ def test_stdout_redirect_is_shared_by_concurrent_runs():
 
 
 PRICING = "simplex_dual_edge_weight_strategy"
+SCALING = "simplex_scale_strategy"
+DEFAULT_SCALING = 2
 
 
 def test_milp_instances_keep_highs_default_pricing(monkeypatch):
-    """Only the SLP prices with Devex: a model's LP instance and its MIP
-    call read HiGHS's default dual pricing."""
-    default = _core._Highs().getOptionValue(PRICING)[1]
+    """Only the SLP prices with Devex on the unscaled model: a model's LP
+    instance and its MIP call read HiGHS's default dual pricing and its
+    default scaling."""
+    h = _core._Highs()
+    default = (h.getOptionValue(PRICING)[1], h.getOptionValue(SCALING)[1])
+    assert default[1] == DEFAULT_SCALING
     m, _ = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
     backend = milp_solve.LPBackend(m)
-    assert backend.inst.highs.getOptionValue(PRICING)[1] == default
+    h = backend.inst.highs
+    assert (h.getOptionValue(PRICING)[1],
+            h.getOptionValue(SCALING)[1]) == default
     seen = []
     run = highs._run_off_stdout
 
     def recorded(h):
-        seen.append(h.getOptionValue(PRICING)[1])
+        seen.append((h.getOptionValue(PRICING)[1],
+                     h.getOptionValue(SCALING)[1]))
         return run(h)
 
     monkeypatch.setattr(highs, "_run_off_stdout", recorded)
