@@ -1,4 +1,4 @@
-"""Replay the AC oracle's LPs under HiGHS's default dual pricing and the SLP's.
+"""Replay the AC oracle's LPs under HiGHS's default options and the SLP's.
 
     python3 tools/lp_replay.py [--hours H] [--repeats N]
 
@@ -6,18 +6,24 @@ Solves DC-UC on the first H hours (default 24) of uc14.json over case14
 (thermal limits derated to 30%), which commits every unit, and records
 the LPs of one ``mtp_acopf_check`` call on that schedule by wrapping
 ``ac_solver.linprog``. Each SLP instance's LPs are then replayed in call
-order on a fresh instance, once with HiGHS's default options
-(``HighsInstance()``: dual steepest edge) and once with the SLP's
-(``HighsInstance.devex()``), so each pricing starts every LP from the
-basis its own last solve left, as the SLP does.
+order on a fresh instance under three option sets:
+
+- ``default``: HiGHS's defaults (``HighsInstance()``: dual steepest edge,
+  scaled model);
+- ``devex``: Devex pricing alone, on the scaled model;
+- ``slp``: the SLP's own options (``HighsInstance.slp()``: Devex pricing,
+  unscaled model).
+
+Each set starts every LP from the basis its own last solve left, as the
+SLP does.
 
 It prints one JSON object with a part for the cold LPs (each instance's
 first) and one for the warm LPs (the rest). Each part gives the number of
-LPs and, per pricing, the seconds spent inside HiGHS's ``run`` (the
-median over ``--repeats`` replays) and the simplex iterations. It also
-gives the largest objective difference between the two pricings, relative
-to max(|objective|, 1), and the number of LPs whose status differs. The
-exit code is 1 when any status differs or an objective difference exceeds
+LPs and, per option set, the seconds spent inside HiGHS's ``run`` (the
+median over ``--repeats`` replays), the simplex iterations, the number of
+LPs whose status differs from the defaults' and the largest objective
+difference from the defaults', relative to max(|objective|, 1). The exit
+code is 1 when any status differs or an objective difference exceeds
 ``OBJ_RTOL``, else 0.
 """
 
@@ -38,8 +44,8 @@ from compactpf.highs import HighsInstance  # noqa: E402
 
 DERATE = 0.30
 GAP = 0.01
-# two pricings solve the same LP to the same optimum; their objectives may
-# differ only by rounding in the last digits of the basis solves
+# every option set solves the same LP to the same optimum; the objectives
+# may differ only by rounding in the last digits of the basis solves
 OBJ_RTOL = 1e-9
 
 
@@ -93,6 +99,15 @@ def record_oracle_lps(hours):
     return [lps for _, lps in per_instance.values()], rep
 
 
+def _devex():
+    """A default instance but for Devex pricing: the SLP's options less
+    the unscaled model."""
+    inst = HighsInstance()
+    inst.highs.setOptionValue("simplex_dual_edge_weight_strategy",
+                              highs._DEVEX)
+    return inst
+
+
 def replay(sequences, make_instance):
     """Solve every sequence on a fresh instance from ``make_instance``.
     Returns one (cold, status, objective, iterations, run seconds) per LP."""
@@ -114,41 +129,45 @@ def main(argv=None):
     ap.add_argument("--hours", type=int, default=24,
                     help="hours of uc14.json the oracle audits")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="replays per pricing; seconds are their median")
+                    help="replays per option set; seconds are their median")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
     sequences, rep = record_oracle_lps(args.hours)
-    pricings = {"default": HighsInstance, "devex": HighsInstance.devex}
-    runs = {name: [] for name in pricings}
+    option_sets = {"default": HighsInstance, "devex": _devex,
+                   "slp": HighsInstance.slp}
+    runs = {name: [] for name in option_sets}
     for r in range(args.repeats):
-        # alternate which pricing goes first, against drift in the machine
-        names = list(pricings) if r % 2 == 0 else list(pricings)[::-1]
+        # rotate which set goes first, against drift in the machine
+        names = list(option_sets)
+        names = names[r % len(names):] + names[:r % len(names)]
         for name in names:
-            runs[name].append(replay(sequences, pricings[name]))
+            runs[name].append(replay(sequences, option_sets[name]))
 
     first = {name: rr[0] for name, rr in runs.items()}
+    base = first["default"]
     doc = {"hours": args.hours, "oracle_verdict": rep.verdict,
            "oracle_iterations": rep.iterations, "repeats": args.repeats}
     failed = False
     for part, cold in (("cold", True), ("warm", False)):
-        idx = [i for i, lp in enumerate(first["default"]) if lp[0] == cold]
+        idx = [i for i, lp in enumerate(base) if lp[0] == cold]
         entry = {"lps": len(idx)}
         for name, rr in runs.items():
+            b = first[name]
+            differs = sum(1 for i in idx if base[i][1] != b[i][1])
+            diff = max((abs(base[i][2] - b[i][2])
+                        / max(abs(base[i][2]), abs(b[i][2]), 1.0)
+                        for i in idx if base[i][1] == b[i][1] == 0),
+                       default=0.0)
             entry[name] = {
                 "highs_s": round(statistics.median(
                     sum(run[i][4] for i in idx) for run in rr), 4),
-                "iterations": sum(first[name][i][3] for i in idx),
+                "iterations": sum(b[i][3] for i in idx),
+                "status_differs": differs,
+                "max_obj_rel_diff": diff,
             }
-        a, b = first["default"], first["devex"]
-        differs = sum(1 for i in idx if a[i][1] != b[i][1])
-        diff = max((abs(a[i][2] - b[i][2])
-                    / max(abs(a[i][2]), abs(b[i][2]), 1.0)
-                    for i in idx if a[i][1] == b[i][1] == 0), default=0.0)
-        entry["status_differs"] = differs
-        entry["max_obj_rel_diff"] = diff
-        failed |= differs > 0 or diff > OBJ_RTOL
+            failed |= differs > 0 or diff > OBJ_RTOL
         doc[part] = entry
     print(json.dumps(doc, indent=1))
     return 1 if failed else 0
