@@ -18,6 +18,14 @@ derated to 30%) and prints one JSON object of SHA-256 digests (their first
   (a 4-hour UC stage holds the model's build, whose NN-UC per-hour bound
   LPs run there, and its solve).
 
+The object also holds ``figures``: the values behind the digests, as
+plain numbers, so that a change which moves them can be read off without
+re-running either side. These are the dataset's size and rejections by
+reason, the test L1 error of the NN and of the linear model, the free
+ReLUs per bound mode, each 4-hour formulation's UC status and objective,
+each oracle's verdict, iterations and objective, and the NN and linear
+UCs' ``err_ft``/``err_tf``.
+
 Equal objects from two checkouts mean these outputs, and the LPs behind
 them, are the same bit for bit; the same checkout run twice must print the
 same object. ``--src`` is the ``src`` directory of the checkout to
@@ -131,6 +139,12 @@ def _report(rep):
     }
 
 
+def _oracle_figures(rep):
+    """An oracle FeasibilityReport's verdict, iterations and objective."""
+    return {"verdict": rep.verdict, "iterations": rep.iterations,
+            "objective": float(rep.objective)}
+
+
 def fingerprint(src):
     sys.path.insert(0, str(src))
     m = {name: importlib.import_module(f"compactpf.{name}") for name in (
@@ -142,6 +156,7 @@ def fingerprint(src):
     data = Path(src) / "compactpf" / "data"
     lps = LPLog(m["ac_solver"], slv)
     out = {}
+    figures = out["figures"] = {}
 
     case, net, inst4 = hv.load_system(data / "case14.m",
                                       data / "uc14_t4.json", DERATE)
@@ -160,14 +175,18 @@ def fingerprint(src):
         "digest": digest(ds.X, ds.Y, list(ds.split), repr(ds.meta)),
         "verify_dataset": float.hex(df.verify_dataset(net, ds)),
     }
+    figures["dataset"] = {"samples": ds.size, "rejected": ds.rejected}
 
     with lps.stage("train_compact"):
         cfg = pwl.TrainConfig(steps=TRAIN_STEPS, seed=SEED)
         model = pwl.train_compact(*ds.train, lin, RHO, cfg)
     out["train_compact"] = digest(pwl.model_to_json(model))
+    err = pwl.evaluate_model(model, *ds.test)
+    figures["test_l1"] = {"nn": err.mean_compact, "linear": err.mean_linear}
 
     box = m["milp_encode"].bound_box_from_network(net, inst4)
     out["big_m_bounds"] = {}
+    figures["free_relus"] = {}
     bounds = {}
     for mode in hv.BOUND_MODES:
         with lps.stage(f"big_m_bounds.{mode}"):
@@ -175,10 +194,12 @@ def fingerprint(src):
         out["big_m_bounds"][mode] = {
             "free": b.free_count(),
             "digest": digest(b.m_min, b.m_max, b.status, b.provenance)}
+        figures["free_relus"][mode] = b.free_count()
 
     prep = {"net": net, "lin": lin, "model": model, "box": box,
             "bounds": bounds["lp"]}
     out["export_mps"], out["oracle_4h"] = {}, {}
+    figures["uc_4h"], figures["oracle_4h"] = {}, {}
     for f in hv.FORMULATIONS:
         with lps.stage(f"uc_4h.{f}"):
             milp, ucv = hv.build_formulation(f, inst4, prep)
@@ -192,9 +213,13 @@ def fingerprint(src):
         out["oracle_4h"][f] = {"uc_objective": float.hex(sched.objective),
                                "commitment": digest(sched.y),
                                **_report(rep)}
+        figures["uc_4h"][f] = {"status": sol.status,
+                               "objective": sched.objective}
+        figures["oracle_4h"][f] = _oracle_figures(rep)
         if f != "dc" and rep.verdict == "feasible":
             err = hv._flow_errors(f, prep, sched)
             out["oracle_4h"][f]["flow_errors"] = [float.hex(e) for e in err]
+            figures["oracle_4h"][f].update(zip(("err_ft", "err_tf"), err))
 
     with lps.stage("uc_24h.dc"):
         milp, ucv = ucb.build_dc_uc(inst24, net)
@@ -203,6 +228,7 @@ def fingerprint(src):
     with lps.stage("oracle_24h.dc"):
         rep = m["ac_solver"].mtp_acopf_check(net, inst24, sched)
     out["oracle_24h"] = {"commitment": digest(sched.y), **_report(rep)}
+    figures["oracle_24h"] = _oracle_figures(rep)
 
     out["lps"] = lps.stages
     return out
