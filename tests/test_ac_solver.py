@@ -670,6 +670,11 @@ SCALING = "simplex_scale_strategy"
 UNSCALED = 0
 
 
+def _options(h):
+    """A HiGHS object's dual pricing and scaling strategy."""
+    return h.getOptionValue(PRICING)[1], h.getOptionValue(SCALING)[1]
+
+
 def test_slp_instance_prices_with_devex(monkeypatch, net14, inst24):
     """Every LP of an SLP call runs on an instance whose dual simplex
     prices with Devex on the unscaled model; a default instance keeps
@@ -677,20 +682,15 @@ def test_slp_instance_prices_with_devex(monkeypatch, net14, inst24):
     seen = []
 
     def recorded(c, A, lo, hi, lb, ub, inst):
-        seen.append((inst.highs.getOptionValue(PRICING)[1],
-                     inst.highs.getOptionValue(SCALING)[1]))
+        seen.append(_options(inst.highs))
         return linprog(c, A, lo, hi, lb, ub, inst)
 
     monkeypatch.setattr(ac_solver, "linprog", recorded)
     slp_acopf(net14, make_dispatch_spec(net14, inst24, 0))
     assert len(seen) > 1 and set(seen) == {(DEVEX, UNSCALED)}
-    default = _core._Highs()
-    default = (default.getOptionValue(PRICING)[1],
-               default.getOptionValue(SCALING)[1])
+    default = _options(_core._Highs())
     assert default[0] != DEVEX and default[1] != UNSCALED
-    inst = HighsInstance().highs
-    assert (inst.getOptionValue(PRICING)[1],
-            inst.getOptionValue(SCALING)[1]) == default
+    assert _options(HighsInstance().highs) == default
 
 
 @pytest.fixture(scope="module")

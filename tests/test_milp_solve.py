@@ -579,24 +579,25 @@ SCALING = "simplex_scale_strategy"
 DEFAULT_SCALING = 2
 
 
+def _options(h):
+    """A HiGHS object's dual pricing and scaling strategy."""
+    return h.getOptionValue(PRICING)[1], h.getOptionValue(SCALING)[1]
+
+
 def test_milp_instances_keep_highs_default_pricing(monkeypatch):
     """Only the SLP prices with Devex on the unscaled model: a model's LP
     instance and its MIP call read HiGHS's default dual pricing and its
     default scaling."""
-    h = _core._Highs()
-    default = (h.getOptionValue(PRICING)[1], h.getOptionValue(SCALING)[1])
+    default = _options(_core._Highs())
     assert default[1] == DEFAULT_SCALING
     m, _ = _knapsack([10, 13, 7, 8, 4], [3, 4, 2, 3, 1], 7)
     backend = milp_solve.LPBackend(m)
-    h = backend.inst.highs
-    assert (h.getOptionValue(PRICING)[1],
-            h.getOptionValue(SCALING)[1]) == default
+    assert _options(backend.inst.highs) == default
     seen = []
     run = highs._run_off_stdout
 
     def recorded(h):
-        seen.append((h.getOptionValue(PRICING)[1],
-                     h.getOptionValue(SCALING)[1]))
+        seen.append(_options(h))
         return run(h)
 
     monkeypatch.setattr(highs, "_run_off_stdout", recorded)

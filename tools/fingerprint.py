@@ -181,8 +181,8 @@ def fingerprint(src):
         cfg = pwl.TrainConfig(steps=TRAIN_STEPS, seed=SEED)
         model = pwl.train_compact(*ds.train, lin, RHO, cfg)
     out["train_compact"] = digest(pwl.model_to_json(model))
-    err = pwl.evaluate_model(model, *ds.test)
-    figures["test_l1"] = {"nn": err.mean_compact, "linear": err.mean_linear}
+    l1 = pwl.evaluate_model(model, *ds.test)
+    figures["test_l1"] = {"nn": l1.mean_compact, "linear": l1.mean_linear}
 
     box = m["milp_encode"].bound_box_from_network(net, inst4)
     out["big_m_bounds"] = {}
