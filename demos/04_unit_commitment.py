@@ -42,7 +42,7 @@ for name, (milp, ucv) in (
         ("linear", build_l_ac_uc(inst, net, lin))):
     nbin = len(milp.binary_indices())
     print(f"\n--- {name} UC: {milp.nvar} vars ({nbin} binary), "
-          f"{len(milp.constraints)} constraints")
+          f"{milp.nrows} constraints")
 
     sol = solve_milp(milp, gap_target=0.01, time_budget=300.0)
     print(f"solve: {sol.status}, objective {sol.objective:.4f}, "

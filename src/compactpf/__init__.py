@@ -37,7 +37,7 @@ from .milp_encode import (BigMBounds, BoundBox, bound_box_from_network,
                           hourly_bounds, encode_relu_network,
                           encode_linear_model, standalone_fragment)
 from .milp_solve import (solve_lp, solve_milp, enumerate_binaries,
-                         export_mps, parse_mps, import_solution)
+                         export_mps, import_solution)
 from .uc_builder import (UCSchedule, build_core_uc, build_nn_ac_uc,
                          build_l_ac_uc, build_dc_uc, extract_schedule,
                          schedule_to_json, schedule_from_json)

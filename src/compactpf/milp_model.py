@@ -5,12 +5,13 @@ constraints, and a linear objective (minimization). Consumers are the
 LP/MILP solve path, the MPS writer, and the UC/NN model builders.
 
 Columns and rows are each stored once, as arrays: a column's bounds
-(``lb``, ``ub``, edited in place), binary flag and name; a row's COO
-triplets, sense, right-hand side and name. Builders add them a block at a
-time (``add_vars``, ``add_rows``) or one at a time (``add_var``,
-``add_constr``) under the same rules. ``constraint_matrices`` and
-``max_violation`` build their sparse matrices from the triplets;
-``variables`` and ``constraints`` are read-only views built on each read.
+(``lb``, ``ub``, edited in place), binary flag (``binary``) and name
+(``names``); a row's COO triplets, sense, right-hand side and name
+(``row_names``). Builders add them a block at a time (``add_vars``,
+``add_rows``) or one at a time (``add_var``, ``add_constr``) under the
+same rules. ``constraint_matrices`` and ``max_violation`` build their
+sparse matrices from the triplets; ``variables`` and ``constraints`` are
+read-only views built on each read.
 """
 
 import math
@@ -66,6 +67,7 @@ class MILPModel:
         self.lb, self.ub = np.empty(0), np.empty(0)
         self.binary = np.empty(0, bool)
         self.names = []
+        self.row_names = []
         self.obj = {}          # var index -> coefficient
         self.obj_constant = 0.0
         self._index = {}       # column name -> index
@@ -73,7 +75,6 @@ class MILPModel:
         # arrays, merged into one block when read
         self._blocks = [(np.empty(0, np.intp), np.empty(0, np.intp),
                          np.empty(0), np.empty(0, np.int8), np.empty(0))]
-        self._row_names = []
 
     # -- construction -------------------------------------------------
 
@@ -156,7 +157,7 @@ class MILPModel:
                                   f"{names[int(np.argmax(bad))]}")
         self._blocks.append((rows + self.nrows, cols, vals, row_sense,
                              row_rhs))
-        self._row_names.extend(names)
+        self.row_names.extend(names)
 
     def add_constr(self, coeffs, sense, rhs, name=""):
         """Append one row, sum of c x[i] over ``coeffs``' (i, c) items,
@@ -183,7 +184,7 @@ class MILPModel:
 
     @property
     def nrows(self):
-        return len(self._row_names)
+        return len(self.row_names)
 
     def _rows(self):
         """(row, col, val, sense, rhs) arrays of every row, the blocks
@@ -210,7 +211,7 @@ class MILPModel:
             coeffs[r][c] = coeffs[r].get(c, 0.0) + v
         return tuple(
             Constraint(d, SENSES[s], b, name) for d, s, b, name in zip(
-                coeffs, sense.tolist(), rhs.tolist(), self._row_names))
+                coeffs, sense.tolist(), rhs.tolist(), self.row_names))
 
     def binary_indices(self):
         return np.flatnonzero(self.binary).tolist()

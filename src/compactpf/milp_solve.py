@@ -1,4 +1,4 @@
-"""LP and MILP solving through HiGHS, plus MPS export/import.
+"""LP and MILP solving through HiGHS, MPS export and solution import.
 
 Every LP and MIP goes through the HiGHS calls in ``highs``. ``solve_milp``
 solves the LP relaxation at the root and rounds its binaries into a
@@ -8,7 +8,8 @@ the tree search) solves the whole model. Every incumbent is re-solved as
 an LP with its binaries fixed and checked against the model before it is
 reported. The LPs on one model share one HiGHS instance until the MIP
 call, so each starts warm from the last optimal basis. Models can also be
-exported to MPS, solved externally and re-imported.
+exported to MPS, which HiGHS's own reader reads back as the model, solved
+externally, and their solutions imported and checked against the model.
 """
 
 import math
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .highs import HighsInstance, linprog, mip
-from .milp_model import MILPModel, BINARY, CONTINUOUS, LE, EQ, GE
 from .tolerances import (CMP_TOL, GAP_FLOOR, INT_TOL, MIP_FEAS_TOL,
                          OPTIMAL_GAP)
 
@@ -215,7 +215,7 @@ def enumerate_binaries(model):
 
 
 # ---------------------------------------------------------------------------
-# MPS export / import
+# MPS export, solution import
 # ---------------------------------------------------------------------------
 
 def _mps_name(name):
@@ -229,161 +229,64 @@ def _fmt(v):
 def export_mps(model):
     """Serialize to MPS text (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA).
 
-    Coefficients are written with 17 significant digits so a reparse is
-    bit-exact. Binaries are marked with BV bound records, followed by the
-    bound that fixes one when its bounds are not [0, 1]. A column with no
+    Coefficients are written with 17 significant digits. HiGHS's own
+    reader (``readModel``) reads the text back as the model: its costs,
+    objective constant, bounds, integrality, row bounds, matrix and names,
+    each exactly and without a warning. A binary on [0, 1] is marked with
+    a BV bound record. One whose bounds are not [0, 1] is an integer column
+    with its bounds written (LI where its lower bound is not 0, then UI),
+    because HiGHS ignores a bound record that follows BV. A column with no
     objective or row coefficient is declared with a zero objective entry,
     so that every variable has a COLUMNS record.
     """
     names = [_mps_name(name) for name in model.names]
     if len(set(names)) != len(names):
         raise ValidationError("variable name collision after MPS mangling")
-
-    lines = [f"NAME          {_mps_name(model.name)}", "ROWS", " N  OBJ"]
-    sense_code = {LE: "L", EQ: "E", GE: "G"}
-    rows = model.constraints
-    rownames = []
-    for k, con in enumerate(rows):
-        rn = _mps_name(con.name) if con.name else f"R{k}"
-        rownames.append(rn)
-        lines.append(f" {sense_code[con.sense]}  {rn}")
+    rownames = [_mps_name(name) if name else f"R{k}"
+                for k, name in enumerate(model.row_names)]
     if len(set(rownames)) != len(rownames):
         raise ValidationError("constraint name collision in MPS export")
+    A, lo, hi = model.constraint_matrices()
+    le = lo == -math.inf
+    rhs = np.where(le, hi, lo).tolist()    # an == row has lo == hi
+    sense = np.where(le, "L", np.where(hi == math.inf, "G", "E")).tolist()
 
-    # column-major coefficient gathering
-    cols = [[] for _ in range(model.nvar)]
-    for i, coef in model.obj.items():
-        cols[i].append(("OBJ", coef))
-    for rn, con in zip(rownames, rows):
-        for i, coef in con.coeffs.items():
-            cols[i].append((rn, coef))
+    lines = [f"NAME          {_mps_name(model.name)}", "ROWS", " N  OBJ"]
+    lines += [f" {code}  {rn}" for code, rn in zip(sense, rownames)]
 
     lines.append("COLUMNS")
-    for i, entries in enumerate(cols):
+    start, rows, vals = (A.indptr.tolist(), A.indices.tolist(),
+                         A.data.tolist())
+    for i, name in enumerate(names):
+        span = slice(start[i], start[i + 1])
+        entries = [("OBJ", model.obj[i])] if i in model.obj else []
+        entries += [(rownames[r], v) for r, v in zip(rows[span], vals[span])]
         for rn, coef in entries or [("OBJ", 0.0)]:
-            lines.append(f"    {names[i]}  {rn}  {_fmt(coef)}")
+            lines.append(f"    {name}  {rn}  {_fmt(coef)}")
 
     lines.append("RHS")
     if model.obj_constant != 0.0:
         lines.append(f"    RHS  OBJ  {_fmt(-model.obj_constant)}")
-    for rn, con in zip(rownames, rows):
-        if con.rhs != 0.0:
-            lines.append(f"    RHS  {rn}  {_fmt(con.rhs)}")
+    lines += [f"    RHS  {rn}  {_fmt(b)}" for rn, b in zip(rownames, rhs)
+              if b != 0.0]
 
     lines.append("BOUNDS")
     for name, binary, lb, ub in zip(names, model.binary.tolist(),
                                     model.lb.tolist(), model.ub.tolist()):
         # BV reads as [0, 1] and a column with no record as [0, inf)
-        if binary:
+        if binary and (lb, ub) == (0.0, 1.0):
             lines.append(f" BV BND  {name}")
-        elif lb == -math.inf:
+            continue
+        low, up = ("LI", "UI") if binary else ("LO", "UP")
+        if lb == -math.inf:
             lines.append(f" {'FR' if ub == math.inf else 'MI'} BND  {name}")
-        if -math.inf < lb != 0.0:
-            lines.append(f" LO BND  {name}  {_fmt(lb)}")
-        if ub != (1.0 if binary else math.inf):
-            lines.append(f" UP BND  {name}  {_fmt(ub)}")
+        elif lb != 0.0:
+            lines.append(f" {low} BND  {name}  {_fmt(lb)}")
+        if ub != math.inf:
+            lines.append(f" {up} BND  {name}  {_fmt(ub)}")
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
-
-
-_ROW_SENSE = {"N": None, "L": LE, "E": EQ, "G": GE}
-_BOUND_FIELDS = {"BV": 3, "MI": 3, "FR": 3, "LO": 4, "UP": 4}
-_SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
-
-
-def _fields(parts, count, lineno, section):
-    if len(parts) != count:
-        raise ParseError(f"{section} record has {len(parts)} fields, "
-                         f"expected {count}", line=lineno)
-    return parts
-
-
-def _number(text, lineno):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{text!r} is not a number", line=lineno) from None
-
-
-def parse_mps(text):
-    """Reparse MPS text produced by export_mps into a MILPModel. An
-    unknown section, a record with the wrong field count, a non-number, an
-    unknown row or bound type, a duplicate row or a reference to an
-    undeclared row raises ``ParseError``."""
-    model = None
-    section = None
-    rows = {}        # name -> ["N" or a sense code, rhs], in ROWS order
-    cols = {}        # varname -> [kind, lb, ub, [(rowname, coef), ...]]
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        if not raw.startswith(" "):
-            parts = raw.split()
-            section = parts[0]
-            if section not in _SECTIONS:
-                raise ParseError(f"unknown section {section!r}", line=lineno)
-            if section == "NAME":
-                model = MILPModel(parts[1] if len(parts) > 1 else "model")
-            continue
-        parts = raw.split()
-        if section == "ROWS":
-            code, rn = _fields(parts, 2, lineno, section)
-            if code not in _ROW_SENSE:
-                raise ParseError(f"unknown row type {code!r}", line=lineno)
-            if rn in rows:
-                raise ParseError(f"duplicate row {rn!r}", line=lineno)
-            rows[rn] = [code, 0.0]
-        elif section in ("COLUMNS", "RHS"):
-            name, rn, val = _fields(parts, 3, lineno, section)
-            if rn not in rows:
-                raise ParseError(f"undeclared row {rn!r}", line=lineno)
-            if section == "RHS":
-                rows[rn][1] = _number(val, lineno)
-            else:
-                col = cols.setdefault(name, [CONTINUOUS, 0.0, math.inf, []])
-                col[3].append((rn, _number(val, lineno)))
-        elif section == "RANGES":
-            raise ValidationError("RANGES records are not supported")
-        elif section == "BOUNDS":
-            count = _BOUND_FIELDS.get(parts[0])
-            if count is None:
-                raise ParseError(f"unknown bound type {parts[0]!r}",
-                                 line=lineno)
-            code, _, vn, *val = _fields(parts, count, lineno, section)
-            if vn not in cols:
-                raise ValidationError(
-                    f"BOUNDS record for undeclared column {vn!r}")
-            col = cols[vn]
-            if code == "BV":
-                col[:3] = BINARY, 0.0, 1.0
-            elif code == "MI":
-                col[1] = -math.inf
-            elif code == "FR":
-                col[1:3] = -math.inf, math.inf
-            else:
-                col[1 if code == "LO" else 2] = _number(val[0], lineno)
-
-    if model is None:
-        raise ValidationError("MPS text missing NAME record")
-    model.add_vars(list(cols), *([col[f] for col in cols.values()]
-                                 for f in range(3)))
-    con_coeffs = {rn: {} for rn, (code, _) in rows.items() if code != "N"}
-    for i, (*_, entries) in enumerate(cols.values()):
-        for rn, coef in entries:
-            if rows[rn][0] == "N":
-                if coef != 0.0:     # zero only declares an empty column
-                    model.add_obj(i, coef)
-            else:
-                con_coeffs[rn][i] = coef
-    for rn, (code, rhs) in rows.items():
-        if code == "N":
-            if not math.isfinite(rhs):
-                raise ValidationError(f"non-finite objective constant {rhs!r}")
-            model.obj_constant = -rhs
-            continue
-        model.add_constr(con_coeffs[rn], _ROW_SENSE[code], rhs, name=rn)
-    return model
 
 
 def import_solution(text, model):

@@ -1,11 +1,13 @@
 """Shared fixtures: the bundled 14-bus system, UC instances, the sampled
 power-flow dataset, and trained surrogates. Everything heavy is session
-scoped so the acceptance suite and unit tests share one pipeline run."""
+scoped so the acceptance suite and unit tests share one pipeline run.
+Also HiGHS's reading of an MPS file, the one check of ``export_mps``."""
 
 import importlib.resources as ir
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
 from compactpf.case_ingest import (parse_matpower, validate_case,
                                    derate_thermal_limits, load_uc_instance)
@@ -165,3 +167,35 @@ def sample_box_inputs(box, count, rng, theta_cap=0.10):
         diff = ti - tj
         keep &= (diff >= plo) & (diff <= phi)
     return X[keep]
+
+
+def read_mps(path):
+    """HiGHS's reading of the MPS file at ``path``: the ``HighsLp`` of
+    ``getLp()`` and the ``readModel`` status."""
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    status = highs.readModel(str(path))
+    return highs.getLp(), status
+
+
+def reads_back_as(lp, model):
+    """Whether HiGHS's reading ``lp`` of ``export_mps(model)`` is the model,
+    coefficient-identical: costs, objective constant, column bounds,
+    integrality, row bounds, the CSC matrix and the names (an unnamed row
+    ``k`` as the writer names it, ``R{k}``)."""
+    A, lo, hi = model.constraint_matrices()
+    integer = [v == _core.HighsVarType.kInteger for v in lp.integrality_]
+    return (np.array_equal(lp.col_cost_, model.objective_vector())
+            and lp.offset_ == model.obj_constant
+            and np.array_equal(lp.col_lower_, model.lb)
+            and np.array_equal(lp.col_upper_, model.ub)
+            and np.array_equal(integer or np.zeros(model.nvar, bool),
+                               model.binary)
+            and np.array_equal(lp.row_lower_, lo)
+            and np.array_equal(lp.row_upper_, hi)
+            and np.array_equal(lp.a_matrix_.start_, A.indptr)
+            and np.array_equal(lp.a_matrix_.index_, A.indices)
+            and np.array_equal(lp.a_matrix_.value_, A.data)
+            and list(lp.col_names_) == model.names
+            and list(lp.row_names_) == [name or f"R{k}" for k, name
+                                        in enumerate(model.row_names)])

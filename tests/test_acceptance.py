@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
 from compactpf import grid_model, jacobian
 from compactpf.pwl_learner import (CompactPWLModel, train_compact,
@@ -18,14 +19,14 @@ from compactpf.milp_encode import (BigMBounds, FREE, interval_bounds,
                                    tighten_bounds, prune,
                                    standalone_fragment)
 from compactpf.milp_solve import (solve_milp, solve_lp, enumerate_binaries,
-                                  export_mps, parse_mps, LPBackend)
+                                  export_mps, LPBackend)
 from compactpf.uc_builder import (build_nn_ac_uc, build_l_ac_uc,
                                   build_core_uc, extract_schedule)
 from compactpf.ac_solver import mtp_acopf_check
 from compactpf.data_factory import LoadScheme
 from compactpf.harness import ExperimentConfig, run_experiment, emit_reports
 
-from conftest import sample_box_inputs
+from conftest import read_mps, reads_back_as, sample_box_inputs
 
 
 def _verdict(num, label, ok, detail):
@@ -298,7 +299,7 @@ def _bundled_small_milps(compact3, box14):
     return out
 
 
-def test_acceptance_7_solver_vs_oracle(compact3, box14):
+def test_acceptance_7_solver_vs_oracle(compact3, box14, tmp_path):
     models = _bundled_small_milps(compact3, box14)
     worst = 0.0
     for m in models:
@@ -308,26 +309,13 @@ def test_acceptance_7_solver_vs_oracle(compact3, box14):
         assert bb.status == "optimal" and ref.status == "optimal"
         worst = max(worst, abs(bb.objective - ref.objective))
 
-    # MPS round trip on every instance: coefficient-identical
+    # MPS round trip on every instance, read by HiGHS: coefficient-identical
     identical = True
-    for m in models:
-        again = parse_mps(export_mps(m))
-        lb0, ub0 = m.lb, m.ub
-        lb1, ub1 = again.lb, again.ub
-        identical &= (
-            [v.name for v in again.variables]
-            == [v.name for v in m.variables]
-            and np.array_equal(lb0, lb1) and np.array_equal(ub0, ub1)
-            and again.obj_constant == m.obj_constant
-            and {m.variables[i].name: c for i, c in m.obj.items()}
-            == {again.variables[i].name: c for i, c in again.obj.items()}
-            and len(again.constraints) == len(m.constraints)
-            and all(
-                c0.sense == c1.sense and c0.rhs == c1.rhs
-                and {m.variables[i].name: v for i, v in c0.coeffs.items()}
-                == {again.variables[i].name: v
-                    for i, v in c1.coeffs.items()}
-                for c0, c1 in zip(m.constraints, again.constraints)))
+    for k, m in enumerate(models):
+        path = tmp_path / f"m{k}.mps"
+        path.write_text(export_mps(m))
+        lp, status = read_mps(path)
+        identical &= status == _core.HighsStatus.kOk and reads_back_as(lp, m)
     ok = worst <= 1e-6 and identical
     _verdict(7, "MILP solve vs oracle + MPS round trip", ok,
              f"{len(models)} instances (<=12 binaries), max objective "

@@ -2,6 +2,7 @@ import importlib.resources as ir
 import json
 
 import pytest
+from scipy.optimize._highspy import _core
 
 from compactpf import harness
 from compactpf.cli import main, _generate_schemes
@@ -9,7 +10,8 @@ from compactpf.harness import (ExperimentConfig, ExperimentReport, Cell,
                                report_to_json)
 from compactpf.data_factory import dump_dataset
 from compactpf.pwl_learner import TrainConfig, model_to_json
-from compactpf.milp_solve import parse_mps
+
+from conftest import read_mps
 
 DATA = ir.files("compactpf.data")
 CASE = str(DATA / "case14.m")
@@ -32,9 +34,9 @@ def test_cli_build_dc(tmp_path, capsys):
     rc = main(["build", *SYSTEM, "--formulation", "dc", "--stats",
                "--out", str(out)])
     assert rc == 0
-    text = out.read_text()
-    model = parse_mps(text)  # well-formed MPS
-    assert model.binary_indices()
+    lp, status = read_mps(out)      # HiGHS reads it without a warning
+    assert status == _core.HighsStatus.kOk
+    assert _core.HighsVarType.kInteger in lp.integrality_
     assert "binaries" in capsys.readouterr().out
 
 
@@ -153,9 +155,10 @@ def test_cli_sample_train_compress(tmp_path, capsys):
         rc = main(["build", *SYSTEM, "--formulation", *extra,
                    "--out", str(mps_path)])
         assert rc == 0
-        model = parse_mps(mps_path.read_text())
-        assert any(v.name.startswith(frag) for v in model.variables)
-        assert model.binary_indices()
+        lp, status = read_mps(mps_path)
+        assert status == _core.HighsStatus.kOk
+        assert any(name.startswith(frag) for name in lp.col_names_)
+        assert _core.HighsVarType.kInteger in lp.integrality_
 
 
 def test_cli_build_bounds_a_compressed_model_by_its_bound_mode(

@@ -1,12 +1,14 @@
 """The column and row arrays of MILPModel: the solver's CSC matrix, the
 independent checker and the block builders agree with row-by-row and
-column-by-column references."""
+column-by-column references, and HiGHS reads each model's MPS text back
+as the model."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize._highspy import _core
 
 from compactpf.errors import ValidationError
 from compactpf.harness import big_m_bounds
@@ -14,7 +16,10 @@ from compactpf.milp_encode import (FIXED_OFF, FIXED_ON, FREE,
                                    standalone_fragment)
 from compactpf.milp_model import (MILPModel, Variable, BINARY, CONTINUOUS,
                                   LE, EQ, GE)
+from compactpf.milp_solve import export_mps
 from compactpf.uc_builder import build_dc_uc, build_l_ac_uc, build_nn_ac_uc
+
+from conftest import read_mps, reads_back_as
 
 
 def _csc_row_by_row(model):
@@ -75,6 +80,15 @@ def test_constraint_matrices_equal_the_row_by_row_csc(models, name):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert {con.sense for con in model.constraints} >= {EQ, LE}
+
+
+@pytest.mark.parametrize("name", ["nn", "linear", "dc", "fragment"])
+def test_highs_reads_the_exported_mps_as_the_model(models, name, tmp_path):
+    path = tmp_path / f"{name}.mps"
+    path.write_text(export_mps(models[name]))
+    lp, status = read_mps(path)
+    assert status == _core.HighsStatus.kOk
+    assert reads_back_as(lp, models[name])
 
 
 @pytest.mark.parametrize("name", ["nn", "linear", "dc", "fragment"])
@@ -147,6 +161,28 @@ def test_add_rows_refuses_a_bad_block_and_adds_nothing(rows, cols, vals,
         m.add_rows(rows, cols, vals, sense, [1.0, 2.0], ["r0", "r1"])
     assert m.nrows == 0 and m.constraints == ()
     assert m.constraint_matrices()[0].shape == (0, 2)
+
+
+@pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf])
+def test_add_rows_refuses_a_non_finite_rhs_and_adds_nothing(rhs):
+    m = _two_vars()
+    with pytest.raises(ValidationError,
+                       match="non-finite right-hand side in constraint r1"):
+        m.add_rows([0, 1], [0, 1], [1.0, 1.0], LE, [1.0, rhs], ["r0", "r1"])
+    assert m.nrows == 0 and m.constraints == ()
+    assert m.constraint_matrices()[0].shape == (0, 2)
+
+
+@pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+def test_add_obj_refuses_a_non_finite_coefficient_and_adds_nothing(coef):
+    m = _two_vars()
+    m.add_obj(0, 2.0)
+    for var in (0, 1):
+        with pytest.raises(ValidationError,
+                           match="non-finite objective coefficient"):
+            m.add_obj(var, coef)
+    assert m.obj == {0: 2.0}
+    assert m.objective_vector().tolist() == [2.0, 0.0]
 
 
 @pytest.mark.parametrize("names, kind, lb, ub, match", [

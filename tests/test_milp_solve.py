@@ -16,9 +16,11 @@ from compactpf.milp_model import MILPModel, BINARY, LE, EQ, GE
 from compactpf.pwl_learner import CompactPWLModel
 from compactpf.uc_builder import build_dc_uc
 from compactpf.milp_solve import (solve_lp, solve_milp, enumerate_binaries,
-                                  export_mps, parse_mps, import_solution)
-from compactpf.errors import ParseError, ValidationError
+                                  export_mps, import_solution)
+from compactpf.errors import ValidationError
 from compactpf.tolerances import MIP_FEAS_TOL, PRIMAL_TOL
+
+from conftest import read_mps, reads_back_as
 
 
 def _knapsack(values, weights, cap):
@@ -120,38 +122,27 @@ def test_enumeration_limit():
         enumerate_binaries(m)
 
 
-def test_mps_round_trip_coefficients():
+def test_mps_round_trip_coefficients(tmp_path):
     m, xs = _knapsack([10, 13, 7], [3, 4, 2], 6)
     c = m.add_var("slack", lb=-1.5, ub=math.inf)
     m.add_constr({xs[0]: 1.0, c: -2.5}, GE, -0.75, name="link")
     m.obj_constant = 4.25
-    text = export_mps(m)
-    again = parse_mps(text)
-    assert again.nvar == m.nvar
-    assert [v.name for v in again.variables] == [v.name for v in m.variables]
-    assert [v.kind for v in again.variables] == [v.kind for v in m.variables]
-    lb0, ub0 = m.lb, m.ub
-    lb1, ub1 = again.lb, again.ub
-    assert np.array_equal(lb0, lb1)
-    assert np.array_equal(ub0, ub1)
-    assert len(again.constraints) == len(m.constraints)
-    for c0, c1 in zip(m.constraints, again.constraints):
-        assert c0.sense == c1.sense
-        assert c0.rhs == c1.rhs
-        named0 = {m.variables[i].name: v for i, v in c0.coeffs.items()}
-        named1 = {again.variables[i].name: v for i, v in c1.coeffs.items()}
-        assert named0 == named1
-    obj0 = {m.variables[i].name: v for i, v in m.obj.items()}
-    obj1 = {again.variables[i].name: v for i, v in again.obj.items()}
-    assert obj0 == obj1
-    assert again.obj_constant == m.obj_constant
-    # both models solve to the same optimum
-    assert solve_milp(again).objective == pytest.approx(
+    path = tmp_path / "m.mps"
+    path.write_text(export_mps(m))
+    lp, status = read_mps(path)
+    assert status == _core.HighsStatus.kOk
+    assert reads_back_as(lp, m)
+    # HiGHS solves the file to the model's optimum
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.readModel(str(path))
+    highs.run()
+    assert highs.getInfo().objective_function_value == pytest.approx(
         solve_milp(m).objective, abs=1e-9)
 
 
 def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14,
-                                                 inst4):
+                                                 inst4, tmp_path):
     # a ReLU that never activates keeps a zero w2 column, so its fixed-off
     # z has no objective or row coefficient and only a BOUNDS record
     rng = np.random.default_rng(3)
@@ -165,57 +156,30 @@ def test_mps_round_trip_declares_an_empty_column(net14, lin14, box14,
                         status=(FIXED_OFF, FREE, FREE, FREE),
                         provenance=("interval",) * 4)
     fragment, _ = standalone_fragment(model, bounds, box14)
+    z0 = fragment.names.index("nn.z[0]")
+    assert z0 not in fragment.obj
+    assert fragment.constraint_matrices()[0][:, [z0]].nnz == 0
+    path = tmp_path / "fragment.mps"
+    path.write_text(export_mps(fragment))
+    lp, status = read_mps(path)
+    assert status == _core.HighsStatus.kOk
+    assert reads_back_as(lp, fragment)
+
+
+def test_mps_of_a_fixed_binary_reads_back_fixed(net14, inst4, tmp_path):
     # uc14_t4's unit 1 starts above its shutdown ramp, so the DC-UC fixes
-    # its binary w[0][0] at 0
+    # its binary w[0][0] at 0: HiGHS ignores a bound after BV, so the file
+    # must give it as an integer column with its bounds
     dc_uc, _ = build_dc_uc(inst4, net14)
     w00 = dc_uc.var_index("w[0][0]")
     assert (dc_uc.binary[w00], dc_uc.lb[w00], dc_uc.ub[w00]) == (True, 0, 0)
-    for m in (fragment, dc_uc):
-        again = parse_mps(export_mps(m))
-        assert again.variables == m.variables
-        assert ({again.names[i]: c for i, c in again.obj.items()}
-                == {m.names[i]: c for i, c in m.obj.items()})
-
-
-def test_parse_mps_rejects_bounds_of_an_undeclared_column():
-    text = ("NAME          m\nROWS\n N  OBJ\nCOLUMNS\n    a  OBJ  1\nRHS\n"
-            "BOUNDS\n UP BND  a  1\n UP BND  b  2\nENDATA\n")
-    with pytest.raises(ValidationError, match="undeclared column 'b'"):
-        parse_mps(text)
-
-
-_MPS_LINES = ["NAME          m", "ROWS", " N  OBJ", " L  c1", "COLUMNS",
-              "    a  OBJ  1", "    a  c1  2", "RHS", "    RHS  c1  3",
-              "BOUNDS", " UP BND  a  1", "ENDATA"]
-
-
-@pytest.mark.parametrize("lineno, record, error, match", [
-    (7, "    a  c1  two", ParseError, "line 7: 'two' is not a number"),
-    (11, " UP BND  a  one", ParseError, "line 11: 'one' is not a number"),
-    (4, " L  c1  c2", ParseError, "line 4: ROWS record has 3 fields"),
-    (9, "    RHS  c1", ParseError, "line 9: RHS record has 2 fields"),
-    (7, "    a  c2  2", ParseError, "line 7: undeclared row 'c2'"),
-    (4, " X  c1", ParseError, "line 4: unknown row type 'X'"),
-    (4, " L  OBJ", ParseError, "line 4: duplicate row 'OBJ'"),
-    (2, "OBJSENSE", ParseError, "line 2: unknown section 'OBJSENSE'"),
-    (11, " UP BND", ParseError, "line 11: BOUNDS record has 2 fields"),
-    (11, " UP BND  a  nan", ValidationError, "bad upper bound for a"),
-    (11, " UP BND  a  -inf", ValidationError, "bad upper bound for a"),
-    (6, "    a  OBJ  nan", ValidationError, "non-finite objective coeff"),
-    (6, "    a  OBJ  inf", ValidationError, "non-finite objective coeff"),
-    (9, "    RHS  c1  nan", ValidationError,
-     "non-finite right-hand side in constraint c1"),
-    (9, "    RHS  c1  -inf", ValidationError,
-     "non-finite right-hand side in constraint c1"),
-    (9, "    RHS  OBJ  nan", ValidationError, "non-finite objective constant"),
-])
-def test_parse_mps_refuses_malformed_records(lineno, record, error, match):
-    model = parse_mps("\n".join(_MPS_LINES) + "\n")    # the well-formed text
-    assert model.variables[0].ub == 1.0 and model.constraints[0].rhs == 3.0
-    lines = list(_MPS_LINES)
-    lines[lineno - 1] = record
-    with pytest.raises(error, match=match):
-        parse_mps("\n".join(lines) + "\n")
+    path = tmp_path / "dc.mps"
+    path.write_text(export_mps(dc_uc))
+    lp, status = read_mps(path)
+    assert status == _core.HighsStatus.kOk
+    assert lp.integrality_[w00] == _core.HighsVarType.kInteger
+    assert (lp.col_lower_[w00], lp.col_upper_[w00]) == (0.0, 0.0)
+    assert reads_back_as(lp, dc_uc)
 
 
 def test_mps_rejects_duplicate_rows():

@@ -22,9 +22,11 @@ The object also holds ``figures``: the values behind the digests, as
 plain numbers, so that a change which moves them can be read off without
 re-running either side. These are the dataset's size and rejections by
 reason, the test L1 error of the NN and of the linear model, the free
-ReLUs per bound mode, each 4-hour formulation's UC status and objective,
-each oracle's verdict, iterations and objective, and the NN and linear
-UCs' ``err_ft``/``err_tf``.
+ReLUs per bound mode, each 4-hour formulation's UC status, objective and
+commitment ``y`` (units by hours, as integers), the 4-hour NN-UC's binary
+ReLU columns (its free ReLU-hours after the per-hour bound pass), each
+oracle's verdict, iterations and objective, and the NN and linear UCs'
+``err_ft``/``err_tf``.
 
 Equal objects from two checkouts mean these outputs, and the LPs behind
 them, are the same bit for bit; the same checkout run twice must print the
@@ -214,7 +216,14 @@ def fingerprint(src):
                                "commitment": digest(sched.y),
                                **_report(rep)}
         figures["uc_4h"][f] = {"status": sol.status,
-                               "objective": sched.objective}
+                               "objective": sched.objective,
+                               "commitment": np.asarray(sched.y,
+                                                        int).tolist()}
+        if f == "nn":
+            # one binary per free ReLU-hour left by the per-hour pass
+            figures["uc_4h"][f]["relu_binaries"] = sum(
+                binary and ".beta[" in name for name, binary
+                in zip(milp.names, milp.binary.tolist()))
         figures["oracle_4h"][f] = _oracle_figures(rep)
         if f != "dc" and rep.verdict == "feasible":
             err = hv._flow_errors(f, prep, sched)
