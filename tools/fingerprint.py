@@ -217,8 +217,7 @@ def fingerprint(src):
                                **_report(rep)}
         figures["uc_4h"][f] = {"status": sol.status,
                                "objective": sched.objective,
-                               "commitment": np.asarray(sched.y,
-                                                        int).tolist()}
+                               "commitment": sched.y.tolist()}
         if f == "nn":
             # one binary per free ReLU-hour left by the per-hour pass
             figures["uc_4h"][f]["relu_binaries"] = sum(
